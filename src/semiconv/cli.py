@@ -33,8 +33,8 @@ from .dynamics import (
 from .errors import (
     Cancelled,
     HypothesisViolated,
-    IndexOutOfRange,
     InvalidDistribution,
+    InvalidTable,
     MalformedInput,
     SemiconvError,
     SingularDecomposition,
@@ -183,7 +183,7 @@ def cmd_limit(args):
     report = analyze_limit(mu, order_cap=cap)
     payload = serialize.limit_report_to_json(report)
     if args.emit_diagnostic:
-        diag = cesaro_diagnostic(mu, args.max_power, order_cap=cap)
+        diag = cesaro_diagnostic(mu, args.max_power, report.nu)
         payload["diagnostic"] = {
             "deviations": [serialize.rat_to_string(d) for d in diag.deviations],
             "limit_gaps": [serialize.rat_to_string(g) for g in diag.limit_gaps],
@@ -225,7 +225,6 @@ def cmd_verify(args):
     result = run_suite(
         corpus=args.corpus,
         seed=args.seed,
-        jobs=args.jobs,
         inject_corruption=args.inject_corruption,
     )
     payload = result.to_json()
@@ -302,7 +301,6 @@ def _parser():
     p = add("verify", cmd_verify, "run the theorem verification suite")
     p.add_argument("--corpus", choices=("default", "extended"), default="default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument(
         "--inject-corruption",
         action="store_true",
@@ -322,7 +320,7 @@ def main(argv=None):
     except _THEOREM_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEOREM
-    except (IndexOutOfRange, InvalidDistribution) as exc:
+    except (InvalidTable, InvalidDistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MalformedInput as exc:

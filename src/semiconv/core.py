@@ -14,6 +14,7 @@ from .errors import (
     EmptyGenerators,
     EmptySet,
     IndexOutOfRange,
+    InvalidTable,
     MalformedInput,
     MismatchedParent,
     NonAssociative,
@@ -185,7 +186,7 @@ def validate_cayley(labels, table, order_cap=None):
     if n == 0:
         raise MalformedInput("no elements")
     if len(set(labels)) != n:
-        raise MalformedInput("duplicate element labels")
+        raise InvalidTable("duplicate element labels")
     if n > cap:
         raise OrderCapExceeded(n, cap)
     if len(table) != n:

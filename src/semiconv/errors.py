@@ -13,7 +13,11 @@ class MalformedInput(SemiconvError):
     """Input file or literal does not parse into the expected shape."""
 
 
-class IndexOutOfRange(MalformedInput):
+class InvalidTable(MalformedInput):
+    """A table that parses but does not describe a semigroup's elements."""
+
+
+class IndexOutOfRange(InvalidTable):
     def __init__(self, row, col, value):
         self.row, self.col, self.value = row, col, value
         super().__init__(f"table[{row}][{col}] = {value} is not a valid element index")

@@ -61,7 +61,11 @@ def dist_from_json(sg, obj):
     for label, text in obj["probs"].items():
         if not isinstance(text, str):
             raise MalformedInput(f"probability of {label!r} must be a 'p/q' string")
-        probs[sg.index(label)] = rat_from_string(text)
+        try:
+            z = sg.index(label)
+        except MalformedInput as exc:
+            raise InvalidDistribution(str(exc)) from None
+        probs[z] = rat_from_string(text)
     if not probs:
         raise InvalidDistribution("no probabilities given")
     return Dist.from_mapping(sg, probs)

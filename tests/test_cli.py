@@ -59,6 +59,12 @@ def test_validate_index_out_of_range(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
+def test_validate_duplicate_labels(tmp_path, capsys):
+    bad = write(tmp_path / "bad.json", {"labels": ["a", "a"], "table": [[0, 1], [1, 0]]})
+    assert main(["validate", bad]) == 2
+    assert "duplicate element labels" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -133,7 +139,8 @@ def test_invalid_distribution_exit_code(z4, tmp_path, capsys):
     short = dist_file(tmp_path, "short.json", {"1": "1/2"})
     assert main(["power", z4, short, "2"]) == 2
     off = dist_file(tmp_path, "off.json", {"9": "1/1"})
-    assert main(["power", z4, off, "2"]) == 1  # unknown label
+    assert main(["power", z4, off, "2"]) == 2  # unknown label
+    assert "unknown element label: '9'" in capsys.readouterr().err
 
 
 def test_limit_subcommand(z2, tmp_path, capsys):

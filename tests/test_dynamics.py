@@ -17,13 +17,13 @@ from semiconv import (
     MismatchedParent,
     OrderCapExceeded,
     RAT,
+    VerificationFailed,
     analyze_limit,
     build,
     cesaro_average,
     cesaro_deviation,
     cesaro_diagnostic,
     cesaro_limit,
-    convolution_operator,
     convolve,
     dirac,
     element_power_cluster,
@@ -36,6 +36,7 @@ from semiconv import (
     uniform_on,
     variation_norm,
 )
+from semiconv import dynamics
 
 
 def cyclic(n):
@@ -94,18 +95,6 @@ def test_variation_norm_and_tv():
     assert variation_norm(c, c) == RAT(0)
     with pytest.raises(MismatchedParent):
         variation_norm(a, dirac(cyclic(2), 0))
-
-
-def test_convolution_operator():
-    z4 = cyclic(4)
-    mu = Dist(z4, (RAT(0), RAT(1, 2), RAT(0), RAT(1, 2)))
-    op = convolution_operator(mu)
-    nu = Dist(z4, (RAT(1, 2), RAT(1, 2), RAT(0), RAT(0)))
-    # operator application is right convolution by mu
-    assert op.apply(nu) == convolve(nu, mu)
-    assert op.apply(op.apply(nu)) == convolve(nu, power(mu, 2))
-    with pytest.raises(MismatchedParent):
-        op.apply(dirac(cyclic(4), 0))
 
 
 def test_cesaro_limit_alternating_walk():
@@ -222,6 +211,23 @@ def test_analyze_limit_contracting_walk():
     assert all(rep.checks.values())
 
 
+def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
+    # On a left zero semigroup every distribution is fixed by the walk and
+    # idempotent.  Swapping the weights of the two fixed vectors gives an
+    # idempotent nu that mu does not fix: no report may come back.
+    lz2 = build(CorpusSpec("left_zero", (2,)))
+    mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
+    real_solve = dynamics.solve
+
+    def swapped(rows, rhs):
+        x = real_solve(rows, rhs)
+        return [x[1], x[0]] + x[2:]
+
+    monkeypatch.setattr(dynamics, "solve", swapped)
+    with pytest.raises(VerificationFailed, match="limit invariance"):
+        analyze_limit(mu)
+
+
 def test_analyze_limit_respects_cancellation():
     event = threading.Event()
     event.set()
@@ -245,11 +251,13 @@ def test_cesaro_diagnostic_series():
     # (1/2,1/2), ... so the deviation of mu_n from mu * mu_n is
     # 2, 0, 2/3, 0 and the gap to the uniform limit is 1, 0, 1/3, 0
     z2 = cyclic(2)
-    diag = cesaro_diagnostic(dirac(z2, 1), 4)
+    mu = dirac(z2, 1)
+    nu = cesaro_limit(mu)
+    diag = cesaro_diagnostic(mu, 4, nu)
     assert diag.deviations == (RAT(2), RAT(0), RAT(2, 3), RAT(0))
     assert diag.limit_gaps == (RAT(1), RAT(0), RAT(1, 3), RAT(0))
     with pytest.raises(MalformedInput):
-        cesaro_diagnostic(dirac(z2, 1), 0)
+        cesaro_diagnostic(mu, 0, nu)
 
 
 def test_cesaro_deviation_bound():

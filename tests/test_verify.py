@@ -2,10 +2,11 @@
 
 import json
 import threading
+from time import perf_counter
 
 import pytest
 
-from semiconv import Cancelled, build_corpus, run_suite
+from semiconv import Cancelled, build_corpus, run_suite, verify
 from semiconv.verify import _CHECKS, _corrupted_instance
 
 CHECK_NAMES = [name for name, _ in _CHECKS]
@@ -74,6 +75,21 @@ def test_suite_cancellation():
         run_suite(corpus="default", seed=0, cancel=event)
 
 
-def test_jobs_parameter():
-    assert run_suite(corpus="default", seed=0, jobs=1).passed
-    assert run_suite(corpus="default", seed=0, jobs=4).passed
+def test_check_times_are_wall_times():
+    # Checks run one after another, so their times fit inside the suite's.
+    start = perf_counter()
+    res = run_suite(corpus="default", seed=0)
+    wall = perf_counter() - start
+    assert res.passed
+    assert sum(c.elapsed for c in res.checks) <= wall
+
+
+def test_internal_error_fails_its_check(monkeypatch):
+    def broken(ctx):
+        return {}["missing"]
+
+    monkeypatch.setattr(verify, "_CHECKS", [("broken", broken), _CHECKS[0]])
+    res = run_suite(corpus="default", seed=0)
+    assert [(c.name, c.passed) for c in res.checks] == [("broken", False), (_CHECKS[0][0], True)]
+    assert res.checks[0].witness == "internal error: KeyError: 'missing'"
+    assert res.checks[0].instances == 0
