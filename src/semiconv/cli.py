@@ -178,6 +178,8 @@ def cmd_power(args):
 
 
 def cmd_limit(args):
+    if args.emit_diagnostic and args.max_power < 1:
+        raise MalformedInput(f"--max-power must be >= 1, got {args.max_power}")
     cap = _order_cap()
     sg, mu = _load_pair(args)
     report = analyze_limit(mu, order_cap=cap)

@@ -190,10 +190,10 @@ def validate_cayley(labels, table, order_cap=None):
     if n > cap:
         raise OrderCapExceeded(n, cap)
     if len(table) != n:
-        raise MalformedInput(f"table has {len(table)} rows for {n} elements")
+        raise InvalidTable(f"table has {len(table)} rows for {n} elements")
     for i, row in enumerate(table):
         if len(row) != n:
-            raise MalformedInput(f"table row {i} has {len(row)} entries for {n} elements")
+            raise InvalidTable(f"table row {i} has {len(row)} entries for {n} elements")
     for i, row in enumerate(table):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -247,15 +247,29 @@ def idempotents(x):
 
 
 def generated_subsemigroup(gens):
-    """Least subsemigroup containing the generators (closure under products)."""
+    """Least subsemigroup containing the generators (closure under products).
+
+    Every product of generators is a shorter product times one generator on
+    the right, so a breadth-first search under z -> z*g reaches them all in
+    O(|T|*|gens|) table lookups.
+    """
     if not gens:
         raise EmptyGenerators("cannot generate from the empty set")
-    cur = gens
-    while True:
-        nxt = cur | product_sets(cur, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    rows = gens.parent.rows
+    steps = gens.elements()
+    mask = gens.mask
+    frontier = steps
+    while frontier:
+        nxt = []
+        for z in frontier:
+            row = rows[z]
+            for g in steps:
+                w = row[g]
+                if not (mask >> w) & 1:
+                    mask |= 1 << w
+                    nxt.append(w)
+        frontier = nxt
+    return ElementSet(gens.parent, mask)
 
 
 def left_quotient(a, target):

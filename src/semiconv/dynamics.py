@@ -5,15 +5,16 @@ Cesaro averages of the convolution powers converge to an idempotent,
 mu-invariant nu whose support is the kernel of the subsemigroup generated
 by supp(mu).  The power sequence mu^n itself clusters to a finite cyclic
 group of measures {eta, mu*eta, ..., mu^(p-1)*eta} whose structure mirrors
-a quotient G/H read off the product decomposition of supp(nu);
-analyze_limit computes the whole picture and proof-checks every clause on
-the concrete instance.
+a quotient G/H read off the product decomposition of supp(nu).  The
+period p is read off the support cycle of mu^n: it is the period of the
+cycle's sets on the kernel, where they are the supports of the p cluster
+points.  analyze_limit computes the whole picture and proof-checks every
+clause on the concrete instance.
 
 Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,26 +107,6 @@ def variation_norm(mu, nu):
     return total
 
 
-def _reachable_states(mu):
-    """States hit by some power: closure of supp(mu) under right steps."""
-    sg = mu.parent
-    gens = support(mu).elements()
-    rows = sg.rows
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for z in frontier:
-            row = rows[z]
-            for s in gens:
-                w = row[s]
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
-
-
 def _successors(mu, states):
     """The walk's transitions out of each z in states: one list per state of
     the pairs (z*s, mu(s)) for s in supp(mu), in index order of s."""
@@ -146,7 +127,8 @@ def cesaro_limit(mu, order_cap=None, cancel=None):
     """
     _check_cap(mu.parent, order_cap)
     sg = mu.parent
-    states = _reachable_states(mu)
+    # The states hit by some power: the subsemigroup supp(mu) generates.
+    states = generated_subsemigroup(support(mu)).elements()
     pos = {z: i for i, z in enumerate(states)}
     k = len(states)
     # N = M - I restricted to reachable states (closed under the walk).
@@ -187,8 +169,9 @@ def cesaro_limit(mu, order_cap=None, cancel=None):
     return nu
 
 
-def support_period(mu):
-    """Least (q, p) with supp(mu^(q+p)) = supp(mu^q).
+def _support_cycle(mu):
+    """q and the masks of supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s)
+    least such that supp(mu^(q+p_s)) = supp(mu^q).
 
     Exact cycle detection with a first-occurrence map over the bitmask
     sequence A_(n+1) = A_n * A_1; the first repeat of a deterministic
@@ -196,109 +179,20 @@ def support_period(mu):
     """
     base = support(mu)
     seen = {}
+    masks = []
     cur = base
-    step = 1
     while cur.mask not in seen:
-        seen[cur.mask] = step
+        seen[cur.mask] = len(masks)
+        masks.append(cur.mask)
         cur = product_sets(cur, base)
-        step += 1
-    q = seen[cur.mask]
-    return q, step - q
+    start = seen[cur.mask]
+    return start + 1, masks[start:]
 
 
-def _transition_period(mu):
-    """lcm of the periods of the terminal strongly connected components of
-    the walk graph; mu^(n*d) converges as n grows, so d is a multiple of
-    the cluster period."""
-    states = _reachable_states(mu)
-    succ = {
-        z: sorted({w for w, _ in steps})
-        for z, steps in zip(states, _successors(mu, states))
-    }
-    comp = _strongly_connected(states, succ)
-    comp_of = {}
-    for idx, comp_states in enumerate(comp):
-        for z in comp_states:
-            comp_of[z] = idx
-    terminal = []
-    for idx, comp_states in enumerate(comp):
-        if all(comp_of[w] == idx for z in comp_states for w in succ[z]):
-            terminal.append(comp_states)
-    d = 1
-    for comp_states in terminal:
-        d = math.lcm(d, _component_period(comp_states, succ))
-    return d
-
-
-def _strongly_connected(states, succ):
-    """Tarjan's algorithm, iterative."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in states:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp_states = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_states.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp_states))
-    return comps
-
-
-def _component_period(comp_states, succ):
-    """gcd of cycle lengths within one strongly connected component."""
-    inside = set(comp_states)
-    root = comp_states[0]
-    level = {root: 0}
-    frontier = [root]
-    g = 0
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for w in succ[z]:
-                if w not in inside:
-                    continue
-                if w in level:
-                    g = math.gcd(g, level[z] + 1 - level[w])
-                else:
-                    level[w] = level[z] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return abs(g) if g else 1
+def support_period(mu):
+    """Least (q, p) with supp(mu^(q+p)) = supp(mu^q)."""
+    q, cycle = _support_cycle(mu)
+    return q, len(cycle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,11 +300,23 @@ def analyze_limit(mu, order_cap=None, cancel=None):
         support(nu) == product_sets(product_sets(dec.left, g_carrier), dec.right),
     )
 
-    q, _support_p = support_period(mu)
-
-    d = _transition_period(mu)
+    # The cluster period, read off the support cycle on the kernel K.  Every
+    # element of K is recurrent for the walk z -> z*s, because each minimal
+    # right ideal is a closed communicating class.  So on the cycle
+    # supp(mu^n) & K = supp(mu^(n mod p) * eta), the set L gamma^k H R of
+    # the factorization theorem, and those p sets are distinct: p is the
+    # least period of the cycle's masks on K, and it divides p_s.
+    q, cycle = _support_cycle(mu)
+    on_kernel = [mask & walk_kernel.mask for mask in cycle]
+    period = next(
+        t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
+    )
     # Either eta = nu, or cesaro_limit has verified eta * eta = eta.
-    eta = nu if d == 1 else cesaro_limit(power(mu, d), order_cap=order_cap, cancel=cancel)
+    eta = (
+        nu
+        if period == 1
+        else cesaro_limit(power(mu, period), order_cap=order_cap, cancel=cancel)
+    )
     record("eta_idempotent", True)
     _check_cancel(cancel)
 

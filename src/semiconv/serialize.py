@@ -138,7 +138,10 @@ def corpus_spec_from_json(obj):
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         raise MalformedInput('"seed" must be an integer')
-    factors = tuple(corpus_spec_from_json(f) for f in obj.get("factors", []))
+    factors = obj.get("factors", [])
+    if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
+        raise MalformedInput('"factors" must be an array of objects')
+    factors = tuple(corpus_spec_from_json(f) for f in factors)
     return CorpusSpec(kind=obj["kind"], params=tuple(params), seed=seed, factors=factors)
 
 

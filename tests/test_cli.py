@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from semiconv import cli
 from semiconv.cli import main
 from semiconv.serialize import dumps_canonical
 
@@ -56,6 +57,14 @@ def test_validate_non_associative(tmp_path, capsys):
 
 def test_validate_index_out_of_range(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", {"labels": ["a"], "table": [[9]]})
+    assert main(["validate", bad]) == 2
+
+
+def test_validate_ragged_table(tmp_path, capsys):
+    bad = write(tmp_path / "bad.json", {"labels": ["a", "b"], "table": [[0, 1]]})
+    assert main(["validate", bad]) == 2
+    assert "table has 1 rows for 2 elements" in capsys.readouterr().err
+    bad = write(tmp_path / "bad.json", {"labels": ["a", "b"], "table": [[0], [0, 1]]})
     assert main(["validate", bad]) == 2
 
 
@@ -164,6 +173,17 @@ def test_limit_diagnostic(z2, tmp_path, capsys):
     # human mode mentions the final gap
     assert main(["limit", z2, mu, "--emit-diagnostic", "--max-power", "4"]) == 0
     assert "diagnostic gap to limit after 4 steps: 0/1" in capsys.readouterr().out
+
+
+def test_limit_rejects_max_power_before_solving(z2, tmp_path, capsys, monkeypatch):
+    mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("analyze_limit ran before the argument check")
+
+    monkeypatch.setattr(cli, "analyze_limit", unreachable)
+    assert main(["limit", z2, mu, "--emit-diagnostic", "--max-power", "0"]) == 1
+    assert "--max-power must be >= 1" in capsys.readouterr().err
 
 
 def test_cluster_element_subcommand(z4, capsys):

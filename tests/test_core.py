@@ -23,6 +23,7 @@ from semiconv.core import (
 from semiconv.errors import (
     EmptySet,
     IndexOutOfRange,
+    InvalidTable,
     MalformedInput,
     MismatchedParent,
     NonAssociative,
@@ -84,9 +85,9 @@ def test_validate_rejects_malformed():
         validate_cayley([], [])
     with pytest.raises(MalformedInput):
         validate_cayley(["a", "a"], [[0, 0], [0, 0]])
-    with pytest.raises(MalformedInput):
+    with pytest.raises(InvalidTable):
         validate_cayley(["a", "b"], [[0, 1]])
-    with pytest.raises(MalformedInput):
+    with pytest.raises(InvalidTable):
         validate_cayley(["a", "b"], [[0], [0, 1]])
     with pytest.raises(IndexOutOfRange):
         validate_cayley(["a", "b"], [[0, 2], [1, 0]])
@@ -164,18 +165,44 @@ def test_idempotents_by_scan():
     assert idempotents(z4.carrier()).elements() == (0,)
 
 
-def test_generated_subsemigroup_is_closure():
-    sg = t_full(3)
-    gens = sg.subset_of_labels(["120", "110"])
-    got = generated_subsemigroup(gens)
-    # brute closure
-    cur = set(gens.elements())
+def brute_closure(sg, gens):
+    cur = set(gens)
     while True:
         nxt = cur | {sg.mul(a, b) for a in cur for b in cur}
         if nxt == cur:
-            break
+            return cur
         cur = nxt
-    assert set(got.elements()) == cur
+
+
+CLOSURE_TABLES = [
+    CorpusSpec("cyclic", (6,)),
+    CorpusSpec("rectangular_band", (2, 3)),
+    CorpusSpec("full_transformation", (3,)),
+    CorpusSpec("boolean_matrices", (2,)),
+    CorpusSpec("rees_matrix", (3, 2, 2), seed=14),
+    CorpusSpec(
+        "direct_product",
+        (),
+        factors=(CorpusSpec("cyclic", (3,)), CorpusSpec("rectangular_band", (2, 2))),
+    ),
+    CorpusSpec("random_transformation_subsemigroup", (3, 2), seed=21),
+]
+
+
+def test_generated_subsemigroup_is_closure():
+    sg = t_full(3)
+    gens = sg.subset_of_labels(["120", "110"])
+    assert set(generated_subsemigroup(gens).elements()) == brute_closure(sg, gens.elements())
+    for spec in CLOSURE_TABLES:
+        sg = build(spec)
+        n = sg.order
+        # every singleton, a pair per element, and one spread-out triple
+        gen_sets = [[a] for a in range(n)]
+        gen_sets += [[a, (5 * a + 1) % n] for a in range(n)]
+        gen_sets.append([0, n // 3, (2 * n) // 3])
+        for picked in gen_sets:
+            got = generated_subsemigroup(sg.subset(picked))
+            assert set(got.elements()) == brute_closure(sg, picked), (spec.describe(), picked)
 
 
 def test_quotients():

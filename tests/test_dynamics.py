@@ -5,6 +5,7 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 = f(g(x)), so constants absorb on the left.
 """
 
+import math
 import threading
 
 import pytest
@@ -209,6 +210,61 @@ def test_analyze_limit_contracting_walk():
     assert rep.eta == rep.nu
     assert rep.nu == Dist.from_mapping(mu.parent, {"00": RAT(2, 3), "11": RAT(1, 3)})
     assert all(rep.checks.values())
+
+
+def point_mass(spec, label):
+    sg = build(spec)
+    return dirac(sg, sg.index(label))
+
+
+def product_spec(first, second):
+    return CorpusSpec("direct_product", (), factors=(first, second))
+
+
+def t2_by_z3_walk():
+    # t2_walk() on the first coordinate (support period 2, cluster period 1)
+    # times the rotation 1 on Z3: support period 6, cluster period 3
+    sg = build(product_spec(CorpusSpec("full_transformation", (2,)), CorpusSpec("cyclic", (3,))))
+    return Dist.from_mapping(sg, {"(10,1)": RAT(1, 2), "(00,1)": RAT(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "make_walk, period",
+    [
+        *[
+            pytest.param(
+                lambda n=n, a=a: dirac(cyclic(n), a), n // math.gcd(a, n), id=f"delta_{a} on Z{n}"
+            )
+            for n, a in ((2, 1), (4, 1), (4, 2), (6, 4), (12, 8), (30, 12), (30, 0))
+        ],
+        pytest.param(t2_walk, 1, id="t2_walk"),
+        pytest.param(t2_by_z3_walk, 3, id="t2_walk x rotation on Z3"),
+        pytest.param(
+            lambda: point_mass(
+                product_spec(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (2,))), "(a,1)"
+            ),
+            2,
+            id="point mass on left_zero(2) x Z2",
+        ),
+        pytest.param(
+            lambda: point_mass(CorpusSpec("rees_matrix", (4, 2, 1), seed=13), "(0,1,0)"),
+            4,
+            id="point mass on rees_matrix(4,2,1)",
+        ),
+        pytest.param(
+            lambda: point_mass(CorpusSpec("rees_matrix", (2, 2, 2), seed=11), "(1,1,1)"),
+            2,
+            id="point mass on rees_matrix(2,2,2)",
+        ),
+    ],
+)
+def test_cluster_period_on_walks_of_known_period(make_walk, period):
+    mu = make_walk()
+    rep = analyze_limit(mu)
+    assert rep.p == period
+    # the float iteration, p steps at a time, converges to eta only when p
+    # is a multiple of the true period and eta is the cluster identity
+    assert float_shadow(mu, rep.eta, rep.p).converged
 
 
 def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
