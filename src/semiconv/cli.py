@@ -31,7 +31,6 @@ from .dynamics import (
     power,
 )
 from .errors import (
-    Cancelled,
     HypothesisViolated,
     InvalidDistribution,
     InvalidTable,
@@ -56,7 +55,6 @@ _THEOREM_ERRORS = (
     VerificationFailed,
     HypothesisViolated,
     SingularDecomposition,
-    Cancelled,
 )
 
 

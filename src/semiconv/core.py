@@ -173,22 +173,22 @@ def _as_set(x):
     raise TypeError(f"expected Semigroup or ElementSet, got {type(x).__name__}")
 
 
-def validate_cayley(labels, table, order_cap=None):
+def validate_cayley(labels, table):
     """Build a Semigroup from labels and a Cayley table, checking everything.
 
-    Checks: distinct labels, square table, entries in range, associativity.
+    Checks: distinct labels, order at most DEFAULT_ORDER_CAP (before any row
+    is read), square table, entries in range, associativity.
     The associativity witness, if any, is the lexicographically first
     triple (a, b, c) with (a*b)*c != a*(b*c).
     """
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     labels = list(labels)
     n = len(labels)
     if n == 0:
         raise MalformedInput("no elements")
     if len(set(labels)) != n:
         raise InvalidTable("duplicate element labels")
-    if n > cap:
-        raise OrderCapExceeded(n, cap)
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(n, DEFAULT_ORDER_CAP)
     if len(table) != n:
         raise InvalidTable(f"table has {len(table)} rows for {n} elements")
     for i, row in enumerate(table):

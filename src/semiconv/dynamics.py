@@ -3,7 +3,10 @@
 The anchor result: for any exact-rational mu on a finite semigroup, the
 Cesaro averages of the convolution powers converge to an idempotent,
 mu-invariant nu whose support is the kernel of the subsemigroup generated
-by supp(mu).  The power sequence mu^n itself clusters to a finite cyclic
+by supp(mu).  By the factorization nu = lambda * omega_G * rho, nu is also
+the only probability vector with mu*nu = nu = nu*mu, so cesaro_limit finds
+it with one exact linear solve of that two-sided invariance, normalized to
+total mass 1.  The power sequence mu^n itself clusters to a finite cyclic
 group of measures {eta, mu*eta, ..., mu^(p-1)*eta} whose structure mirrors
 a quotient G/H read off the product decomposition of supp(nu).  The
 period p is read off the support cycle of mu^n: it is the period of the
@@ -29,7 +32,6 @@ from .core import (
     product_sets,
 )
 from .errors import (
-    Cancelled,
     MalformedInput,
     MismatchedParent,
     NotAGroup,
@@ -40,19 +42,11 @@ from .errors import (
     TheoremViolation,
     VerificationFailed,
 )
-from .linalg import nullspace, solve, transpose
+from .linalg import solve
 from .measure import Dist, convolve, haar_uniform, marginals, support, translate
 from .rees import ReesDecomposition, rees_decompose
 
 DEFAULT_EXACT_CAP = 300
-
-
-def _check_cancel(cancel):
-    if cancel is None:
-        return
-    fired = cancel.is_set() if hasattr(cancel, "is_set") else cancel()
-    if fired:
-        raise Cancelled("analysis cancelled")
 
 
 def _check_cap(sg, order_cap):
@@ -107,60 +101,43 @@ def variation_norm(mu, nu):
     return total
 
 
-def _successors(mu, states):
-    """The walk's transitions out of each z in states: one list per state of
-    the pairs (z*s, mu(s)) for s in supp(mu), in index order of s."""
-    rows = mu.parent.rows
-    items = mu.items()
-    return [[(rows[z][s], p) for s, p in items] for z in states]
+def cesaro_limit(mu, order_cap=None):
+    """Exact limit nu of the Cesaro averages of mu, mu^2, mu^3, ...
 
-
-def cesaro_limit(mu, order_cap=None, cancel=None):
-    """Exact limit of the Cesaro averages of mu, mu^2, mu^3, ...
-
-    Decomposes mu = nu + w with nu in the fixed row space of the transition
-    matrix M (nu*M = nu) and w in the row-range of (M - I), by solving one
-    linear system over the states reachable from supp(mu).  That is the
-    spectral projection onto the eigenvalue-1 eigenspace along its
-    complement, restricted to the part of the space the walk can see.
-    The result is verified idempotent and mu-invariant before returning.
+    nu is the only probability vector with mu*nu = nu = nu*mu.  nu has
+    that property; and if v has it, every mu^n * v is v, so the averages
+    give nu*v = v, and likewise v*nu = v.  Write nu = lambda * omega_G * rho
+    with lambda on L, Haar measure omega_G on G and rho on R, the factors of
+    the kernel K at its base idempotent e.  Then v = nu*v*nu = lambda *
+    omega_G * m * omega_G * rho with m = rho*v*lambda, a measure on
+    eKe = G of the same total mass 1, and omega_G * m * omega_G = omega_G,
+    so v = nu.  Nothing there needs v >= 0, so over the states of the
+    subsemigroup supp(mu) generates, the rows (nu*mu)(z) = nu(z),
+    (mu*nu)(z) = nu(z) and sum(nu) = 1 have exactly one solution.  The
+    result is verified idempotent and mu-invariant before returning.
     """
     _check_cap(mu.parent, order_cap)
     sg = mu.parent
+    rows = sg.rows
     # The states hit by some power: the subsemigroup supp(mu) generates.
     states = generated_subsemigroup(support(mu)).elements()
     pos = {z: i for i, z in enumerate(states)}
     k = len(states)
-    # N = M - I restricted to reachable states (closed under the walk).
-    n_rows = []
-    for z, steps in zip(states, _successors(mu, states)):
-        row = [ZERO] * k
-        for w, p in steps:
-            row[pos[w]] += p
-        row[pos[z]] -= ONE
-        n_rows.append(row)
-    _check_cancel(cancel)
-    nt = transpose(n_rows)
-    left_kernel = nullspace(nt)
-    if not left_kernel:
-        raise SingularDecomposition("fixed space of the transition matrix is empty")
-    _check_cancel(cancel)
-    # Columns: left-kernel basis vectors, then columns of N^T (= rows of N).
-    stacked = [
-        [vec[i] for vec in left_kernel] + nt[i]
-        for i in range(k)
-    ]
-    mu_restricted = [mu.probs[z] for z in states]
-    coeffs = solve(stacked, mu_restricted)
-    if coeffs is None:
-        raise SingularDecomposition("kernel and range of (M - I) do not span")
+    items = mu.items()
+    right = [[ZERO] * k for _ in range(k)]  # (nu*mu)(z) - nu(z)
+    left = [[ZERO] * k for _ in range(k)]  # (mu*nu)(z) - nu(z)
+    for i, z in enumerate(states):
+        right[i][i] -= ONE
+        left[i][i] -= ONE
+        for s, p in items:
+            right[pos[rows[z][s]]][i] += p
+            left[pos[rows[s][z]]][i] += p
+    x = solve(right + left + [[ONE] * k], [ZERO] * (2 * k) + [ONE])
+    if x is None:
+        raise SingularDecomposition("no probability vector is fixed by mu on both sides")
     probs = [ZERO] * sg.order
-    for j, vec in enumerate(left_kernel):
-        c = coeffs[j]
-        if c:
-            for i, z in enumerate(states):
-                if vec[i]:
-                    probs[z] += c * vec[i]
+    for z, v in zip(states, x):
+        probs[z] = v
     nu = Dist(sg, probs)
     if convolve(nu, nu) != nu:
         raise VerificationFailed("limit idempotent", "nu * nu != nu")
@@ -258,7 +235,7 @@ class LimitReport:
     checks: dict
 
 
-def analyze_limit(mu, order_cap=None, cancel=None):
+def analyze_limit(mu, order_cap=None):
     """Full limit analysis of the convolution powers of mu.
 
     Computes the Cesaro limit nu, the cluster identity eta, the cluster
@@ -276,7 +253,7 @@ def analyze_limit(mu, order_cap=None, cancel=None):
             raise TheoremViolation(name, detail)
 
     # cesaro_limit raises unless nu * nu = nu and mu * nu = nu = nu * mu.
-    nu = cesaro_limit(mu, order_cap=order_cap, cancel=cancel)
+    nu = cesaro_limit(mu, order_cap=order_cap)
     record("nu_idempotent", True)
     record("nu_invariant", True)
 
@@ -287,7 +264,6 @@ def analyze_limit(mu, order_cap=None, cancel=None):
         support(nu) == walk_kernel,
         f"supp(nu)={support(nu).labels()}, kernel={walk_kernel.labels()}",
     )
-    _check_cancel(cancel)
 
     try:
         dec = rees_decompose(walk_kernel)
@@ -312,13 +288,8 @@ def analyze_limit(mu, order_cap=None, cancel=None):
         t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
     )
     # Either eta = nu, or cesaro_limit has verified eta * eta = eta.
-    eta = (
-        nu
-        if period == 1
-        else cesaro_limit(power(mu, period), order_cap=order_cap, cancel=cancel)
-    )
+    eta = nu if period == 1 else cesaro_limit(power(mu, period), order_cap=order_cap)
     record("eta_idempotent", True)
-    _check_cancel(cancel)
 
     single_e = sg.singleton(e)
     h_set = product_sets(single_e, product_sets(support(eta), single_e))
@@ -359,7 +330,6 @@ def analyze_limit(mu, order_cap=None, cancel=None):
         cur = convolve(mu, cur)
         if len(cluster) > sg.order:
             raise TheoremViolation("cluster_cycle", "mu^k * eta never returned to eta")
-        _check_cancel(cancel)
     p = len(cluster)
     record(
         "period_matches_quotient",
@@ -400,7 +370,6 @@ def analyze_limit(mu, order_cap=None, cancel=None):
             for k in range(p)
         ),
     )
-    _check_cancel(cancel)
 
     eta_left, _eta_mid, eta_right = marginals(eta, dec)
     haar_h = haar_uniform(subgroup)
@@ -496,11 +465,12 @@ def float_shadow(mu, eta, step, tolerance=1e-9, max_iterations=4096):
     Checks that the l1 gap never increases (up to float jitter) and finds
     the first iterate below tolerance.  Exact checks remain authoritative.
     """
+    rows = mu.parent.rows
     n = mu.parent.order
     m = np.zeros((n, n))
-    for z, steps in enumerate(_successors(mu, range(n))):
-        for w, p in steps:
-            m[z, w] += float(p)
+    for s, p in mu.items():
+        for z in range(n):
+            m[z, rows[z][s]] += float(p)
     m_step = np.linalg.matrix_power(m, step)
     target = np.array([float(p) for p in eta.probs])
     # Start at mu^step: the gap to eta is non-increasing under M^step.

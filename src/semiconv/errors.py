@@ -151,7 +151,3 @@ class ParameterOutOfRange(SemiconvError):
 class EmptySupport(SemiconvError):
     pass
 
-
-class Cancelled(SemiconvError):
-    """Raised when a caller-supplied cancellation token fires mid-analysis."""
-

@@ -70,7 +70,3 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][-1]
     return x
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]

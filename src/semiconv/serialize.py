@@ -26,7 +26,10 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, undecodable UTF-8 and integer
+        # literals past the interpreter's digit limit; RecursionError covers
+        # arrays or objects nested too deeply for the parser.
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -34,7 +37,7 @@ def semigroup_to_json(sg):
     return {"labels": list(sg.labels), "table": [list(r) for r in sg.rows]}
 
 
-def semigroup_from_json(obj, order_cap=None):
+def semigroup_from_json(obj):
     if not isinstance(obj, dict) or "labels" not in obj or "table" not in obj:
         raise MalformedInput('expected an object with "labels" and "table"')
     labels = obj["labels"]
@@ -43,11 +46,11 @@ def semigroup_from_json(obj, order_cap=None):
         raise MalformedInput('"labels" must be an array of strings')
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise MalformedInput('"table" must be an array of arrays')
-    return validate_cayley(labels, table, order_cap=order_cap)
+    return validate_cayley(labels, table)
 
 
-def load_semigroup(path, order_cap=None):
-    return semigroup_from_json(_load_json(path), order_cap=order_cap)
+def load_semigroup(path):
+    return semigroup_from_json(_load_json(path))
 
 
 def dist_to_json(mu):

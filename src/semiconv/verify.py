@@ -33,7 +33,6 @@ from .core import (
 )
 from .dynamics import (
     DEFAULT_EXACT_CAP,
-    _check_cancel,
     analyze_limit,
     cesaro_deviation,
     cesaro_diagnostic,
@@ -41,7 +40,7 @@ from .dynamics import (
     element_power_cluster,
     float_shadow,
 )
-from .errors import Cancelled, SemiconvError
+from .errors import SemiconvError
 from .generators import CorpusSpec, XorShift64Star, build, random_dist
 from .linalg import nullspace
 from .measure import (
@@ -229,7 +228,6 @@ def _check_minimal_ideal_criterion(ctx):
     cross-checked against a full subset sweep on tiny instances."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -261,7 +259,6 @@ def _check_kernel_least_ideal(ctx):
     """The kernel is a simple ideal contained in every ideal."""
     ran = 0
     for inst in ctx.corrupted + ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -288,7 +285,6 @@ def _check_one_sided_simplicity(ctx):
     covering the carrier, confirmed by subset sweep on tiny instances."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -320,7 +316,6 @@ def _check_simplicity(ctx):
     """Simplicity is equivalent to SaS = S for every a."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -343,7 +338,6 @@ def _check_bilateral_simple_group(ctx):
     ran = 0
     applicable = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -368,7 +362,6 @@ def _check_idempotent_right_identity(ctx):
     """Each idempotent e acts as a right identity on Se."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -388,7 +381,6 @@ def _check_left_group_structure(ctx):
     ran = 0
     applicable = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -411,7 +403,6 @@ def _check_rees_decomposition(ctx):
     L x G x R with invertible coordinates."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         k = kernel(sg.carrier())
@@ -428,7 +419,6 @@ def _check_rees_ideal_translates(ctx):
     right ideals are the sets x(GR)."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         k = kernel(sg.carrier())
@@ -451,7 +441,6 @@ def _check_rees_idempotent_criterion(ctx):
     group coordinate inverts yx."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         k = kernel(sg.carrier())
@@ -478,7 +467,6 @@ def _check_rees_rebase(ctx):
     translation identities relating the two coordinate systems."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         k = kernel(sg.carrier())
@@ -493,7 +481,6 @@ def _check_minimal_product_group(ctx):
     is a group."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -513,7 +500,6 @@ def _check_element_power_clusters(ctx):
     """Powers of every element settle into a coset cycle of a cyclic group."""
     ran = 0
     for inst in ctx.instances:
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         for a in sg.carrier():
@@ -536,7 +522,6 @@ def _check_support_convolution(ctx):
     """The support of a convolution is the product of the supports."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         ran += 1
         mus = _seeded_dists(inst, ctx.seed, 1, 3)
         nus = _seeded_dists(inst, ctx.seed, 2, 3)
@@ -553,7 +538,6 @@ def _check_convolution_marginals(ctx):
     mu's and the right marginal matches nu's."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         car = sg.carrier()
         if not is_simple(car) or not idempotents(car):
@@ -601,7 +585,6 @@ def _check_translation_biinvariance(ctx):
     ran = 0
     solved = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -646,7 +629,6 @@ def _check_idempotent_factorization(ctx):
     factoring are mutually inverse."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         sg = inst.semigroup
         car = sg.carrier()
         if not is_simple(car) or not idempotents(car):
@@ -677,7 +659,6 @@ def _check_convolution_invariance(ctx):
     by every point mass drawn from supp(mu), relative to its own support."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         ran += 1
         for mu in _seeded_dists(inst, ctx.seed, 8, 2):
             nu = cesaro_limit(mu)
@@ -692,10 +673,9 @@ def _check_limit_theorem(ctx):
     product factorizations all verify on seeded walks."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         ran += 1
         for mu in _seeded_dists(inst, ctx.seed, 9, 2):
-            analyze_limit(mu, cancel=ctx.cancel)
+            analyze_limit(mu)
     return ran, ""
 
 
@@ -704,7 +684,6 @@ def _check_cesaro_bound(ctx):
     variation norm."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         if inst.semigroup.order > 64:
             continue
         ran += 1
@@ -722,7 +701,6 @@ def _check_float_shadow(ctx):
     non-increasing distance once aligned to the period."""
     ran = 0
     for inst in _dynamic_instances(ctx):
-        _check_cancel(ctx.cancel)
         if inst.semigroup.order > 32:
             continue
         ran += 1
@@ -766,7 +744,6 @@ class _SuiteContext:
     instances: list
     corrupted: list
     seed: int
-    cancel: object = None
 
 
 def _corrupted_instance():
@@ -782,8 +759,6 @@ def _run_check(name, fn, ctx):
     try:
         count, witness = fn(ctx)
         passed = witness == ""
-    except Cancelled:
-        raise
     except SemiconvError as exc:
         count, witness, passed = 0, f"{type(exc).__name__}: {exc}", False
     except Exception as exc:
@@ -793,11 +768,11 @@ def _run_check(name, fn, ctx):
     return CheckResult(name, passed, count, witness, elapsed)
 
 
-def run_suite(corpus="default", seed=0, inject_corruption=False, cancel=None):
+def run_suite(corpus="default", seed=0, inject_corruption=False):
     """Run every check against the named corpus, one after another in the
     fixed check order; each check's elapsed is its own wall time."""
     instances = build_corpus(corpus)
     corrupted = [_corrupted_instance()] if inject_corruption else []
-    ctx = _SuiteContext(instances=instances, corrupted=corrupted, seed=seed, cancel=cancel)
+    ctx = _SuiteContext(instances=instances, corrupted=corrupted, seed=seed)
     results = tuple(_run_check(name, fn, ctx) for name, fn in _CHECKS)
     return SuiteResult(corpus=corpus, seed=seed, checks=results)

@@ -85,6 +85,25 @@ def test_unparseable_json_is_io_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("validate", b"[" * 200000 + b"]" * 200000),
+        ("validate", b"\xff\xfe{}"),
+        # Past the integer digit limit json.load fails; without it the
+        # number loads and is rejected as a probability that is no string.
+        ("limit", b'{"probs": {"0": ' + b"7" * 5000 + b"}}"),
+    ],
+    ids=["deeply_nested_table", "table_not_utf8", "5000_digit_probability"],
+)
+def test_input_beyond_parser_limits_is_io_error(z2, tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    argv = ["validate", str(path)] if command == "validate" else ["limit", z2, str(path)]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_analyze_json(z4, capsys):
     assert main(["analyze", z4, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

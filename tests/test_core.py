@@ -1,6 +1,7 @@
 import pytest
 
 from semiconv.core import (
+    DEFAULT_ORDER_CAP,
     generated_subsemigroup,
     group_structure,
     idempotents,
@@ -96,11 +97,9 @@ def test_validate_rejects_malformed():
 
 
 def test_validate_order_cap():
-    labels = [str(i) for i in range(9)]
-    table = [[(i + j) % 9 for j in range(9)] for i in range(9)]
+    # The cap is checked before any row is read, so no table is needed.
     with pytest.raises(OrderCapExceeded):
-        validate_cayley(labels, table, order_cap=8)
-    assert validate_cayley(labels, table, order_cap=9).order == 9
+        validate_cayley([str(i) for i in range(DEFAULT_ORDER_CAP + 1)], [])
 
 
 # ---- element sets ----

@@ -6,12 +6,10 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 """
 
 import math
-import threading
 
 import pytest
 
 from semiconv import (
-    Cancelled,
     CorpusSpec,
     Dist,
     MalformedInput,
@@ -29,15 +27,19 @@ from semiconv import (
     dirac,
     element_power_cluster,
     float_shadow,
+    generated_subsemigroup,
     haar_uniform,
     is_idempotent_measure,
     power,
+    support,
     support_period,
     tv_distance,
     uniform_on,
     variation_norm,
 )
-from semiconv import dynamics
+from semiconv import dynamics, verify
+from semiconv._rat import ONE, ZERO
+from semiconv.linalg import nullspace, solve
 
 
 def cyclic(n):
@@ -268,9 +270,10 @@ def test_cluster_period_on_walks_of_known_period(make_walk, period):
 
 
 def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
-    # On a left zero semigroup every distribution is fixed by the walk and
-    # idempotent.  Swapping the weights of the two fixed vectors gives an
-    # idempotent nu that mu does not fix: no report may come back.
+    # On a left zero semigroup every distribution is idempotent, and mu is
+    # the only one that mu fixes on the left.  Swapping the two states'
+    # weights in the solution gives an idempotent nu that mu does not fix:
+    # no report may come back.
     lz2 = build(CorpusSpec("left_zero", (2,)))
     mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
     real_solve = dynamics.solve
@@ -284,11 +287,44 @@ def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
         analyze_limit(mu)
 
 
-def test_analyze_limit_respects_cancellation():
-    event = threading.Event()
-    event.set()
-    with pytest.raises(Cancelled):
-        analyze_limit(t2_walk(), cancel=event)
+def spectral_limit(mu):
+    """Reference Cesaro limit by spectral projection: nu spans the left
+    nullspace of N = M - I over the reachable states (M the transition
+    matrix), and mu = nu + w with w in the row range of N."""
+    sg = mu.parent
+    states = generated_subsemigroup(support(mu)).elements()
+    pos = {z: i for i, z in enumerate(states)}
+    k = len(states)
+    n_rows = []
+    for z in states:
+        row = [ZERO] * k
+        for s, p in mu.items():
+            row[pos[sg.rows[z][s]]] += p
+        row[pos[z]] -= ONE
+        n_rows.append(row)
+    nt = [list(col) for col in zip(*n_rows)]
+    fixed = nullspace(nt)
+    stacked = [[vec[i] for vec in fixed] + nt[i] for i in range(k)]
+    coeffs = solve(stacked, [mu.probs[z] for z in states])
+    probs = [ZERO] * sg.order
+    for c, vec in zip(coeffs, fixed):
+        for i, z in enumerate(states):
+            probs[z] += c * vec[i]
+    return Dist(sg, probs)
+
+
+def test_cesaro_limit_matches_spectral_projection():
+    periodic = 0
+    for inst in verify.build_corpus("default"):
+        for seed in range(4):
+            for mu in verify._seeded_dists(inst, seed, 9, 2):
+                assert cesaro_limit(mu) == spectral_limit(mu), inst.name
+                p = analyze_limit(mu).p
+                if p > 1:
+                    periodic += 1
+                    mu_p = power(mu, p)
+                    assert cesaro_limit(mu_p) == spectral_limit(mu_p), inst.name
+    assert periodic >= 10
 
 
 def test_order_cap():

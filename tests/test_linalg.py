@@ -1,5 +1,5 @@
 from semiconv._rat import ONE, RAT, ZERO
-from semiconv.linalg import nullspace, rref, solve, transpose
+from semiconv.linalg import nullspace, rref, solve
 
 
 def R(*vals):
@@ -48,7 +48,3 @@ def test_solve_underdetermined_and_inconsistent():
     x = solve([R(1, 1, 0)], R(7))
     assert x is not None and mat_vec([R(1, 1, 0)], x) == R(7)
     assert solve([R(1, 1), R(1, 1)], R(1, 2)) is None
-
-
-def test_transpose():
-    assert transpose([R(1, 2, 3), R(4, 5, 6)]) == [R(1, 4), R(2, 5), R(3, 6)]
