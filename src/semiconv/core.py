@@ -173,6 +173,12 @@ def _as_set(x):
     raise TypeError(f"expected Semigroup or ElementSet, got {type(x).__name__}")
 
 
+def _check_order(n):
+    """Raise OrderCapExceeded for a table over DEFAULT_ORDER_CAP elements."""
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(n, DEFAULT_ORDER_CAP)
+
+
 def validate_cayley(labels, table):
     """Build a Semigroup from labels and a Cayley table, checking everything.
 
@@ -187,8 +193,7 @@ def validate_cayley(labels, table):
         raise MalformedInput("no elements")
     if len(set(labels)) != n:
         raise InvalidTable("duplicate element labels")
-    if n > DEFAULT_ORDER_CAP:
-        raise OrderCapExceeded(n, DEFAULT_ORDER_CAP)
+    _check_order(n)
     if len(table) != n:
         raise InvalidTable(f"table has {len(table)} rows for {n} elements")
     for i, row in enumerate(table):

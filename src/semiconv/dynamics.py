@@ -2,17 +2,20 @@
 
 The anchor result: for any exact-rational mu on a finite semigroup, the
 Cesaro averages of the convolution powers converge to an idempotent,
-mu-invariant nu whose support is the kernel of the subsemigroup generated
-by supp(mu).  By the factorization nu = lambda * omega_G * rho, nu is also
-the only probability vector with mu*nu = nu = nu*mu, so cesaro_limit finds
-it with one exact linear solve of that two-sided invariance, normalized to
-total mass 1.  The power sequence mu^n itself clusters to a finite cyclic
-group of measures {eta, mu*eta, ..., mu^(p-1)*eta} whose structure mirrors
-a quotient G/H read off the product decomposition of supp(nu).  The
-period p is read off the support cycle of mu^n: it is the period of the
-cycle's sets on the kernel, where they are the supports of the p cluster
-points.  analyze_limit computes the whole picture and proof-checks every
-clause on the concrete instance.
+mu-invariant nu whose support is the kernel K = L*G*R of the subsemigroup
+generated by supp(mu), and nu = lambda * omega_G * rho with Haar measure
+omega_G on G.  The power sequence mu^n itself clusters to a finite cyclic
+group of measures {eta, mu*eta, ..., mu^(p-1)*eta} with eta = lambda *
+omega_H * rho for a normal subgroup H of G, with the same lambda and rho.
+So the only exact solves are two small ones: lambda is the stationary law
+of the walk x -> L(s*x) on L and rho that of y -> R(y*s) on R, s drawn
+from mu.  Each law is unique: some word w in supp(mu) lands in K, and from
+there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so every start
+forgets itself.  mu^p fixes the same lambda and rho: its walks fix them,
+and forget their start too, as w padded to a length divisible by p still
+lands in K.  The period p and H = e*supp(eta)*e are read off the support
+cycle of mu^n on K, whose sets are the supports of the p cluster points.  analyze_limit computes the whole picture and
+proof-checks every clause on the concrete instance.
 
 Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .linalg import solve
 from .measure import Dist, convolve, haar_uniform, marginals, support, translate
-from .rees import ReesDecomposition, rees_decompose
+from .rees import ReesDecomposition, psi_inv, rees_decompose
 
 DEFAULT_EXACT_CAP = 300
 
@@ -101,49 +104,52 @@ def variation_norm(mu, nu):
     return total
 
 
-def cesaro_limit(mu, order_cap=None):
-    """Exact limit nu of the Cesaro averages of mu, mu^2, mu^3, ...
+def _fixed_law(mu, states, step):
+    """The only probability on the elements states that the walk
+    x -> step(s, x), with s drawn from mu, leaves fixed."""
+    pos = {x: i for i, x in enumerate(states)}
+    k = len(pos)
+    rows = [[ZERO] * k for _ in range(k)]  # (law moved one step)(x) - law(x)
+    for i, x in enumerate(states):
+        rows[i][i] -= ONE
+        for s, p in mu.items():
+            rows[pos[step(s, x)]][i] += p
+    law = solve(rows + [[ONE] * k], [ZERO] * k + [ONE])
+    if law is None:
+        raise SingularDecomposition("no probability is fixed by the coordinate walk")
+    probs = [ZERO] * mu.parent.order
+    for x, v in zip(states, law):
+        probs[x] = v
+    return Dist(mu.parent, probs)
 
-    nu is the only probability vector with mu*nu = nu = nu*mu.  nu has
-    that property; and if v has it, every mu^n * v is v, so the averages
-    give nu*v = v, and likewise v*nu = v.  Write nu = lambda * omega_G * rho
-    with lambda on L, Haar measure omega_G on G and rho on R, the factors of
-    the kernel K at its base idempotent e.  Then v = nu*v*nu = lambda *
-    omega_G * m * omega_G * rho with m = rho*v*lambda, a measure on
-    eKe = G of the same total mass 1, and omega_G * m * omega_G = omega_G,
-    so v = nu.  Nothing there needs v >= 0, so over the states of the
-    subsemigroup supp(mu) generates, the rows (nu*mu)(z) = nu(z),
-    (mu*nu)(z) = nu(z) and sum(nu) = 1 have exactly one solution.  The
-    result is verified idempotent and mu-invariant before returning.
-    """
-    _check_cap(mu.parent, order_cap)
-    sg = mu.parent
-    rows = sg.rows
-    # The states hit by some power: the subsemigroup supp(mu) generates.
-    states = generated_subsemigroup(support(mu)).elements()
-    pos = {z: i for i, z in enumerate(states)}
-    k = len(states)
-    items = mu.items()
-    right = [[ZERO] * k for _ in range(k)]  # (nu*mu)(z) - nu(z)
-    left = [[ZERO] * k for _ in range(k)]  # (mu*nu)(z) - nu(z)
-    for i, z in enumerate(states):
-        right[i][i] -= ONE
-        left[i][i] -= ONE
-        for s, p in items:
-            right[pos[rows[z][s]]][i] += p
-            left[pos[rows[s][z]]][i] += p
-    x = solve(right + left + [[ONE] * k], [ZERO] * (2 * k) + [ONE])
-    if x is None:
-        raise SingularDecomposition("no probability vector is fixed by mu on both sides")
-    probs = [ZERO] * sg.order
-    for z, v in zip(states, x):
-        probs[z] = v
-    nu = Dist(sg, probs)
+
+def _limit_factors(mu, dec):
+    """nu, lambda and rho for the decomposition dec of the walk kernel."""
+    rows = mu.parent.rows
+    lam = _fixed_law(mu, dec.left, lambda s, x: psi_inv(dec, rows[s][x])[0])
+    rho = _fixed_law(mu, dec.right, lambda s, y: psi_inv(dec, rows[y][s])[2])
+    nu = convolve(convolve(lam, haar_uniform(dec.group)), rho)
     if convolve(nu, nu) != nu:
         raise VerificationFailed("limit idempotent", "nu * nu != nu")
     if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
         raise VerificationFailed("limit invariance", "mu * nu != nu or nu * mu != nu")
-    return nu
+    return nu, lam, rho
+
+
+def cesaro_limit(mu, order_cap=None):
+    """Exact limit nu of the Cesaro averages of mu, mu^2, mu^3, ...
+
+    Decomposes the kernel K = L*G*R of the subsemigroup supp(mu) generates
+    at its least idempotent e and returns nu = lambda * omega_G * rho.
+    lambda is the left marginal of nu: since L(s*z) = L(s*L(z)) on K,
+    mu*nu = nu makes it a fixed law of the walk x -> L(s*x) on L, and it is
+    the only one, because a word w in supp(mu) that lands in K sends every
+    x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
+    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns.  The
+    result is verified idempotent and mu-invariant before returning.
+    """
+    _check_cap(mu.parent, order_cap)
+    return _limit_factors(mu, rees_decompose(kernel(generated_subsemigroup(support(mu)))))[0]
 
 
 def _support_cycle(mu):
@@ -252,23 +258,21 @@ def analyze_limit(mu, order_cap=None):
         if not ok:
             raise TheoremViolation(name, detail)
 
-    # cesaro_limit raises unless nu * nu = nu and mu * nu = nu = nu * mu.
-    nu = cesaro_limit(mu, order_cap=order_cap)
+    _check_cap(sg, order_cap)
+    walk_kernel = kernel(generated_subsemigroup(support(mu)))
+    try:
+        dec = rees_decompose(walk_kernel)
+    except NotSimple as exc:
+        raise TheoremViolation("kernel completely simple", str(exc)) from exc
+    # _limit_factors raises unless nu * nu = nu and mu * nu = nu = nu * mu.
+    nu, lam, rho = _limit_factors(mu, dec)
     record("nu_idempotent", True)
     record("nu_invariant", True)
-
-    generated = generated_subsemigroup(support(mu))
-    walk_kernel = kernel(generated)
     record(
         "support_nu_is_kernel",
         support(nu) == walk_kernel,
         f"supp(nu)={support(nu).labels()}, kernel={walk_kernel.labels()}",
     )
-
-    try:
-        dec = rees_decompose(walk_kernel)
-    except NotSimple as exc:
-        raise TheoremViolation("kernel completely simple", str(exc)) from exc
     e = dec.base
     g_carrier = dec.group.carrier
     record(
@@ -281,23 +285,24 @@ def analyze_limit(mu, order_cap=None):
     # right ideal is a closed communicating class.  So on the cycle
     # supp(mu^n) & K = supp(mu^(n mod p) * eta), the set L gamma^k H R of
     # the factorization theorem, and those p sets are distinct: p is the
-    # least period of the cycle's masks on K, and it divides p_s.
+    # least period of the cycle's masks on K, and it divides p_s.  At the
+    # least n >= q divisible by p the set is supp(eta), so H = e*supp(eta)*e
+    # and eta = lambda * omega_H * rho.
     q, cycle = _support_cycle(mu)
     on_kernel = [mask & walk_kernel.mask for mask in cycle]
     period = next(
         t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
     )
-    # Either eta = nu, or cesaro_limit has verified eta * eta = eta.
-    eta = nu if period == 1 else cesaro_limit(power(mu, period), order_cap=order_cap)
-    record("eta_idempotent", True)
-
     single_e = sg.singleton(e)
-    h_set = product_sets(single_e, product_sets(support(eta), single_e))
-    record("subgroup_in_group", h_set.issubset(g_carrier))
+    eta_support = ElementSet(sg, on_kernel[-q % period])
+    h_set = product_sets(single_e, product_sets(eta_support, single_e))
     try:
         subgroup = group_structure(h_set)
     except (NotAGroup, SemiconvError) as exc:
         raise TheoremViolation("subgroup_structure", str(exc)) from exc
+    eta = nu if period == 1 else convolve(convolve(lam, haar_uniform(subgroup)), rho)
+    record("eta_idempotent", convolve(eta, eta) == eta)
+    record("subgroup_in_group", h_set.issubset(g_carrier))
     record(
         "eta_support_product",
         support(eta) == product_sets(product_sets(dec.left, h_set), dec.right),

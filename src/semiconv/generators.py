@@ -12,7 +12,7 @@ corpus is reproducible bit-for-bit across implementations and platforms.
 from dataclasses import dataclass
 
 from ._rat import RAT
-from .core import validate_cayley
+from .core import _check_order, validate_cayley
 from .errors import EmptySupport, ParameterOutOfRange
 from .measure import Dist
 
@@ -68,6 +68,7 @@ def build(spec):
     """Construct the semigroup a CorpusSpec describes.
 
     Pure function of the spec; every table is run through validate_cayley.
+    An order over DEFAULT_ORDER_CAP is refused before its table is built.
     """
     try:
         builder = _BUILDERS[spec.kind]
@@ -89,6 +90,7 @@ def _expect_params(spec, count):
 
 def _build_cyclic(spec):
     (n,) = _expect_params(spec, 1)
+    _check_order(n)
     labels = [str(i) for i in range(n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return validate_cayley(labels, table)
@@ -117,6 +119,7 @@ def _build_right_zero(spec):
 
 def _build_rectangular_band(spec):
     m, k = _expect_params(spec, 2)
+    _check_order(m * k)
     labels = [f"({i},{j})" for i in range(m) for j in range(k)]
 
     def enc(i, j):
@@ -190,6 +193,7 @@ def _build_rees_matrix(spec):
     from .rees import rees_matrix_semigroup
 
     g_order, rows, cols = _expect_params(spec, 3)
+    _check_order(g_order * rows * cols)
     group = _build_cyclic(CorpusSpec("cyclic", (g_order,)))
     rng = XorShift64Star(spec.seed)
     sandwich = [[rng.below(g_order) for _ in range(rows)] for _ in range(cols)]
@@ -203,6 +207,7 @@ def _build_direct_product(spec):
         raise ParameterOutOfRange("direct_product needs exactly two factors")
     first = build(spec.factors[0])
     second = build(spec.factors[1])
+    _check_order(first.order * second.order)
     labels = [
         f"({la},{lb})" for la in first.labels for lb in second.labels
     ]
@@ -226,16 +231,18 @@ def _build_random_transformation_subsemigroup(spec):
         raise ParameterOutOfRange("transformation degree capped at 4")
     rng = XorShift64Star(spec.seed)
     gens = {tuple(rng.below(degree) for _ in range(degree)) for _ in range(count)}
+    # Every composite is a shorter one composed with one generator on the
+    # right, so a breadth-first search under f -> f.g reaches them all.
     closed = set(gens)
     frontier = list(gens)
     while frontier:
         nxt = []
         for f in frontier:
-            for g in list(closed):
-                for prod in (_compose(f, g), _compose(g, f)):
-                    if prod not in closed:
-                        closed.add(prod)
-                        nxt.append(prod)
+            for g in gens:
+                prod = _compose(f, g)
+                if prod not in closed:
+                    closed.add(prod)
+                    nxt.append(prod)
         frontier = nxt
     labels, table = _transformation_table(sorted(closed))
     return validate_cayley(labels, table)

@@ -15,6 +15,7 @@ from .core import (
     ElementSet,
     GroupStructure,
     _as_set,
+    _check_order,
     _simplicity_witness,
     group_structure,
     idempotents,
@@ -206,11 +207,13 @@ def rees_matrix_semigroup(group_table, rows, cols, sandwich):
     group_table must be the Cayley table of a group; sandwich is cols x rows
     with entries indexing group elements.  Product:
     (i, g, k) * (j, h, l) = (i, g * sandwich[k][j] * h, l).
-    Labels are "(i,glabel,k)".  The result is revalidated through
+    Labels are "(i,glabel,k)".  An order over DEFAULT_ORDER_CAP is refused
+    before the table is built; the result is revalidated through
     validate_cayley before returning.
     """
     if rows < 1 or cols < 1:
         raise ParameterOutOfRange(f"need at least one row and column, got {rows}x{cols}")
+    _check_order(rows * group_table.order * cols)
     group_structure(group_table.carrier())  # raises NotAGroup on a non-group table
     n_g = group_table.order
     if len(sandwich) != cols:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from semiconv import cli
+from semiconv import DEFAULT_ORDER_CAP, cli, generators, rees
 from semiconv.cli import main
 from semiconv.serialize import dumps_canonical
 
@@ -231,6 +231,33 @@ def test_gen_subcommand(tmp_path, capsys):
     # generated output feeds straight back in as a table
     assert main(["validate", str(table)]) == 0
     assert main(["gen", write(tmp_path / "bad.json", {"kind": "nope"})]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "params": [1100]},
+        {
+            "kind": "direct_product",
+            "factors": [{"kind": "cyclic", "params": [40]}, {"kind": "cyclic", "params": [40]}],
+        },
+        {"kind": "rectangular_band", "params": [33, 33]},
+        {"kind": "rees_matrix", "params": [11, 10, 10], "seed": 3},
+    ],
+    ids=["cyclic(1100)", "cyclic(40) x cyclic(40)", "rectangular_band(33,33)", "rees_matrix(11,10,10)"],
+)
+def test_gen_refuses_an_order_over_the_cap_before_building(spec, tmp_path, capsys, monkeypatch):
+    real_validate = generators.validate_cayley
+
+    def small_only(labels, table):
+        if len(labels) > DEFAULT_ORDER_CAP:
+            raise AssertionError(f"built a {len(labels)}-element table past the cap")
+        return real_validate(labels, table)
+
+    monkeypatch.setattr(generators, "validate_cayley", small_only)
+    monkeypatch.setattr(rees, "validate_cayley", small_only)
+    assert main(["gen", write(tmp_path / "spec.json", spec)]) == 2
+    assert f"exceeds the configured cap {DEFAULT_ORDER_CAP}" in capsys.readouterr().err
 
 
 def test_verify_subcommand(capsys):

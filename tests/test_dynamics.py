@@ -271,16 +271,17 @@ def test_cluster_period_on_walks_of_known_period(make_walk, period):
 
 def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
     # On a left zero semigroup every distribution is idempotent, and mu is
-    # the only one that mu fixes on the left.  Swapping the two states'
-    # weights in the solution gives an idempotent nu that mu does not fix:
-    # no report may come back.
+    # the only one that mu fixes on the left.  The kernel is L = {a, b}
+    # with a one-element G and R, so lambda is nu, solved over two states.
+    # Swapping the two entries of that solve gives an idempotent nu that mu
+    # does not fix: no report may come back.
     lz2 = build(CorpusSpec("left_zero", (2,)))
     mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
     real_solve = dynamics.solve
 
     def swapped(rows, rhs):
         x = real_solve(rows, rhs)
-        return [x[1], x[0]] + x[2:]
+        return x[::-1] if len(x) == 2 else x
 
     monkeypatch.setattr(dynamics, "solve", swapped)
     with pytest.raises(VerificationFailed, match="limit invariance"):
@@ -319,11 +320,13 @@ def test_cesaro_limit_matches_spectral_projection():
         for seed in range(4):
             for mu in verify._seeded_dists(inst, seed, 9, 2):
                 assert cesaro_limit(mu) == spectral_limit(mu), inst.name
-                p = analyze_limit(mu).p
-                if p > 1:
+                report = analyze_limit(mu)
+                if report.p > 1:
                     periodic += 1
-                    mu_p = power(mu, p)
+                    mu_p = power(mu, report.p)
                     assert cesaro_limit(mu_p) == spectral_limit(mu_p), inst.name
+                    # the report's eta is lambda * omega_H * rho, not a solve on mu^p
+                    assert report.eta == spectral_limit(mu_p), inst.name
     assert periodic >= 10
 
 

@@ -17,6 +17,7 @@ from semiconv import (
     kernel,
     random_dist,
 )
+from semiconv import generators
 
 MASK = (1 << 64) - 1
 
@@ -178,6 +179,41 @@ def test_random_transformation_subsemigroup():
     assert build(spec).rows == sg.rows
     with pytest.raises(ParameterOutOfRange):
         build(CorpusSpec("random_transformation_subsemigroup", (5, 2)))
+
+
+def compose(f, g):
+    return tuple(f[g[x]] for x in range(len(f)))
+
+
+def two_sided_closure(gens):
+    """Oracle: compose every new map with every map found so far, on both
+    sides, until nothing new appears."""
+    closed = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in list(closed):
+                for prod in (compose(f, g), compose(g, f)):
+                    if prod not in closed:
+                        closed.add(prod)
+                        nxt.append(prod)
+        frontier = nxt
+    return closed
+
+
+def test_random_transformation_closure_matches_two_sided_oracle(monkeypatch):
+    # Only the label set is compared: the table and the labels are functions
+    # of the sorted closure, so skip building and validating the tables.
+    monkeypatch.setattr(generators, "_transformation_table", lambda maps: (maps, None))
+    monkeypatch.setattr(generators, "validate_cayley", lambda labels, table: labels)
+    for degree in range(1, 5):
+        for count in range(1, 5):
+            for seed in range(40):
+                rng = XorShift64Star(seed)
+                gens = [tuple(rng.below(degree) for _ in range(degree)) for _ in range(count)]
+                spec = CorpusSpec("random_transformation_subsemigroup", (degree, count), seed=seed)
+                assert build(spec) == sorted(two_sided_closure(gens)), spec.describe()
 
 
 def test_spec_validation():

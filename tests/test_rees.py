@@ -1,11 +1,13 @@
 import pytest
 
+from semiconv import rees
 from semiconv.core import idempotents, kernel, product_sets
 from semiconv.errors import (
     InvalidSandwichEntry,
     NotIdempotent,
     NotInFactor,
     NotSimple,
+    OrderCapExceeded,
 )
 from semiconv.generators import CorpusSpec, build
 from semiconv.rees import (
@@ -154,3 +156,14 @@ def test_rees_matrix_sandwich_validation():
     z2 = build(CorpusSpec("cyclic", (2,)))
     with pytest.raises(InvalidSandwichEntry):
         rees_matrix_semigroup(z2, rows=1, cols=1, sandwich=[[7]])
+
+
+def test_rees_matrix_order_cap_before_building(monkeypatch):
+    z1 = build(CorpusSpec("cyclic", (1,)))
+
+    def unreachable(labels, table):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(rees, "validate_cayley", unreachable)
+    with pytest.raises(OrderCapExceeded, match="order 1600 exceeds"):
+        rees_matrix_semigroup(z1, rows=40, cols=40, sandwich=[[0] * 40] * 40)
