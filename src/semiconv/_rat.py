@@ -1,26 +1,19 @@
-"""Exact rational arithmetic backend.
-
-Uses gmpy2.mpq when available (an order of magnitude faster on dense
-elimination), plain fractions.Fraction otherwise.  Both types hash and
-compare interchangeably, so callers may pass either; everything internal
-goes through RAT().
+"""Exact rational arithmetic: every probability and matrix entry is a
+fractions.Fraction, built through RAT().
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInput
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    RAT = Fraction
+RAT = Fraction
 
 ZERO = RAT(0)
 ONE = RAT(1)
 
 
 def as_rat(value):
-    """Coerce int, Fraction, mpq, or 'p/q' string to the backend type."""
+    """Coerce an int, a Fraction or a 'p/q' string to a Fraction."""
     if isinstance(value, str):
         return rat_from_string(value)
     if isinstance(value, float):

@@ -5,7 +5,8 @@ structure reports, convolution, limit analysis, the verification suite,
 and corpus generation.
 
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid
-semigroup or distribution data, 3 theorem or verification failure.
+semigroup or distribution data, 3 theorem or verification failure or an
+unexpected internal error.
 """
 
 from __future__ import annotations
@@ -329,6 +330,9 @@ def main(argv=None):
     except SemiconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_THEOREM
 
 
 if __name__ == "__main__":

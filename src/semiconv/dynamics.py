@@ -14,8 +14,9 @@ there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so every start
 forgets itself.  mu^p fixes the same lambda and rho: its walks fix them,
 and forget their start too, as w padded to a length divisible by p still
 lands in K.  The period p and H = e*supp(eta)*e are read off the support
-cycle of mu^n on K, whose sets are the supports of the p cluster points.  analyze_limit computes the whole picture and
-proof-checks every clause on the concrete instance.
+cycle of mu^n on K, whose sets are the supports of the p cluster points.
+analyze_limit computes the whole picture and proof-checks every clause on
+the concrete instance.
 
 Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
@@ -77,14 +78,14 @@ def cesaro_average(mu, n):
     """(1/n) * (mu + mu^2 + ... + mu^n), exact."""
     if n < 1:
         raise MalformedInput(f"average length must be >= 1, got {n}")
-    acc = list(mu.probs)
+    acc = dict(mu.items())
     cur = mu
     for _ in range(n - 1):
         cur = convolve(cur, mu)
         for i, p in cur.items():
-            acc[i] += p
+            acc[i] = acc.get(i, ZERO) + p
     inv = RAT(1, n)
-    return Dist(mu.parent, [a * inv for a in acc])
+    return Dist._from_support(mu.parent, {i: a * inv for i, a in acc.items()})
 
 
 def tv_distance(mu, nu):
@@ -98,10 +99,10 @@ def variation_norm(mu, nu):
     """Unhalved l1 distance; the norm in which the 2j/n bound is tight."""
     if mu.parent is not nu.parent:
         raise MismatchedParent("distributions on different semigroups")
-    total = ZERO
-    for p, q in zip(mu.probs, nu.probs):
-        total += abs(p - q)
-    return total
+    diff = dict(mu.items())
+    for z, q in nu.items():
+        diff[z] = diff.get(z, ZERO) - q
+    return sum((abs(d) for d in diff.values()), ZERO)
 
 
 def _fixed_law(mu, states, step):
@@ -117,10 +118,7 @@ def _fixed_law(mu, states, step):
     law = solve(rows + [[ONE] * k], [ZERO] * k + [ONE])
     if law is None:
         raise SingularDecomposition("no probability is fixed by the coordinate walk")
-    probs = [ZERO] * mu.parent.order
-    for x, v in zip(states, law):
-        probs[x] = v
-    return Dist(mu.parent, probs)
+    return Dist._from_support(mu.parent, {x: v for x, v in zip(states, law) if v})
 
 
 def _limit_factors(mu, dec):
@@ -431,15 +429,15 @@ def cesaro_diagnostic(mu, n_max, nu):
         raise MalformedInput(f"n_max must be >= 1, got {n_max}")
     deviations = []
     gaps = []
-    acc = list(mu.probs)
+    acc = dict(mu.items())
     cur = mu
     for n in range(1, n_max + 1):
         if n > 1:
             cur = convolve(cur, mu)
             for i, p in cur.items():
-                acc[i] += p
+                acc[i] = acc.get(i, ZERO) + p
         inv = RAT(1, n)
-        avg = Dist(mu.parent, [a * inv for a in acc])
+        avg = Dist._from_support(mu.parent, {i: a * inv for i, a in acc.items()})
         dev = variation_norm(avg, convolve(mu, avg))
         if dev > RAT(2, n):
             raise VerificationFailed("cesaro bound", f"deviation {dev} > 2/{n}")

@@ -83,7 +83,7 @@ def _expect_params(spec, count):
             f"{spec.kind} takes {count} parameter(s), got {len(spec.params)}"
         )
     for p in spec.params:
-        if not isinstance(p, int) or p < 1:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ParameterOutOfRange(f"{spec.kind} parameters must be positive integers")
     return spec.params
 

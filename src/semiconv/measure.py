@@ -1,16 +1,28 @@
 """Exact probability distributions on a finite semigroup and their convolution.
 
-Probabilities are exact rationals.  Key facts implemented and verified here:
-an idempotent distribution (mu*mu = mu) is supported on a completely simple
-subsemigroup and factors as (left marginal) * (uniform on the group factor)
-* (right marginal); conversely such a product is idempotent whenever the
-right-times-left support folds into the group.
+Probabilities are exact rationals.  A Dist holds its support sparsely, as
+(index, probability) pairs in index order, so items(), support(), equality
+and hashing cost O(|supp|); the dense tuple probs is built on first use.
+Every Dist is a probability, checked where it is made:
+
+* Dist(parent, probs) and Dist.from_mapping check a dense vector in full:
+  one entry per element, none negative, exact sum 1.
+* Dist._from_support(parent, weights) is the constructor for results that
+  are probabilities by construction (convolve, translate, marginals,
+  haar_uniform, uniform_on, dirac, and the rebuilds in dynamics); it checks
+  only the given support: every weight > 0 and the weights sum to exactly 1.
+
+Key facts implemented and verified here: an idempotent distribution
+(mu*mu = mu) is supported on a completely simple subsemigroup and factors
+as (left marginal) * (uniform on the group factor) * (right marginal);
+conversely such a product is idempotent whenever the right-times-left
+support folds into the group.
 """
 
 from dataclasses import dataclass
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import ElementSet, GroupStructure, Semigroup
+from .core import ElementSet, GroupStructure
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -24,52 +36,81 @@ from .errors import (
 from .rees import ReesDecomposition, psi_inv, rees_decompose
 
 
-@dataclass(frozen=True, eq=False)
 class Dist:
-    """Probability vector over the elements of a semigroup."""
+    """Probability distribution over the elements of a semigroup."""
 
-    parent: Semigroup
-    probs: tuple
+    __slots__ = ("parent", "_items", "_probs")
 
-    def __post_init__(self):
-        probs = tuple(as_rat(p) for p in self.probs)
-        if len(probs) != self.parent.order:
-            raise InvalidDistribution(
-                f"{len(probs)} probabilities for {self.parent.order} elements"
-            )
+    def __init__(self, parent, probs):
+        probs = tuple(as_rat(p) for p in probs)
+        if len(probs) != parent.order:
+            raise InvalidDistribution(f"{len(probs)} probabilities for {parent.order} elements")
         total = ZERO
         for i, p in enumerate(probs):
             if p < 0:
-                raise InvalidDistribution(f"negative probability at {self.parent.label(i)}")
+                raise InvalidDistribution(f"negative probability at {parent.label(i)}")
             total += p
         if total != ONE:
             raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", probs)
+        self._set(parent, tuple((i, p) for i, p in enumerate(probs) if p), probs)
+
+    @classmethod
+    def _from_support(cls, parent, weights):
+        """The Dist with weights {index: probability}; checks only that every
+        weight is > 0 and that they sum to exactly 1."""
+        items = tuple(sorted(weights.items()))
+        total = ZERO
+        for i, p in items:
+            if not p > 0:
+                raise InvalidDistribution(f"non-positive probability at {parent.label(i)}")
+            total += p
+        if total != ONE:
+            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+        dist = object.__new__(cls)
+        dist._set(parent, items, None)
+        return dist
+
+    def _set(self, parent, items, probs):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_probs", probs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dist is immutable; cannot set {name!r}")
+
+    @property
+    def probs(self):
+        """Dense tuple of probabilities, one per element, in index order."""
+        if self._probs is None:
+            probs = [ZERO] * self.parent.order
+            for i, p in self._items:
+                probs[i] = p
+            object.__setattr__(self, "_probs", tuple(probs))
+        return self._probs
 
     def prob(self, a):
         return self.probs[a]
 
     def items(self):
         """(element, probability) pairs over the support, in index order."""
-        return [(i, p) for i, p in enumerate(self.probs) if p]
+        return list(self._items)
 
     def support(self):
         mask = 0
-        for i, p in enumerate(self.probs):
-            if p:
-                mask |= 1 << i
+        for i, _ in self._items:
+            mask |= 1 << i
         return ElementSet(self.parent, mask)
 
     def __eq__(self, other):
         if not isinstance(other, Dist):
             return NotImplemented
-        return self.parent is other.parent and self.probs == other.probs
+        return self.parent is other.parent and self._items == other._items
 
     def __hash__(self):
-        return hash((id(self.parent), self.probs))
+        return hash((id(self.parent), self._items))
 
     def __repr__(self):
-        inside = ", ".join(f"{self.parent.label(i)}: {p}" for i, p in self.items())
+        inside = ", ".join(f"{self.parent.label(i)}: {p}" for i, p in self._items)
         return f"Dist({{{inside}}})"
 
     @classmethod
@@ -83,10 +124,25 @@ class Dist:
         return cls(sg, probs)
 
 
+def _check_index(sg, a):
+    if not 0 <= a < sg.order:
+        raise MalformedInput(f"element index out of range: {a}")
+
+
+def _merge(pairs):
+    """{z: total weight} over (z, weight) pairs, equal z merged."""
+    out = {}
+    for z, p in pairs:
+        if z in out:
+            out[z] += p
+        else:
+            out[z] = p
+    return out
+
+
 def dirac(sg, a):
-    probs = [ZERO] * sg.order
-    probs[a] = ONE
-    return Dist(sg, probs)
+    _check_index(sg, a)
+    return Dist._from_support(sg, {a: ONE})
 
 
 def support(mu):
@@ -98,12 +154,9 @@ def convolve(mu, nu):
     if mu.parent is not nu.parent:
         raise MalformedInput("distributions live on different semigroups")
     rows = mu.parent.rows
-    out = [ZERO] * mu.parent.order
-    for x, p in mu.items():
-        row = rows[x]
-        for y, q in nu.items():
-            out[row[y]] += p * q
-    return Dist(mu.parent, out)
+    return Dist._from_support(
+        mu.parent, _merge((rows[x][y], p * q) for x, p in mu._items for y, q in nu._items)
+    )
 
 
 def convolve_many(first, *rest):
@@ -114,33 +167,34 @@ def convolve_many(first, *rest):
 
 
 def translate(mu, a, side):
-    """Dirac convolution on the chosen side: 'left' is delta_a * mu."""
+    """Dirac convolution on the chosen side: 'left' is delta_a * mu, the
+    support relabelled by z -> a*z; 'right' is mu * delta_a, by z -> z*a."""
+    sg = mu.parent
+    _check_index(sg, a)
+    rows = sg.rows
     if side == "left":
-        return convolve(dirac(mu.parent, a), mu)
-    if side == "right":
-        return convolve(mu, dirac(mu.parent, a))
-    raise MalformedInput(f"side must be 'left' or 'right', got {side!r}")
+        row = rows[a]
+        images = [(row[z], p) for z, p in mu._items]
+    elif side == "right":
+        images = [(rows[z][a], p) for z, p in mu._items]
+    else:
+        raise MalformedInput(f"side must be 'left' or 'right', got {side!r}")
+    return Dist._from_support(sg, _merge(images))
 
 
 def haar_uniform(group):
     """Uniform distribution on a verified group carrier."""
     if not isinstance(group, GroupStructure):
         raise MalformedInput("haar_uniform expects a GroupStructure")
-    n = group.order
-    probs = [ZERO] * group.parent.order
-    for a in group.carrier:
-        probs[a] = RAT(1, n)
-    return Dist(group.parent, probs)
+    weight = RAT(1, group.order)
+    return Dist._from_support(group.parent, {a: weight for a in group.carrier})
 
 
 def uniform_on(subset):
     if not subset:
         raise EmptySet("uniform distribution on the empty set")
-    n = len(subset)
-    probs = [ZERO] * subset.parent.order
-    for a in subset:
-        probs[a] = RAT(1, n)
-    return Dist(subset.parent, probs)
+    weight = RAT(1, len(subset))
+    return Dist._from_support(subset.parent, {a: weight for a in subset})
 
 
 def marginals(mu, dec):
@@ -151,17 +205,14 @@ def marginals(mu, dec):
     on the left factor, the group, and the right factor respectively.
     """
     sg = mu.parent
-    left = [ZERO] * sg.order
-    mid = [ZERO] * sg.order
-    right = [ZERO] * sg.order
-    for z, p in mu.items():
+    coords = []
+    for z, p in mu._items:
         if z not in dec.carrier:
             raise SupportOutsideDecomposition(sg.label(z))
-        x, g, y = psi_inv(dec, z)
-        left[x] += p
-        mid[g] += p
-        right[y] += p
-    return Dist(sg, left), Dist(sg, mid), Dist(sg, right)
+        coords.append((psi_inv(dec, z), p))
+    return tuple(
+        Dist._from_support(sg, _merge((xgy[k], p) for xgy, p in coords)) for k in range(3)
+    )
 
 
 def is_idempotent_measure(mu):

@@ -136,10 +136,12 @@ def corpus_spec_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput('corpus spec needs a "kind"')
     params = obj.get("params", [])
-    if not isinstance(params, list) or not all(isinstance(p, int) for p in params):
+    if not isinstance(params, list) or not all(
+        isinstance(p, int) and not isinstance(p, bool) for p in params
+    ):
         raise MalformedInput('"params" must be an array of integers')
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise MalformedInput('"seed" must be an integer')
     factors = obj.get("factors", [])
     if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):

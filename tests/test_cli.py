@@ -205,6 +205,19 @@ def test_limit_rejects_max_power_before_solving(z2, tmp_path, capsys, monkeypatc
     assert "--max-power must be >= 1" in capsys.readouterr().err
 
 
+def test_unexpected_exception_is_an_internal_error(z2, tmp_path, capsys, monkeypatch):
+    mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "analyze_limit", broken)
+    assert main(["limit", z2, mu]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
+
+
 def test_cluster_element_subcommand(z4, capsys):
     assert main(["cluster-element", z4, "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -231,6 +244,21 @@ def test_gen_subcommand(tmp_path, capsys):
     # generated output feeds straight back in as a table
     assert main(["validate", str(table)]) == 0
     assert main(["gen", write(tmp_path / "bad.json", {"kind": "nope"})]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "cyclic", "params": [True]}, '"params" must be an array of integers'),
+        ({"kind": "cyclic", "params": [3], "seed": True}, '"seed" must be an integer'),
+    ],
+    ids=["params", "seed"],
+)
+def test_gen_rejects_json_booleans_as_integers(spec, message, tmp_path, capsys):
+    assert main(["gen", write(tmp_path / "spec.json", spec)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -330,6 +330,20 @@ def test_cesaro_limit_matches_spectral_projection():
     assert periodic >= 10
 
 
+def test_report_distributions_pass_the_public_checks():
+    # nu, eta and the cluster points are built through the support-only
+    # constructor; each must also pass the dense checks of Dist(parent, probs)
+    walks = 0
+    for inst in verify.build_corpus("default"):
+        for seed in range(4):
+            for mu in verify._seeded_dists(inst, seed, 9, 2):
+                report = analyze_limit(mu)
+                for d in (report.nu, report.eta, *report.cluster):
+                    assert Dist(d.parent, d.probs) == d, inst.name
+                walks += 1
+    assert walks >= 100
+
+
 def test_order_cap():
     t3 = t_full(3)
     mu = uniform_on(t3.carrier())

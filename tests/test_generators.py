@@ -74,6 +74,14 @@ def test_cyclic_builder():
     assert z5.labels == ("0", "1", "2", "3", "4")
 
 
+def test_builders_reject_boolean_params():
+    # True is an int to isinstance, but not a parameter
+    with pytest.raises(ParameterOutOfRange):
+        build(CorpusSpec("cyclic", (True,)))
+    with pytest.raises(ParameterOutOfRange):
+        build(CorpusSpec("rectangular_band", (2, True)))
+
+
 def test_left_and_right_zero_builders():
     lz = build(CorpusSpec("left_zero", (3,)))
     rz = build(CorpusSpec("right_zero", (3,)))

@@ -1,6 +1,10 @@
 """Exact distributions and convolution, checked against brute-force sums."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiconv import (
     CorpusSpec,
@@ -26,6 +30,7 @@ from semiconv import (
     is_idempotent_measure,
     kernel,
     marginals,
+    psi_inv,
     rees_decompose,
     translate,
     uniform_on,
@@ -44,14 +49,17 @@ def band(m, k):
     return build(CorpusSpec("rectangular_band", (m, k)))
 
 
-def brute_convolve(mu, nu):
-    # direct double sum over all pairs, no support shortcut
-    sg = mu.parent
+def dense_convolve(sg, f, g):
+    # direct double sum over all pairs of dense vectors, no support shortcut
     out = [RAT(0)] * sg.order
     for x in range(sg.order):
         for y in range(sg.order):
-            out[sg.mul(x, y)] += mu.prob(x) * nu.prob(y)
-    return Dist(sg, out)
+            out[sg.mul(x, y)] += f[x] * g[y]
+    return tuple(out)
+
+
+def brute_convolve(mu, nu):
+    return Dist(mu.parent, dense_convolve(mu.parent, mu.probs, nu.probs))
 
 
 def test_dist_validation():
@@ -93,6 +101,27 @@ def test_dirac_and_support():
     assert d.support().labels() == ("2",)
     mu = Dist(z4, (RAT(1, 2), RAT(0), RAT(1, 2), RAT(0)))
     assert mu.support().labels() == ("0", "2")
+
+
+@pytest.mark.parametrize("a", [-1, 3])
+def test_dirac_rejects_an_index_out_of_range(a):
+    with pytest.raises(MalformedInput, match="element index out of range"):
+        dirac(cyclic(3), a)
+
+
+def test_support_constructor_checks_the_support():
+    z3 = cyclic(3)
+    assert Dist._from_support(z3, {2: RAT(1, 3), 0: RAT(2, 3)}) == Dist(
+        z3, (RAT(2, 3), RAT(0), RAT(1, 3))
+    )
+    with pytest.raises(InvalidDistribution, match="sum to 2/3"):
+        Dist._from_support(z3, {0: RAT(1, 3), 1: RAT(1, 3)})
+    with pytest.raises(InvalidDistribution, match="non-positive"):
+        Dist._from_support(z3, {0: RAT(1), 1: RAT(0)})
+    with pytest.raises(InvalidDistribution, match="non-positive"):
+        Dist._from_support(z3, {0: RAT(3, 2), 1: RAT(-1, 2)})
+    with pytest.raises(InvalidDistribution):
+        Dist._from_support(z3, {})
 
 
 def test_uniform_on():
@@ -300,3 +329,78 @@ def test_check_convolution_invariance_nontrivial():
     mu = nu
     res = check_convolution_invariance(mu, nu)
     assert res.pairs_checked == 4
+
+
+# Differential tests: the sparse measure layer against dense double loops
+# over every pair of elements, zeros included, on small generated tables.
+
+_SPECS = st.one_of(
+    st.builds(lambda n: CorpusSpec("cyclic", (n,)), st.integers(1, 6)),
+    st.builds(lambda n: CorpusSpec("left_zero", (n,)), st.integers(1, 4)),
+    st.builds(
+        lambda m, k: CorpusSpec("rectangular_band", (m, k)), st.integers(1, 3), st.integers(1, 3)
+    ),
+    st.builds(
+        lambda d, c, seed: CorpusSpec("random_transformation_subsemigroup", (d, c), seed),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 31),
+    ),
+    st.builds(
+        lambda g, m, k, seed: CorpusSpec("rees_matrix", (g, m, k), seed),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(0, 31),
+    ),
+)
+
+_build = lru_cache(maxsize=None)(build)
+
+
+@st.composite
+def _walk(draw, sg, elements):
+    """A Dist through the public constructor: 1-4 points, small weights."""
+    points = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(points), max_size=len(points)))
+    return Dist.from_mapping(sg, {z: RAT(w, sum(weights)) for z, w in zip(points, weights)})
+
+
+def point_mass(sg, a):
+    return tuple(RAT(int(z == a)) for z in range(sg.order))
+
+
+def check_against_dense(dist, dense):
+    assert dist.probs == dense
+    assert dist == Dist(dist.parent, dense)
+    assert dist.items() == [(z, p) for z, p in enumerate(dense) if p]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_convolve_and_translate_match_dense_double_loop(data):
+    sg = _build(data.draw(_SPECS))
+    elements = list(range(sg.order))
+    mu = data.draw(_walk(sg, elements))
+    nu = data.draw(_walk(sg, elements))
+    a = data.draw(st.sampled_from(elements))
+    check_against_dense(convolve(mu, nu), dense_convolve(sg, mu.probs, nu.probs))
+    check_against_dense(translate(mu, a, "left"), dense_convolve(sg, point_mass(sg, a), mu.probs))
+    check_against_dense(translate(mu, a, "right"), dense_convolve(sg, mu.probs, point_mass(sg, a)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_marginals_match_dense_loop(data):
+    sg = _build(data.draw(_SPECS))
+    dec = rees_decompose(kernel(sg))
+    mu = data.draw(_walk(sg, dec.carrier.elements()))
+    dense = [[RAT(0)] * sg.order for _ in range(3)]
+    for z in range(sg.order):
+        if z in dec.carrier:
+            x, g, y = psi_inv(dec, z)
+            assert sg.mul(sg.mul(x, g), y) == z
+            for coord, w in zip(dense, (x, g, y)):
+                coord[w] += mu.prob(z)
+    for dist, coord in zip(marginals(mu, dec), dense):
+        check_against_dense(dist, tuple(coord))
