@@ -22,21 +22,25 @@ def as_rat(value):
 
 
 def rat_from_string(text):
-    """Parse 'p' or 'p/q' with integer p, q.  Rejects floats and junk."""
+    """Parse 'p' or 'p/q', p and q ASCII decimal integers with an optional
+    sign; whitespace is allowed around the whole literal only.  Rejects
+    floats and junk, including digit separators and non-ASCII digits."""
     parts = text.strip().split("/")
-    if len(parts) == 1:
-        num, den = parts[0], "1"
-    elif len(parts) == 2:
-        num, den = parts
-    else:
+    if len(parts) > 2 or not all(_is_int_literal(part) for part in parts):
         raise MalformedInput(f"not a rational literal: {text!r}")
-    try:
-        n, d = int(num), int(den)
+    try:  # int() refuses literals past sys.get_int_max_str_digits()
+        n, d = int(parts[0]), (int(parts[1]) if len(parts) == 2 else 1)
     except ValueError:
         raise MalformedInput(f"not a rational literal: {text!r}") from None
     if d == 0:
         raise MalformedInput(f"zero denominator: {text!r}")
     return RAT(n, d)
+
+
+def _is_int_literal(text):
+    """Whether text matches [+-]?[0-9]+ in ASCII."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def rat_to_string(value):

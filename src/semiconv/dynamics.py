@@ -391,7 +391,9 @@ def analyze_limit(mu, order_cap=None):
     )
     record("eta_factorization", convolve(convolve(eta_left, haar_h), eta_right) == eta)
 
-    dec_eta = rees_decompose(support(eta), at=e)
+    # With p = 1, supp(eta) = supp(nu) = K and e is K's least idempotent, so
+    # decomposing supp(eta) at e would rebuild dec.
+    dec_eta = dec if period == 1 else rees_decompose(support(eta), at=e)
     record(
         "marginal_readings_agree",
         marginals(eta, dec_eta) == (eta_left, _eta_mid, eta_right),

@@ -11,7 +11,6 @@ corpus is reproducible bit-for-bit across implementations and platforms.
 
 from dataclasses import dataclass
 
-from ._rat import RAT
 from .core import _check_order, validate_cayley
 from .errors import EmptySupport, ParameterOutOfRange
 from .measure import Dist
@@ -280,7 +279,4 @@ def random_dist(support, seed, denominator_bound):
     weights = [1] * k
     for _ in range(denominator_bound - k):
         weights[rng.below(k)] += 1
-    probs = [RAT(0)] * support.parent.order
-    for el, w in zip(elements, weights):
-        probs[el] = RAT(w, denominator_bound)
-    return Dist(support.parent, probs)
+    return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))

@@ -1,16 +1,24 @@
 """Exact probability distributions on a finite semigroup and their convolution.
 
-Probabilities are exact rationals.  A Dist holds its support sparsely, as
-(index, probability) pairs in index order, so items(), support(), equality
-and hashing cost O(|supp|); the dense tuple probs is built on first use.
-Every Dist is a probability, checked where it is made:
+A Dist holds one positive integer denominator den and its support as
+(index, numerator) pairs of ints in index order, reduced so that the
+numerators and den have no common factor.  That form is canonical, so
+equality and hashing compare ints in O(|supp|), and convolve, translate and
+marginals work on ints: a convolution multiplies numerators over the
+product of the two denominators and reduces once at the end.  items(),
+probs, prob() and repr hand out fractions.Fraction values, built on first
+use and cached.  Every Dist is a probability, checked where it is made:
 
 * Dist(parent, probs) and Dist.from_mapping check a dense vector in full:
   one entry per element, none negative, exact sum 1.
-* Dist._from_support(parent, weights) is the constructor for results that
-  are probabilities by construction (convolve, translate, marginals,
-  haar_uniform, uniform_on, dirac, and the rebuilds in dynamics); it checks
-  only the given support: every weight > 0 and the weights sum to exactly 1.
+* Dist._from_numerators(parent, den, numerators) is the constructor for
+  results that are probabilities by construction (convolve, translate,
+  marginals, haar_uniform, uniform_on, dirac, generators.random_dist); it
+  checks only the given support: the map is non-empty, every numerator is
+  > 0 and they sum to exactly den.
+* Dist._from_support(parent, weights) takes rational weights (the rebuilds
+  in dynamics), puts them over the lcm of their denominators and hands the
+  numerators to _from_numerators.
 
 Key facts implemented and verified here: an idempotent distribution
 (mu*mu = mu) is supported on a completely simple subsemigroup and factors
@@ -20,6 +28,7 @@ support folds into the group.
 """
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
 from .core import ElementSet, GroupStructure
@@ -39,7 +48,7 @@ from .rees import ReesDecomposition, psi_inv, rees_decompose
 class Dist:
     """Probability distribution over the elements of a semigroup."""
 
-    __slots__ = ("parent", "_items", "_probs")
+    __slots__ = ("parent", "den", "_nums", "_items", "_probs")
 
     def __init__(self, parent, probs):
         probs = tuple(as_rat(p) for p in probs)
@@ -52,27 +61,50 @@ class Dist:
             total += p
         if total != ONE:
             raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        self._set(parent, tuple((i, p) for i, p in enumerate(probs) if p), probs)
+        # over the lcm of the denominators the numerators share no factor
+        den = lcm(*(p.denominator for p in probs))
+        nums = tuple((i, p.numerator * (den // p.denominator)) for i, p in enumerate(probs) if p)
+        self._set(parent, den, nums, probs)
+
+    @classmethod
+    def _from_numerators(cls, parent, den, numerators):
+        """The Dist with probabilities {index: numerator / den}; checks only
+        that the map is non-empty, den and every numerator are > 0 and the
+        numerators sum to exactly den, then divides out their common factor."""
+        if not numerators:
+            raise InvalidDistribution("empty support")
+        if not den > 0:
+            raise InvalidDistribution(f"denominator {den} is not positive")
+        if min(numerators.values()) <= 0:
+            i = min(i for i, n in numerators.items() if n <= 0)
+            raise InvalidDistribution(f"non-positive probability at {parent.label(i)}")
+        total = sum(numerators.values())
+        if total != den:
+            raise InvalidDistribution(f"probabilities sum to {RAT(total, den)}, not 1")
+        g = gcd(den, *numerators.values())
+        if g == 1:
+            nums = tuple(sorted(numerators.items()))
+        else:
+            den //= g
+            nums = tuple((i, n // g) for i, n in sorted(numerators.items()))
+        dist = object.__new__(cls)
+        dist._set(parent, den, nums, None)
+        return dist
 
     @classmethod
     def _from_support(cls, parent, weights):
-        """The Dist with weights {index: probability}; checks only that every
-        weight is > 0 and that they sum to exactly 1."""
-        items = tuple(sorted(weights.items()))
-        total = ZERO
-        for i, p in items:
-            if not p > 0:
-                raise InvalidDistribution(f"non-positive probability at {parent.label(i)}")
-            total += p
-        if total != ONE:
-            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        dist = object.__new__(cls)
-        dist._set(parent, items, None)
-        return dist
+        """The Dist with rational weights {index: probability}, checked as
+        _from_numerators checks."""
+        den = lcm(*(p.denominator for p in weights.values()))
+        return cls._from_numerators(
+            parent, den, {i: p.numerator * (den // p.denominator) for i, p in weights.items()}
+        )
 
-    def _set(self, parent, items, probs):
+    def _set(self, parent, den, nums, probs):
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_probs", probs)
 
     def __setattr__(self, name, value):
@@ -83,34 +115,38 @@ class Dist:
         """Dense tuple of probabilities, one per element, in index order."""
         if self._probs is None:
             probs = [ZERO] * self.parent.order
-            for i, p in self._items:
+            for i, p in self.items():
                 probs[i] = p
             object.__setattr__(self, "_probs", tuple(probs))
         return self._probs
 
     def prob(self, a):
+        _check_index(self.parent, a)
         return self.probs[a]
 
     def items(self):
         """(element, probability) pairs over the support, in index order."""
+        if self._items is None:
+            den = self.den
+            object.__setattr__(self, "_items", tuple((i, RAT(n, den)) for i, n in self._nums))
         return list(self._items)
 
     def support(self):
         mask = 0
-        for i, _ in self._items:
+        for i, _ in self._nums:
             mask |= 1 << i
         return ElementSet(self.parent, mask)
 
     def __eq__(self, other):
         if not isinstance(other, Dist):
             return NotImplemented
-        return self.parent is other.parent and self._items == other._items
+        return self.parent is other.parent and self.den == other.den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((id(self.parent), self._items))
+        return hash((id(self.parent), self.den, self._nums))
 
     def __repr__(self):
-        inside = ", ".join(f"{self.parent.label(i)}: {p}" for i, p in self._items)
+        inside = ", ".join(f"{self.parent.label(i)}: {p}" for i, p in self.items())
         return f"Dist({{{inside}}})"
 
     @classmethod
@@ -118,8 +154,7 @@ class Dist:
         probs = [ZERO] * sg.order
         for key, value in mapping.items():
             i = sg.index(key) if isinstance(key, str) else key
-            if not 0 <= i < sg.order:
-                raise MalformedInput(f"element index out of range: {key}")
+            _check_index(sg, i)
             probs[i] += as_rat(value)
         return cls(sg, probs)
 
@@ -130,19 +165,19 @@ def _check_index(sg, a):
 
 
 def _merge(pairs):
-    """{z: total weight} over (z, weight) pairs, equal z merged."""
+    """{z: total numerator} over (z, numerator) pairs, equal z merged."""
     out = {}
-    for z, p in pairs:
+    for z, n in pairs:
         if z in out:
-            out[z] += p
+            out[z] += n
         else:
-            out[z] = p
+            out[z] = n
     return out
 
 
 def dirac(sg, a):
     _check_index(sg, a)
-    return Dist._from_support(sg, {a: ONE})
+    return Dist._from_numerators(sg, 1, {a: 1})
 
 
 def support(mu):
@@ -154,9 +189,17 @@ def convolve(mu, nu):
     if mu.parent is not nu.parent:
         raise MalformedInput("distributions live on different semigroups")
     rows = mu.parent.rows
-    return Dist._from_support(
-        mu.parent, _merge((rows[x][y], p * q) for x, p in mu._items for y, q in nu._items)
-    )
+    out = {}
+    right = nu._nums
+    for x, a in mu._nums:
+        row = rows[x]
+        for y, b in right:
+            z = row[y]
+            if z in out:
+                out[z] += a * b
+            else:
+                out[z] = a * b
+    return Dist._from_numerators(mu.parent, mu.den * nu.den, out)
 
 
 def convolve_many(first, *rest):
@@ -174,27 +217,25 @@ def translate(mu, a, side):
     rows = sg.rows
     if side == "left":
         row = rows[a]
-        images = [(row[z], p) for z, p in mu._items]
+        images = [(row[z], n) for z, n in mu._nums]
     elif side == "right":
-        images = [(rows[z][a], p) for z, p in mu._items]
+        images = [(rows[z][a], n) for z, n in mu._nums]
     else:
         raise MalformedInput(f"side must be 'left' or 'right', got {side!r}")
-    return Dist._from_support(sg, _merge(images))
+    return Dist._from_numerators(sg, mu.den, _merge(images))
 
 
 def haar_uniform(group):
     """Uniform distribution on a verified group carrier."""
     if not isinstance(group, GroupStructure):
         raise MalformedInput("haar_uniform expects a GroupStructure")
-    weight = RAT(1, group.order)
-    return Dist._from_support(group.parent, {a: weight for a in group.carrier})
+    return Dist._from_numerators(group.parent, group.order, dict.fromkeys(group.carrier, 1))
 
 
 def uniform_on(subset):
     if not subset:
         raise EmptySet("uniform distribution on the empty set")
-    weight = RAT(1, len(subset))
-    return Dist._from_support(subset.parent, {a: weight for a in subset})
+    return Dist._from_numerators(subset.parent, len(subset), dict.fromkeys(subset, 1))
 
 
 def marginals(mu, dec):
@@ -206,12 +247,13 @@ def marginals(mu, dec):
     """
     sg = mu.parent
     coords = []
-    for z, p in mu._items:
+    for z, n in mu._nums:
         if z not in dec.carrier:
             raise SupportOutsideDecomposition(sg.label(z))
-        coords.append((psi_inv(dec, z), p))
+        coords.append((psi_inv(dec, z), n))
     return tuple(
-        Dist._from_support(sg, _merge((xgy[k], p) for xgy, p in coords)) for k in range(3)
+        Dist._from_numerators(sg, mu.den, _merge((xgy[k], n) for xgy, n in coords))
+        for k in range(3)
     )
 
 

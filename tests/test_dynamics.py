@@ -6,6 +6,8 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -340,8 +342,21 @@ def test_report_distributions_pass_the_public_checks():
                 report = analyze_limit(mu)
                 for d in (report.nu, report.eta, *report.cluster):
                     assert Dist(d.parent, d.probs) == d, inst.name
+                    assert hash(Dist(d.parent, d.probs)) == hash(d), inst.name
                 walks += 1
     assert walks >= 100
+
+
+def test_readme_library_example():
+    # runs the README's "Library" block as printed; pins repr and (q, p)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    report = scope["report"]
+    assert repr(report.nu) == "Dist({00: 2/3, 11: 1/3})"
+    assert (report.q, report.p) == (2, 1)
+    assert len(report.checks) == 21 and all(report.checks.values())
 
 
 def test_order_cap():

@@ -9,6 +9,7 @@ import pytest
 
 from semiconv import (
     CorpusSpec,
+    Dist,
     EmptySupport,
     ParameterOutOfRange,
     RAT,
@@ -260,6 +261,25 @@ def test_random_dist_properties():
     # exactly the bound many unit weights get spread
     total_units = sum(p * 64 for _, p in mu.items())
     assert total_units == RAT(64)
+
+
+def test_random_dist_matches_the_public_constructor():
+    # random_dist builds through integer numerators over the bound; the
+    # result must equal the dense, fully checked Dist of the same values
+    for spec, labels in (
+        (CorpusSpec("cyclic", (5,)), ["0", "2", "3"]),
+        (CorpusSpec("full_transformation", (2,)), ["00", "10", "11"]),
+        (CorpusSpec("rectangular_band", (2, 3)), None),
+    ):
+        sg = build(spec)
+        sub = sg.carrier() if labels is None else sg.subset_of_labels(labels)
+        for seed in (1, 7, 99):
+            for bound in (len(sub), 12, 64):
+                d = random_dist(sub, seed, bound)
+                assert d == Dist(d.parent, d.probs)
+                assert hash(d) == hash(Dist(d.parent, d.probs))
+                assert bound % d.den == 0
+                assert all(bound % p.denominator == 0 for _, p in d.items())
 
 
 def test_random_dist_rejections():

@@ -122,6 +122,28 @@ def test_support_constructor_checks_the_support():
         Dist._from_support(z3, {0: RAT(3, 2), 1: RAT(-1, 2)})
     with pytest.raises(InvalidDistribution):
         Dist._from_support(z3, {})
+    # the integer constructor behind it: numerators over one denominator
+    with pytest.raises(InvalidDistribution, match="non-positive"):
+        Dist._from_numerators(z3, 2, {0: 2, 1: 0})
+    with pytest.raises(InvalidDistribution, match="non-positive"):
+        Dist._from_numerators(z3, 2, {0: 3, 1: -1})
+    for den in (3, 5):
+        with pytest.raises(InvalidDistribution, match="sum to"):
+            Dist._from_numerators(z3, den, {0: 2, 1: 2})
+    with pytest.raises(InvalidDistribution):
+        Dist._from_numerators(z3, 1, {})
+    # reduced to lowest terms, so equal distributions are equal and hash equal
+    halves = Dist._from_numerators(z3, 4, {0: 2, 1: 2})
+    assert halves == Dist._from_numerators(z3, 2, {0: 1, 1: 1})
+    assert hash(halves) == hash(Dist._from_numerators(z3, 2, {0: 1, 1: 1}))
+    assert halves == Dist(z3, (RAT(1, 2), RAT(1, 2), RAT(0)))
+
+
+@pytest.mark.parametrize("a", [-1, 3])
+def test_prob_rejects_an_index_out_of_range(a):
+    mu = Dist(cyclic(3), (RAT(1, 2), RAT(1, 3), RAT(1, 6)))
+    with pytest.raises(MalformedInput, match="element index out of range"):
+        mu.prob(a)
 
 
 def test_uniform_on():
@@ -373,6 +395,7 @@ def point_mass(sg, a):
 def check_against_dense(dist, dense):
     assert dist.probs == dense
     assert dist == Dist(dist.parent, dense)
+    assert hash(dist) == hash(Dist(dist.parent, dense))
     assert dist.items() == [(z, p) for z, p in enumerate(dense) if p]
 
 

@@ -12,7 +12,9 @@ def test_parse_basic():
 
 
 def test_parse_rejects_junk():
-    for bad in ("", "1/0", "1/2/3", "0.5", "a/b", "1e3", "nan", "/2", "2/"):
+    junk = ("", "1/0", "1/2/3", "0.5", "a/b", "1e3", "nan", "/2", "2/")
+    lenient_int = ("1_0/2_0", "1 / 2", "\u0661/\u0662")
+    for bad in junk + lenient_int:
         with pytest.raises(MalformedInput):
             rat_from_string(bad)
 
