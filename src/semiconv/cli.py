@@ -12,7 +12,6 @@ unexpected internal error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import serialize
@@ -57,19 +56,6 @@ _THEOREM_ERRORS = (
     HypothesisViolated,
     SingularDecomposition,
 )
-
-
-def _order_cap():
-    raw = os.environ.get("SEMICONV_ORDER_CAP")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MalformedInput(f"SEMICONV_ORDER_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise MalformedInput(f"SEMICONV_ORDER_CAP must be positive, got {cap}")
-    return cap
 
 
 def _emit(args, payload, human_lines):
@@ -179,9 +165,8 @@ def cmd_power(args):
 def cmd_limit(args):
     if args.emit_diagnostic and args.max_power < 1:
         raise MalformedInput(f"--max-power must be >= 1, got {args.max_power}")
-    cap = _order_cap()
     sg, mu = _load_pair(args)
-    report = analyze_limit(mu, order_cap=cap)
+    report = analyze_limit(mu)
     payload = serialize.limit_report_to_json(report)
     if args.emit_diagnostic:
         diag = cesaro_diagnostic(mu, args.max_power, report.nu)

@@ -117,7 +117,7 @@ class ElementSet:
         return (self.mask & -self.mask).bit_length() - 1
 
     def __contains__(self, a):
-        return bool((self.mask >> a) & 1)
+        return a >= 0 and bool((self.mask >> a) & 1)
 
     def __len__(self):
         return self.mask.bit_count()

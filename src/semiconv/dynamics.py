@@ -40,7 +40,6 @@ from .errors import (
     MismatchedParent,
     NotAGroup,
     NotSimple,
-    OrderCapExceeded,
     SemiconvError,
     SingularDecomposition,
     TheoremViolation,
@@ -49,15 +48,6 @@ from .errors import (
 from .linalg import solve
 from .measure import Dist, convolve, haar_uniform, marginals, support, translate
 from .rees import ReesDecomposition, psi_inv, rees_decompose
-
-DEFAULT_EXACT_CAP = 300
-
-
-def _check_cap(sg, order_cap):
-    cap = DEFAULT_EXACT_CAP if order_cap is None else order_cap
-    if sg.order > cap:
-        raise OrderCapExceeded(sg.order, cap)
-
 
 def power(mu, n):
     """Exact n-fold convolution of mu with itself, by repeated squaring."""
@@ -134,7 +124,7 @@ def _limit_factors(mu, dec):
     return nu, lam, rho
 
 
-def cesaro_limit(mu, order_cap=None):
+def cesaro_limit(mu):
     """Exact limit nu of the Cesaro averages of mu, mu^2, mu^3, ...
 
     Decomposes the kernel K = L*G*R of the subsemigroup supp(mu) generates
@@ -143,10 +133,10 @@ def cesaro_limit(mu, order_cap=None):
     mu*nu = nu makes it a fixed law of the walk x -> L(s*x) on L, and it is
     the only one, because a word w in supp(mu) that lands in K sends every
     x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
-    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns.  The
-    result is verified idempotent and mu-invariant before returning.
+    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns, so
+    no bound on the order applies beyond the table's own DEFAULT_ORDER_CAP.
+    The result is verified idempotent and mu-invariant before returning.
     """
-    _check_cap(mu.parent, order_cap)
     return _limit_factors(mu, rees_decompose(kernel(generated_subsemigroup(support(mu)))))[0]
 
 
@@ -192,6 +182,8 @@ def element_power_cluster(sg, a):
     Verifies that C is a cyclic group with identity e = a^(rp) for the
     unique r with q <= rp <= q+p-1, and that C = {e, ae, ..., a^(p-1)e}.
     """
+    if not 0 <= a < sg.order:
+        raise MalformedInput(f"element index out of range: {a}")
     seen = {}
     powers = [None]
     cur = a
@@ -239,14 +231,17 @@ class LimitReport:
     checks: dict
 
 
-def analyze_limit(mu, order_cap=None):
+def analyze_limit(mu):
     """Full limit analysis of the convolution powers of mu.
 
     Computes the Cesaro limit nu, the cluster identity eta, the cluster
     cycle [eta, mu*eta, ..., mu^(p-1)*eta], the product decomposition of
     supp(nu) with subgroup H and coset generator gamma, and verifies every
     structural clause exactly.  A failed clause raises TheoremViolation;
-    the returned report's check map is therefore all-True.
+    the returned report's check map is therefore all-True.  Like
+    cesaro_limit it takes every table the package accepts; past the two
+    solves, its cost is set algebra and convolution over the walk's
+    supports.
     """
     sg = mu.parent
     checks = {}
@@ -256,7 +251,6 @@ def analyze_limit(mu, order_cap=None):
         if not ok:
             raise TheoremViolation(name, detail)
 
-    _check_cap(sg, order_cap)
     walk_kernel = kernel(generated_subsemigroup(support(mu)))
     try:
         dec = rees_decompose(walk_kernel)

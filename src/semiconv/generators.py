@@ -170,21 +170,28 @@ def _build_boolean_matrices(spec):
     (dim,) = _expect_params(spec, 1)
     if dim > 3:
         raise ParameterOutOfRange("boolean_matrices dimension capped at 3")
+    # A matrix is its row-major bit string read as an int, which is also its
+    # element index; each row is a dim-bit mask, the first row highest.
     count = 1 << (dim * dim)
-    mats = []
-    for code in range(count):
-        bits = format(code, f"0{dim * dim}b")
-        mats.append(tuple(tuple(int(bits[r * dim + c]) for c in range(dim)) for r in range(dim)))
-
-    def bool_mul(a, b):
-        return tuple(
-            tuple(int(any(a[r][t] and b[t][c] for t in range(dim))) for c in range(dim))
-            for r in range(dim)
+    width = 1 << dim
+    rows = [
+        [(code >> (dim * (dim - 1 - r))) & (width - 1) for r in range(dim)] for code in range(count)
+    ]
+    # picked[sel][b]: the OR of the rows of b that the dim-bit mask sel picks,
+    # the first row by the highest bit; row r of a*b is picked[row r of a][b].
+    picked = [[0] * count]
+    for sel in range(1, width):
+        top = sel.bit_length() - 1
+        picked.append(
+            [u | b_rows[dim - 1 - top] for u, b_rows in zip(picked[sel ^ (1 << top)], rows)]
         )
-
-    index = {m: i for i, m in enumerate(mats)}
+    table = []
+    for a_rows in rows:
+        product = picked[a_rows[0]]
+        for a_row in a_rows[1:]:
+            product = [(p << dim) | u for p, u in zip(product, picked[a_row])]
+        table.append(product)
     labels = [format(code, f"0{dim * dim}b") for code in range(count)]
-    table = [[index[bool_mul(a, b)] for b in mats] for a in mats]
     return validate_cayley(labels, table)
 
 

@@ -37,6 +37,7 @@ from .errors import (
     HypothesisViolated,
     InvalidDistribution,
     MalformedInput,
+    MismatchedParent,
     NotSimple,
     PreconditionViolated,
     SupportOutsideDecomposition,
@@ -187,7 +188,7 @@ def support(mu):
 def convolve(mu, nu):
     """(mu*nu)(z) = sum of mu(x)nu(y) over factorizations z = x*y."""
     if mu.parent is not nu.parent:
-        raise MalformedInput("distributions live on different semigroups")
+        raise MismatchedParent("distributions on different semigroups")
     rows = mu.parent.rows
     out = {}
     right = nu._nums

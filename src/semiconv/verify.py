@@ -32,7 +32,6 @@ from .core import (
     product_sets,
 )
 from .dynamics import (
-    DEFAULT_EXACT_CAP,
     analyze_limit,
     cesaro_deviation,
     cesaro_diagnostic,
@@ -512,16 +511,10 @@ def _check_element_power_clusters(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _dynamic_instances(ctx):
-    """Instances within the exact cap of the limit solver; the structural
-    checks still run on larger ones."""
-    return [i for i in ctx.instances if i.semigroup.order <= DEFAULT_EXACT_CAP]
-
-
 def _check_support_convolution(ctx):
     """The support of a convolution is the product of the supports."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         ran += 1
         mus = _seeded_dists(inst, ctx.seed, 1, 3)
         nus = _seeded_dists(inst, ctx.seed, 2, 3)
@@ -537,7 +530,7 @@ def _check_convolution_marginals(ctx):
     """On a completely simple carrier the left marginal of mu * nu matches
     mu's and the right marginal matches nu's."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         sg = inst.semigroup
         car = sg.carrier()
         if not is_simple(car) or not idempotents(car):
@@ -584,7 +577,7 @@ def _check_translation_biinvariance(ctx):
     distribution found bi-invariant is uniform on a group support."""
     ran = 0
     solved = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         sg = inst.semigroup
         ran += 1
         car = sg.carrier()
@@ -628,7 +621,7 @@ def _check_idempotent_factorization(ctx):
     uniform distribution on the anchor group, and an R-part; composing and
     factoring are mutually inverse."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         sg = inst.semigroup
         car = sg.carrier()
         if not is_simple(car) or not idempotents(car):
@@ -658,7 +651,7 @@ def _check_convolution_invariance(ctx):
     """A distribution fixed by mu under convolution on both sides is fixed
     by every point mass drawn from supp(mu), relative to its own support."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         ran += 1
         for mu in _seeded_dists(inst, ctx.seed, 8, 2):
             nu = cesaro_limit(mu)
@@ -672,7 +665,7 @@ def _check_limit_theorem(ctx):
     """Full limit analysis: the averaged limit, the cluster cycle, and the
     product factorizations all verify on seeded walks."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         ran += 1
         for mu in _seeded_dists(inst, ctx.seed, 9, 2):
             analyze_limit(mu)
@@ -683,7 +676,7 @@ def _check_cesaro_bound(ctx):
     """Shifting a length-n average by j steps moves it by at most 2j/n in
     variation norm."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         if inst.semigroup.order > 64:
             continue
         ran += 1
@@ -700,7 +693,7 @@ def _check_float_shadow(ctx):
     """A floating-point power iteration tracks the exact cluster cycle with
     non-increasing distance once aligned to the period."""
     ran = 0
-    for inst in _dynamic_instances(ctx):
+    for inst in ctx.instances:
         if inst.semigroup.order > 32:
             continue
         ran += 1

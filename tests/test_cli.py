@@ -313,13 +313,18 @@ def test_verify_corruption_exit_code(capsys):
     assert "CHECK FAILURES" in out
 
 
-def test_order_cap_env(z4, tmp_path, capsys, monkeypatch):
-    mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
-    monkeypatch.setenv("SEMICONV_ORDER_CAP", "2")
-    assert main(["limit", z4, mu]) == 2  # cap below the order
-    monkeypatch.setenv("SEMICONV_ORDER_CAP", "junk")
-    assert main(["limit", z4, mu]) == 1
-    monkeypatch.setenv("SEMICONV_ORDER_CAP", "0")
-    assert main(["limit", z4, mu]) == 1
-    monkeypatch.setenv("SEMICONV_ORDER_CAP", "16")
-    assert main(["limit", z4, mu]) == 0
+def test_limit_answers_on_a_table_over_300_elements(tmp_path, capsys):
+    # the 16 x 19 rectangular band, (i, j) * (k, l) = (i, l), has order 304;
+    # only DEFAULT_ORDER_CAP bounds the tables limit accepts
+    cells = [(i, j) for i in range(16) for j in range(19)]
+    band = write(
+        tmp_path / "band.json",
+        {
+            "labels": [f"{i},{j}" for i, j in cells],
+            "table": [[19 * i + l for _, l in cells] for i, _ in cells],
+        },
+    )
+    mu = dist_file(tmp_path, "mu.json", {"0,0": "1/2", "15,18": "1/2"})
+    assert main(["limit", band, mu, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["checks"]) == 21 and all(report["checks"].values())

@@ -137,6 +137,30 @@ def test_boolean_matrices_builder():
         build(CorpusSpec("boolean_matrices", (4,)))
 
 
+def entrywise_product(x, y, dim):
+    """Boolean product of two row-major bit-string labels, entry by entry."""
+    return "".join(
+        str(int(any(x[r * dim + t] == "1" == y[t * dim + c] for t in range(dim))))
+        for r in range(dim)
+        for c in range(dim)
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_boolean_matrices_match_the_entrywise_product(dim):
+    # the builder multiplies bitmask rows; check it against the definition,
+    # on every pair up to dimension 2 and on seeded pairs at dimension 3
+    bm = build(CorpusSpec("boolean_matrices", (dim,)))
+    n = bm.order
+    if dim < 3:
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+    else:
+        rng = XorShift64Star(dim)
+        pairs = [(rng.below(n), rng.below(n)) for _ in range(4096)]
+    for a, b in pairs:
+        assert bm.label(bm.mul(a, b)) == entrywise_product(bm.label(a), bm.label(b), dim)
+
+
 def test_direct_product_builder():
     spec = CorpusSpec(
         "direct_product",

@@ -13,6 +13,7 @@ from semiconv import (
     HypothesisViolated,
     InvalidDistribution,
     MalformedInput,
+    MismatchedParent,
     PreconditionViolated,
     RAT,
     SupportOutsideDecomposition,
@@ -170,8 +171,16 @@ def test_convolve_matches_brute_force():
     a = Dist.from_mapping(t2, {"01": RAT(1, 3), "10": RAT(1, 3), "00": RAT(1, 3)})
     b = Dist.from_mapping(t2, {"10": RAT(1, 2), "11": RAT(1, 2)})
     assert convolve(a, b) == brute_convolve(a, b)
-    with pytest.raises(MalformedInput):
-        convolve(mu, a)
+
+
+def test_convolve_rejects_distributions_on_different_semigroups():
+    # the same parent check, and error, as tv_distance and product_sets
+    mu = dirac(cyclic(4), 1)
+    nu = dirac(t_full(2), 0)
+    with pytest.raises(MismatchedParent, match="different semigroups"):
+        convolve(mu, nu)
+    with pytest.raises(MismatchedParent):
+        convolve(nu, mu)
 
 
 def test_convolution_support_law():

@@ -88,6 +88,19 @@ def test_psi_rejects_foreign_coordinates():
         psi(dec, bad_left, dec.group.identity, dec.right.least())
 
 
+def test_negative_index_is_in_no_factor():
+    # -1 is outside the table like the order itself, not a shift-count error
+    sg = build(CorpusSpec("rectangular_band", (2, 2)))
+    dec = rees_decompose(sg.carrier())
+    assert -1 not in sg.carrier()
+    with pytest.raises(NotInFactor):
+        psi(dec, -1, dec.group.identity, dec.right.least())
+    with pytest.raises(NotInFactor):
+        psi_inv(dec, -1)
+    with pytest.raises(NotIdempotent):
+        rees_decompose(kernel(sg.carrier()), at=-1)
+
+
 def test_idempotent_criterion_unique_per_cell():
     sg = build(CorpusSpec("rees_matrix", (2, 2, 3), seed=9))
     dec = rees_decompose(sg.carrier())
