@@ -2,8 +2,12 @@
 
 Elements are indices 0..n-1 into a label list.  Element subsets are bitmasks
 wrapped in ElementSet.  All operations are exact table lookups; the only
-numeric library involved is numpy, used for the O(n^3) associativity sweep
-and for bulk product enumeration on large sets.
+numeric library involved is numpy, used for table validation and for bulk
+product enumeration on large sets.  Validation decides associativity by
+Light's test: it sweeps (a*b)*c = a*(b*c) over all b and c only for the
+rows a of a greedy generating set, and its witness is still the
+lexicographically first broken triple.  The kernel is computed from one of
+its elements, as K = (S*z)*S.
 """
 
 from dataclasses import dataclass, field
@@ -184,8 +188,20 @@ def validate_cayley(labels, table):
 
     Checks: distinct labels, order at most DEFAULT_ORDER_CAP (before any row
     is read), square table, entries in range, associativity.
-    The associativity witness, if any, is the lexicographically first
-    triple (a, b, c) with (a*b)*c != a*(b*c).
+
+    Associativity is decided by Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, section 1.2).  Call a good when
+    (a*b)*c = a*(b*c) for all b and c.  The good elements are closed under
+    the product, so they are the whole carrier once they include a
+    generating set B.  B is picked greedily in index order, and its closure
+    is built from both products x*y and y*x of every pair, without assuming
+    associativity; then only the rows a in B are swept against every b and
+    c, at O(|B|*n^2) cost instead of O(n^3).
+
+    The witness, if any, is the lexicographically first triple (a, b, c)
+    with (a*b)*c != a*(b*c), as a full sweep would find it: every row before
+    the first bad row a is good, so their closure is good and misses a, and
+    the greedy pick therefore puts a in B.
     """
     labels = list(labels)
     n = len(labels)
@@ -200,22 +216,64 @@ def validate_cayley(labels, table):
         if len(row) != n:
             raise InvalidTable(f"table row {i} has {len(row)} entries for {n} elements")
     for i, row in enumerate(table):
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise IndexOutOfRange(i, j, v)
 
     t = np.array(table, dtype=np.int32)
-    # (a*b)*c vs a*(b*c), swept in chunks of a to bound memory at ~32MB.
-    chunk = max(1, (1 << 21) // max(1, n * n))
-    for a0 in range(0, n, chunk):
-        rows = t[a0 : a0 + chunk]          # (m, n)
-        left = t[rows]                     # left[i, b, c]  = t[t[a, b], c]
-        right = rows[:, t]                 # right[i, b, c] = t[a, t[b, c]]
+    witness = _first_broken_triple(t, _greedy_generators(t))
+    if witness is not None:
+        raise NonAssociative(*witness)
+    return Semigroup(labels, table)
+
+
+def _greedy_generators(t):
+    """Elements taken in index order, each one outside the closure of those
+    taken before it, so that together they generate the whole table.
+
+    The closure grows breadth first: every newly reached element x is
+    multiplied on both sides by every element reached so far, x included.
+    """
+    n = len(t)
+    inside = np.zeros(n, dtype=bool)
+    reached = np.empty(n, dtype=np.intp)
+    size = 0
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        frontier = np.array([g], dtype=np.intp)
+        while frontier.size:
+            inside[frontier] = True
+            reached[size : size + frontier.size] = frontier
+            size += frontier.size
+            seen = reached[:size]
+            products = np.concatenate(
+                (t[np.ix_(frontier, seen)].ravel(), t[np.ix_(seen, frontier)].ravel())
+            )
+            frontier = np.unique(products[~inside[products]])
+    return gens
+
+
+def _first_broken_triple(t, rows):
+    """Lexicographically first (a, b, c) with a in rows (ascending) and
+    (a*b)*c != a*(b*c), or None.  Rows are swept a few at a time, so each
+    gather stays near 1 MB."""
+    n = len(t)
+    rows = np.asarray(rows, dtype=np.intp)
+    chunk = max(1, (1 << 18) // (n * n))
+    for i0 in range(0, len(rows), chunk):
+        block = t[rows[i0 : i0 + chunk]]   # (m, n)
+        left = t[block]                    # left[i, b, c]  = t[t[a, b], c]
+        right = block[:, t]                # right[i, b, c] = t[a, t[b, c]]
         bad = left != right
         if bad.any():
             i, b, c = np.argwhere(bad)[0]
-            raise NonAssociative(a0 + int(i), int(b), int(c))
-    return Semigroup(labels, table)
+            return int(rows[i0 + i]), int(b), int(c)
+    return None
 
 
 def product_sets(first, second):
@@ -381,67 +439,87 @@ def principal_right_ideal(x, a):
 
 
 def minimal_left_ideals(x):
-    """Inclusion-minimal principal left ideals, sorted by least member.
+    """The minimal left ideals, sorted by least member.
 
-    These are exactly the minimal left ideals: any left ideal contains the
-    principal ideal of each of its members.  Each returned I is verified to
-    satisfy S*a = I for every a in I.
+    They are the distinct sets S*y for y in the kernel K: every minimal left
+    ideal lies in K and is S*y for each of its members y.  Each returned I
+    is verified to satisfy S*a = I for every a in I.
     """
     s = _as_set(x)
-    return _minimal_principal(s, principal_left_ideal, left=True)
+    return _kernel_and_left_ideals(s)[1] if s else []
 
 
 def minimal_right_ideals(x):
     s = _as_set(x)
-    return _minimal_principal(s, principal_right_ideal, left=False)
-
-
-def _minimal_principal(s, principal, left):
-    seen = {}
-    for a in s:
-        ideal = principal(s, a)
-        seen[ideal.mask] = ideal
-    ideals = list(seen.values())
-    minimal = [
-        i
-        for i in ideals
-        if not any(j.mask != i.mask and j.issubset(i) for j in ideals)
-    ]
-    for ideal in minimal:
-        for a in ideal:
-            single = s.parent.singleton(a)
-            swept = product_sets(s, single) if left else product_sets(single, s)
-            if swept != ideal:
-                raise VerificationFailed(
-                    "minimal ideal criterion",
-                    f"ideal {ideal.labels()} not regenerated by element {s.parent.label(a)}",
-                )
-    minimal.sort(key=lambda i: i.least())
-    return minimal
+    return _translates(s, kernel(s), left=False) if s else []
 
 
 def kernel(x):
-    """The least two-sided ideal: union of the minimal left ideals.
+    """The least two-sided ideal K, computed as (S*z)*S from one z in K.
 
-    Verified to be an ideal with S*z*S = K for every z in K, which pins it
-    as the unique inclusion-minimal ideal.
+    z is the left-normed product of the elements of S, which lies in K
+    because K is an ideal.  Verified to be an ideal whose minimal left
+    ideals S*y all satisfy S*y*S = K, which pins it as the unique
+    inclusion-minimal ideal.
     """
-    s = _as_set(x)
-    parts = minimal_left_ideals(s)
-    k = s.parent.empty()
-    for part in parts:
-        k = k | part
+    return _kernel_and_left_ideals(_as_set(x))[0]
+
+
+def _kernel_and_left_ideals(s):
+    """The kernel of S and its minimal left ideals, at O(|S|*|K|) cost."""
+    if not s:
+        raise EmptySet("the empty set has no kernel")
+    sg = s.parent
+    rows = sg.rows
+    els = s.elements()
+    z = els[0]
+    for a in els[1:]:
+        z = rows[z][a]
+    k = product_sets(product_sets(s, sg.singleton(z)), s)
     if not is_ideal(k, s):
-        raise VerificationFailed("kernel ideal", "union of minimal left ideals is not an ideal")
-    # S*z*S = (S*z)*S = A*S for the minimal left ideal A containing z, so
-    # one sweep per part covers every z.
+        raise VerificationFailed("kernel ideal", f"S*z*S is not an ideal for z = {sg.label(z)}")
+    parts = _translates(s, k, left=True)
+    # S*y*S = (S*y)*S is one set for every y in a minimal left ideal, so
+    # one sweep per part covers every y in K.
     for part in parts:
         if product_sets(part, s) != k:
             raise VerificationFailed(
                 "kernel product identity",
                 f"S*z*S != K for z in {part.labels()}",
             )
-    return k
+    return k, parts
+
+
+def _translates(s, k, left):
+    """The distinct sets S*y (left) or y*S (right) for y in the ideal K,
+    sorted by least member.  Each is verified to be regenerated by every one
+    of its members, which makes it a minimal one-sided ideal."""
+    rows = s.parent.rows
+    els = s.elements()
+    moved = {}
+    for y in k:
+        mask = 0
+        if left:
+            for a in els:
+                mask |= 1 << rows[a][y]
+        else:
+            row = rows[y]
+            for a in els:
+                mask |= 1 << row[a]
+        moved[y] = mask
+    parts = {}
+    for mask in moved.values():
+        if mask in parts:
+            continue
+        part = ElementSet(s.parent, mask)
+        for a in part:
+            if moved[a] != mask:
+                raise VerificationFailed(
+                    "minimal ideal criterion",
+                    f"ideal {part.labels()} not regenerated by element {s.parent.label(a)}",
+                )
+        parts[mask] = part
+    return sorted(parts.values(), key=ElementSet.least)
 
 
 def group_structure(subset):

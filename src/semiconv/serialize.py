@@ -21,9 +21,18 @@ def dumps_canonical(obj):
 
 
 def _load_json(path):
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                # json.load alone would keep the last value without a word.
+                raise MalformedInput(f"{path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -213,6 +213,18 @@ def _inclusion_minimal(sets):
     return [a for a in sets if not any(b.mask != a.mask and b.mask & ~a.mask == 0 for b in sets)]
 
 
+def principal_minimal_ideals(car, side):
+    """Oracle for the minimal one-sided ideals: every principal ideal S*a + {a}
+    (or a*S + {a}), compared pairwise, keeping the inclusion-minimal ones,
+    sorted by least member.  Quadratic in the number of distinct ideals."""
+    principal = principal_left_ideal if side == "left" else principal_right_ideal
+    found = {}
+    for a in car:
+        ideal = principal(car, a)
+        found[ideal.mask] = ideal
+    return sorted(_inclusion_minimal(list(found.values())), key=lambda i: i.least())
+
+
 def _labels(es):
     return "{" + ",".join(sorted(es.labels())) + "}"
 
@@ -224,7 +236,8 @@ def _labels(es):
 
 def _check_minimal_ideal_criterion(ctx):
     """Minimal one-sided ideals are exactly the sets with Sa = A for all a,
-    cross-checked against a full subset sweep on tiny instances."""
+    cross-checked against the principal-ideal enumeration, and against a
+    full subset sweep on tiny instances."""
     ran = 0
     for inst in ctx.instances:
         sg = inst.semigroup
@@ -232,6 +245,11 @@ def _check_minimal_ideal_criterion(ctx):
         car = sg.carrier()
         for side, finder in (("left", minimal_left_ideals), ("right", minimal_right_ideals)):
             mins = finder(car)
+            if [a.mask for a in mins] != [a.mask for a in principal_minimal_ideals(car, side)]:
+                return ran, (
+                    f"{inst.name}: minimal {side} ideals differ from the "
+                    f"principal-ideal enumeration"
+                )
             for a in mins:
                 for x in a:
                     trans = (
@@ -249,7 +267,7 @@ def _check_minimal_ideal_criterion(ctx):
                 if {a.mask for a in brute} != {a.mask for a in mins}:
                     return ran, (
                         f"{inst.name}: subset sweep found different minimal "
-                        f"{side} ideals than the principal-ideal search"
+                        f"{side} ideals than the kernel translates"
                     )
     return ran, ""
 
@@ -265,6 +283,14 @@ def _check_kernel_least_ideal(ctx):
             k = kernel(car)
         except SemiconvError as exc:
             return ran, f"{inst.name}: kernel computation failed: {exc}"
+        union = 0
+        for part in principal_minimal_ideals(car, "left"):
+            union |= part.mask
+        if k.mask != union:
+            return ran, (
+                f"{inst.name}: kernel {_labels(k)} is not the union of the minimal "
+                f"principal left ideals"
+            )
         if not is_ideal(k):
             return ran, f"{inst.name}: kernel {_labels(k)} is not an ideal"
         if not is_simple(k):

@@ -85,6 +85,20 @@ def test_unparseable_json_is_io_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+def test_repeated_key_is_io_error(tmp_path, capsys):
+    # json.load alone keeps the last "a", so this would pass as {a: 1/2, b: 1/2}.
+    table = write(tmp_path / "ab.json", {"labels": ["a", "b"], "table": [[0, 1], [1, 0]]})
+    mu = tmp_path / "mu.json"
+    mu.write_text('{"probs": {"a": "1/3", "b": "1/2", "a": "1/2"}}', encoding="utf-8")
+    assert main(["limit", table, str(mu)]) == 1
+    err = capsys.readouterr().err
+    assert "repeats the key 'a'" in err and str(mu) in err
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"labels": ["a"], "table": [[0]], "labels": ["b"]}', encoding="utf-8")
+    assert main(["validate", str(twice)]) == 1
+    assert "repeats the key 'labels'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, data",
     [

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from semiconv.core import (
     DEFAULT_ORDER_CAP,
+    _greedy_generators,
     generated_subsemigroup,
     group_structure,
     idempotents,
@@ -31,7 +33,8 @@ from semiconv.errors import (
     NotAGroup,
     OrderCapExceeded,
 )
-from semiconv.generators import CorpusSpec, build
+from semiconv.generators import CorpusSpec, XorShift64Star, build
+from semiconv.verify import build_corpus, principal_minimal_ideals
 
 
 def cyclic(n):
@@ -79,6 +82,94 @@ def test_validate_reports_first_broken_triple():
         if table[table[x][y]][z] != table[x][table[y][z]]
     ]
     assert (a, b, c) == firsts[0]
+
+
+LIGHT_TABLES = [
+    CorpusSpec("cyclic", (4,)),
+    CorpusSpec("left_zero", (3,)),
+    CorpusSpec("rectangular_band", (2, 3)),
+    CorpusSpec("full_transformation", (2,)),
+    CorpusSpec("rees_matrix", (2, 2, 2), seed=11),
+    CorpusSpec(
+        "direct_product",
+        (),
+        factors=(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (2,))),
+    ),
+]
+
+
+def first_broken_triple(table):
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def greedy_generators(table):
+    """Each element in index order that the closure of the earlier picks
+    misses, the closure being the fixed point of all pairwise products."""
+    closed, gens = set(), []
+    for g in range(len(table)):
+        if g not in closed:
+            gens.append(g)
+            closed.add(g)
+            while new := {table[x][y] for x in closed for y in closed} - closed:
+                closed |= new
+    return gens
+
+
+@pytest.mark.parametrize(
+    "spec",
+    LIGHT_TABLES
+    + [
+        CorpusSpec("full_transformation", (3,)),
+        CorpusSpec("random_transformation_subsemigroup", (3, 2), seed=21),
+    ],
+    ids=CorpusSpec.describe,
+)
+def test_generating_set_matches_the_pairwise_closure(spec):
+    rows = [list(r) for r in build(spec).rows]
+    variants = [rows]
+    # One corruption per row keeps a non-associative table in the mix.
+    for i in range(len(rows)):
+        table = [list(r) for r in rows]
+        table[i][0] = (table[i][0] + 1) % len(rows)
+        variants.append(table)
+    for table in variants:
+        assert _greedy_generators(np.array(table)) == greedy_generators(table)
+
+
+@pytest.mark.parametrize("spec", LIGHT_TABLES, ids=CorpusSpec.describe)
+def test_light_test_matches_the_triple_loop_on_every_one_entry_corruption(spec):
+    # Light's test sweeps only the rows of a greedy generating set; every
+    # cell set to every wrong value must still be accepted exactly when the
+    # full triple loop accepts it, with the loop's first broken triple
+    # otherwise.
+    sg = build(spec)
+    n = sg.order
+    labels = list(sg.labels)
+    variants = [[list(r) for r in sg.rows]]
+    for i in range(n):
+        for j in range(n):
+            for v in range(n):
+                if v != sg.rows[i][j]:
+                    table = [list(r) for r in sg.rows]
+                    table[i][j] = v
+                    variants.append(table)
+    rejected = 0
+    for table in variants:
+        want = first_broken_triple(table)
+        if want is None:
+            assert validate_cayley(labels, table).rows == tuple(map(tuple, table))
+        else:
+            rejected += 1
+            with pytest.raises(NonAssociative) as info:
+                validate_cayley(labels, table)
+            assert info.value.witness == want
+    assert 0 < rejected < len(variants)
 
 
 def test_validate_rejects_malformed():
@@ -286,6 +377,29 @@ def test_kernel_known_cases():
     # a group is its own kernel
     z6 = cyclic(6)
     assert kernel(z6.carrier()) == z6.carrier()
+
+
+def test_kernel_and_minimal_ideals_match_the_principal_ideal_enumeration():
+    for inst in build_corpus("extended"):
+        sg = inst.semigroup
+        rng = XorShift64Star(sg.order)
+        carriers = [sg.carrier()]
+        for _ in range(8):
+            support = sg.subset(rng.below(sg.order) for _ in range(1 + rng.below(3)))
+            carriers.append(generated_subsemigroup(support))
+        for car in carriers:
+            left = principal_minimal_ideals(car, "left")
+            right = principal_minimal_ideals(car, "right")
+            assert [a.mask for a in minimal_left_ideals(car)] == [a.mask for a in left], inst.name
+            assert [a.mask for a in minimal_right_ideals(car)] == [a.mask for a in right], inst.name
+            union = 0
+            for part in left:
+                union |= part.mask
+            assert kernel(car).mask == union, inst.name
+    empty = cyclic(3).empty()
+    with pytest.raises(EmptySet):
+        kernel(empty)
+    assert minimal_left_ideals(empty) == [] and minimal_right_ideals(empty) == []
 
 
 def test_kernel_is_least_ideal():
