@@ -299,8 +299,11 @@ def _parser():
     return top
 
 
+_PARSER = _parser()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except _THEOREM_ERRORS as exc:

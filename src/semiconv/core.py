@@ -7,7 +7,10 @@ product enumeration on large sets.  Validation decides associativity by
 Light's test: it sweeps (a*b)*c = a*(b*c) over all b and c only for the
 rows a of a greedy generating set, and its witness is still the
 lexicographically first broken triple.  The kernel is computed from one of
-its elements, as K = (S*z)*S.
+its elements, as K = (S*z)*S, and the simplicity predicates are decided from
+it at O(|S|*|K|) cost: S is simple exactly when it is its own kernel, and
+left (right) simple exactly when it is its own only minimal left (right)
+ideal.
 """
 
 from dataclasses import dataclass, field
@@ -335,28 +338,6 @@ def generated_subsemigroup(gens):
     return ElementSet(gens.parent, mask)
 
 
-def left_quotient(a, target):
-    """{x : a*x in target}."""
-    sg = target.parent
-    row = sg.rows[a]
-    mask = 0
-    for x in range(sg.order):
-        if row[x] in target:
-            mask |= 1 << x
-    return ElementSet(sg, mask)
-
-
-def right_quotient(a, target):
-    """{x : x*a in target}."""
-    sg = target.parent
-    rows = sg.rows
-    mask = 0
-    for x in range(sg.order):
-        if rows[x][a] in target:
-            mask |= 1 << x
-    return ElementSet(sg, mask)
-
-
 def is_left_ideal(ideal, within=None):
     """Whether S*I is contained in I (I nonempty), S the ambient carrier."""
     amb = _as_set(within) if within is not None else ideal.parent.carrier()
@@ -397,34 +378,28 @@ def _require_subsemigroup(subset):
 
 
 def is_left_simple(subset):
-    """Whether A*a = A for every a in A (A a subsemigroup)."""
+    """Whether A*a = A for every a in A (A a subsemigroup): A is its own
+    only minimal left ideal."""
     _require_subsemigroup(subset)
-    for a in subset:
-        if product_sets(subset, subset.parent.singleton(a)) != subset:
-            return False
-    return True
+    return minimal_left_ideals(subset) == [subset]
 
 
 def is_right_simple(subset):
     _require_subsemigroup(subset)
-    for a in subset:
-        if product_sets(subset.parent.singleton(a), subset) != subset:
-            return False
-    return True
+    return minimal_right_ideals(subset) == [subset]
 
 
 def is_simple(subset):
     """Whether A*a*A = A for every a in A (no proper two-sided ideals)."""
-    w = _simplicity_witness(subset)
-    return w is None
+    return _simplicity_witness(subset) is None
 
 
 def _simplicity_witness(subset):
+    """None if A is its own kernel, else the least kernel element a, for
+    which A*a*A is the kernel, a proper ideal."""
     _require_subsemigroup(subset)
-    for a in subset:
-        if product_sets(product_sets(subset, subset.parent.singleton(a)), subset) != subset:
-            return a
-    return None
+    k = kernel(subset)
+    return None if k == subset else k.least()
 
 
 def principal_left_ideal(x, a):

@@ -58,7 +58,7 @@ def is_primitive_idempotent(x, e):
     """Whether no other idempotent f satisfies e*f = f*e = f."""
     s = _as_set(x)
     rows = s.parent.rows
-    if rows[e][e] != e or e not in s:
+    if e not in s or rows[e][e] != e:
         raise NotIdempotent(s.parent.label(e) if 0 <= e < s.parent.order else e)
     for f in idempotents(s):
         if f != e and rows[e][f] == f and rows[f][e] == f:
@@ -69,9 +69,12 @@ def is_primitive_idempotent(x, e):
 def rees_decompose(x, at=None):
     """Decompose a completely simple (sub)semigroup at an idempotent.
 
-    With at=None the anchor is the least-index idempotent.  Every clause of
-    the decomposition is verified on the concrete table before returning;
-    a failure raises VerificationFailed naming the clause.
+    With at=None the anchor is the least-index idempotent.  A carrier that
+    is not its own kernel raises NotSimple naming the least kernel element
+    a, for which S*a*S is the kernel, a proper ideal; that need not be the
+    first element with S*a*S != S.  Every clause of the decomposition is
+    verified on the concrete table before returning; a failure raises
+    VerificationFailed naming the clause.
     """
     s = _as_set(x)
     sg = s.parent

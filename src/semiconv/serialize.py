@@ -144,6 +144,8 @@ def corpus_spec_to_json(spec):
 def corpus_spec_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput('corpus spec needs a "kind"')
+    if not isinstance(obj["kind"], str):
+        raise MalformedInput('"kind" must be a string')
     params = obj.get("params", [])
     if not isinstance(params, list) or not all(
         isinstance(p, int) and not isinstance(p, bool) for p in params

@@ -258,6 +258,8 @@ def test_gen_subcommand(tmp_path, capsys):
     # generated output feeds straight back in as a table
     assert main(["validate", str(table)]) == 0
     assert main(["gen", write(tmp_path / "bad.json", {"kind": "nope"})]) == 2
+    assert main(["gen", write(tmp_path / "kind.json", {"kind": []})]) == 1
+    assert '"kind" must be a string' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

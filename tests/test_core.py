@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semiconv import core
 from semiconv.core import (
     DEFAULT_ORDER_CAP,
     _greedy_generators,
@@ -14,13 +15,11 @@ from semiconv.core import (
     is_right_simple,
     is_simple,
     kernel,
-    left_quotient,
     minimal_left_ideals,
     minimal_right_ideals,
     principal_left_ideal,
     principal_right_ideal,
     product_sets,
-    right_quotient,
     validate_cayley,
 )
 from semiconv.errors import (
@@ -31,10 +30,12 @@ from semiconv.errors import (
     MismatchedParent,
     NonAssociative,
     NotAGroup,
+    NotSimple,
     OrderCapExceeded,
 )
 from semiconv.generators import CorpusSpec, XorShift64Star, build
-from semiconv.verify import build_corpus, principal_minimal_ideals
+from semiconv.rees import rees_decompose
+from semiconv.verify import build_corpus, principal_minimal_ideals, simple_by_sweep
 
 
 def cyclic(n):
@@ -245,7 +246,7 @@ def test_product_sets_large_path():
     assert set(got.elements()) == brute_products(sg, range(27), range(27))
 
 
-# ---- idempotents, closure, quotients ----
+# ---- idempotents, closure ----
 
 
 def test_idempotents_by_scan():
@@ -293,17 +294,6 @@ def test_generated_subsemigroup_is_closure():
         for picked in gen_sets:
             got = generated_subsemigroup(sg.subset(picked))
             assert set(got.elements()) == brute_closure(sg, picked), (spec.describe(), picked)
-
-
-def test_quotients():
-    sg = cyclic(6)
-    target = sg.subset([0, 3])
-    # left_quotient(a, T) = {x : a*x in T}
-    for a in range(6):
-        want = {x for x in range(6) if sg.mul(a, x) in (0, 3)}
-        assert set(left_quotient(a, target).elements()) == want
-        want_r = {x for x in range(6) if sg.mul(x, a) in (0, 3)}
-        assert set(right_quotient(a, target).elements()) == want_r
 
 
 # ---- ideals ----
@@ -395,7 +385,19 @@ def test_kernel_and_minimal_ideals_match_the_principal_ideal_enumeration():
             union = 0
             for part in left:
                 union |= part.mask
-            assert kernel(car).mask == union, inst.name
+            k = kernel(car)
+            assert k.mask == union, inst.name
+            # the kernel-based simplicity flags against the per-element sweeps
+            for a in [car, k] + left + right:
+                simple = simple_by_sweep(a, "two-sided")
+                assert is_simple(a) == simple, inst.name
+                assert is_left_simple(a) == simple_by_sweep(a, "left"), inst.name
+                assert is_right_simple(a) == simple_by_sweep(a, "right"), inst.name
+                if not simple:
+                    with pytest.raises(NotSimple) as info:
+                        rees_decompose(a)
+                    w = sg.singleton(sg.index(info.value.witness))
+                    assert product_sets(product_sets(a, w), a) != a, inst.name
     empty = cyclic(3).empty()
     with pytest.raises(EmptySet):
         kernel(empty)
@@ -428,6 +430,24 @@ def test_simplicity_flags():
     assert not is_simple(t2.carrier())
     z5 = cyclic(5)
     assert is_simple(z5.carrier()) and is_left_simple(z5.carrier())
+
+
+def test_simplicity_flags_cost_no_sweep_per_element(monkeypatch):
+    calls = []
+    real = core.product_sets
+
+    def counted(first, second):
+        calls.append(1)
+        return real(first, second)
+
+    monkeypatch.setattr(core, "product_sets", counted)
+    counts = []
+    for n in (16, 64):
+        car = cyclic(n).carrier()
+        calls.clear()
+        assert is_simple(car) and is_left_simple(car) and is_right_simple(car)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_group_structure_cyclic():

@@ -121,8 +121,9 @@ def test_primitive_idempotents():
     assert is_primitive_idempotent(t2.carrier(), const0)
     # the identity sits above the constants, hence not primitive
     assert not is_primitive_idempotent(t2.carrier(), ident)
-    with pytest.raises(NotIdempotent):
-        is_primitive_idempotent(t2.carrier(), t2.index("10"))
+    for e in (t2.index("10"), t2.order):
+        with pytest.raises(NotIdempotent):
+            is_primitive_idempotent(t2.carrier(), e)
 
 
 def test_rebase_at_every_idempotent():

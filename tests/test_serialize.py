@@ -184,6 +184,9 @@ def test_corpus_spec_rejections(tmp_path):
         corpus_spec_from_json({"kind": "cyclic", "seed": "x"})
     with pytest.raises(MalformedInput):
         corpus_spec_from_json({"kind": "direct_product", "factors": 5})
+    for kind in ([], {"a": 1}, None):
+        with pytest.raises(MalformedInput, match='"kind" must be a string'):
+            corpus_spec_from_json({"kind": kind})
     path = tmp_path / "spec.json"
     path.write_text(dumps_canonical({"kind": "cyclic", "params": [3], "seed": 0}), encoding="utf-8")
     assert load_corpus_spec(str(path)) == CorpusSpec("cyclic", (3,))
