@@ -5,15 +5,19 @@ wrapped in ElementSet.  All operations are exact table lookups; the only
 numeric library involved is numpy, used for table validation and for bulk
 product enumeration on large sets.  Validation decides associativity by
 Light's test: it sweeps (a*b)*c = a*(b*c) over all b and c only for the
-rows a of a greedy generating set, and its witness is still the
-lexicographically first broken triple.  The kernel is computed from one of
-its elements, as K = (S*z)*S, and the simplicity predicates are decided from
-it at O(|S|*|K|) cost: S is simple exactly when it is its own kernel, and
-left (right) simple exactly when it is its own only minimal left (right)
-ideal.
+rows a of a greedy generating set.  Two such sets are used.  The one that
+decides is taken in descending order of row image size |a*S|, which keeps
+it small; only when its sweep finds a broken row is a second set, taken in
+index order, swept to name the lexicographically first broken triple.  The
+validated table is kept as a read-only int32 array.  The kernel is
+computed from one of its elements, as K = (S*z)*S, and the simplicity
+predicates are decided from it at O(|S|*|K|) cost: S is simple exactly
+when it is its own kernel, and left (right) simple exactly when it is its
+own only minimal left (right) ideal.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -66,8 +70,10 @@ class Semigroup:
             raise MalformedInput(f"unknown element label: {label!r}") from None
 
     def table_array(self):
+        """The table as a read-only int32 array, built once."""
         if self._np is None:
             self._np = np.array(self.rows, dtype=np.int32)
+            self._np.flags.writeable = False
         return self._np
 
     def carrier(self):
@@ -107,13 +113,19 @@ class ElementSet:
     mask: int
 
     def elements(self):
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        # Cached beside the fields, so equality and hashing stay on (parent,
+        # mask).  functools.cached_property stores it the same way, but its
+        # lock made walks_corpus passes 6% slower.
+        els = self.__dict__.get("_elements")
+        if els is None:
+            out = []
+            m = self.mask
+            while m:
+                low = m & -m
+                out.append(low.bit_length() - 1)
+                m ^= low
+            els = self.__dict__["_elements"] = tuple(out)
+        return els
 
     def labels(self):
         return tuple(self.parent.labels[a] for a in self.elements())
@@ -196,15 +208,23 @@ def validate_cayley(labels, table):
     Algebraic Theory of Semigroups* I, section 1.2).  Call a good when
     (a*b)*c = a*(b*c) for all b and c.  The good elements are closed under
     the product, so they are the whole carrier once they include a
-    generating set B.  B is picked greedily in index order, and its closure
-    is built from both products x*y and y*x of every pair, without assuming
-    associativity; then only the rows a in B are swept against every b and
-    c, at O(|B|*n^2) cost instead of O(n^3).
+    generating set B.  B is picked greedily, each pick outside the closure
+    of the earlier ones, and that closure is built from both products x*y
+    and y*x of every pair, without assuming associativity; then only the
+    rows a in B are swept against every b and c, at O(|B|*n^2) cost instead
+    of O(n^3).
 
-    The witness, if any, is the lexicographically first triple (a, b, c)
-    with (a*b)*c != a*(b*c), as a full sweep would find it: every row before
-    the first bad row a is good, so their closure is good and misses a, and
-    the greedy pick therefore puts a in B.
+    Any generating set decides the test, so the deciding B is picked in
+    descending order of row image size |a*S| (ties by index): rows that
+    reach many elements generate the table in few picks.  Only if one of
+    its rows is bad is a second B, picked in index order, swept in
+    ascending order to name the witness: the lexicographically first triple
+    (a, b, c) with (a*b)*c != a*(b*c), as a full sweep would find it.  Every
+    row before the first bad row a is good, so their closure is good and
+    misses a, and the index-order pick therefore puts a in that B.
+
+    The returned Semigroup keeps the validated table as its read-only
+    table_array().
     """
     labels = list(labels)
     n = len(labels)
@@ -218,23 +238,51 @@ def validate_cayley(labels, table):
     for i, row in enumerate(table):
         if len(row) != n:
             raise InvalidTable(f"table row {i} has {len(row)} entries for {n} elements")
+
+    t = _entry_array(table, n)
+    t.flags.writeable = False
+    if _first_broken_triple(t, _greedy_generators(t, _by_image_size(t))) is not None:
+        raise NonAssociative(*_first_broken_triple(t, _greedy_generators(t)))
+    sg = Semigroup(labels, table)
+    sg._np = t
+    return sg
+
+
+def _entry_array(table, n):
+    """The square table as an int32 array, or IndexOutOfRange naming its
+    first entry, in row-major order, that is not an int in range(n).
+
+    One type pass and one array cover the common case; anything they do not
+    settle (another type, a value outside range(n) or past int64) falls
+    back to the per-entry loop, which names the bad cell."""
+    try:
+        if {*map(type, chain.from_iterable(table))} == {int}:
+            t = np.array(table, dtype=np.int64)
+            if t.min() >= 0 and t.max() < n:
+                return t.astype(np.int32)
+    except OverflowError:
+        pass
     for i, row in enumerate(table):
-        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
-            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise IndexOutOfRange(i, j, v)
-
-    t = np.array(table, dtype=np.int32)
-    witness = _first_broken_triple(t, _greedy_generators(t))
-    if witness is not None:
-        raise NonAssociative(*witness)
-    return Semigroup(labels, table)
+    # Only int subclasses other than bool get here; their values are valid.
+    return np.array(table, dtype=np.int32)
 
 
-def _greedy_generators(t):
-    """Elements taken in index order, each one outside the closure of those
-    taken before it, so that together they generate the whole table.
+def _by_image_size(t):
+    """Element indices in descending order of |a*S|, the number of distinct
+    entries in row a, ties broken by index."""
+    n = len(t)
+    hit = np.zeros((n, n), dtype=bool)
+    hit[np.arange(n)[:, None], t] = True
+    return np.argsort(-hit.sum(axis=1), kind="stable")
+
+
+def _greedy_generators(t, order=None):
+    """Elements taken in the given order (default: index order), each one
+    outside the closure of those taken before it, so that together they
+    generate the whole table.
 
     The closure grows breadth first: every newly reached element x is
     multiplied on both sides by every element reached so far, x included.
@@ -244,7 +292,7 @@ def _greedy_generators(t):
     reached = np.empty(n, dtype=np.intp)
     size = 0
     gens = []
-    for g in range(n):
+    for g in range(n) if order is None else order.tolist():
         if inside[g]:
             continue
         gens.append(g)
@@ -262,20 +310,16 @@ def _greedy_generators(t):
 
 
 def _first_broken_triple(t, rows):
-    """Lexicographically first (a, b, c) with a in rows (ascending) and
-    (a*b)*c != a*(b*c), or None.  Rows are swept a few at a time, so each
-    gather stays near 1 MB."""
-    n = len(t)
-    rows = np.asarray(rows, dtype=np.intp)
-    chunk = max(1, (1 << 18) // (n * n))
-    for i0 in range(0, len(rows), chunk):
-        block = t[rows[i0 : i0 + chunk]]   # (m, n)
-        left = t[block]                    # left[i, b, c]  = t[t[a, b], c]
-        right = block[:, t]                # right[i, b, c] = t[a, t[b, c]]
-        bad = left != right
+    """First (a, b, c) with (a*b)*c != a*(b*c), taking a from rows in the
+    order given and (b, c) lexicographically, or None.  Each row a is one
+    pair of n x n gathers."""
+    for a in rows:
+        row = t[a]
+        # t[row][b, c] = t[t[a, b], c] and row[t][b, c] = t[a, t[b, c]].
+        bad = t.take(row, axis=0) != row.take(t)
         if bad.any():
-            i, b, c = np.argwhere(bad)[0]
-            return int(rows[i0 + i]), int(b), int(c)
+            b, c = np.argwhere(bad)[0]
+            return int(a), int(b), int(c)
     return None
 
 
@@ -358,7 +402,10 @@ def is_ideal(ideal, within=None):
 
 
 def _closure_witness(subset):
-    """First pair (a, b) in subset with a*b outside it, or None if closed."""
+    """First pair (a, b) in subset with a*b outside it, or None if closed.
+    One set product decides; the pair loop runs only to name the pair."""
+    if product_sets(subset, subset).issubset(subset):
+        return None
     rows = subset.parent.rows
     els = subset.elements()
     for a in els:

@@ -60,6 +60,12 @@ def test_validate_index_out_of_range(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
+def test_validate_entry_past_int64(tmp_path, capsys):
+    bad = write(tmp_path / "bad.json", {"labels": ["a", "b"], "table": [[0, 1], [2**70, 0]]})
+    assert main(["validate", bad]) == 2
+    assert "table[1][0] = 1180591620717411303424 is not a valid element index" in capsys.readouterr().err
+
+
 def test_validate_ragged_table(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", {"labels": ["a", "b"], "table": [[0, 1]]})
     assert main(["validate", bad]) == 2

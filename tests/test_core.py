@@ -4,6 +4,7 @@ import pytest
 from semiconv import core
 from semiconv.core import (
     DEFAULT_ORDER_CAP,
+    _by_image_size,
     _greedy_generators,
     generated_subsemigroup,
     group_structure,
@@ -30,12 +31,18 @@ from semiconv.errors import (
     MismatchedParent,
     NonAssociative,
     NotAGroup,
+    NotASubsemigroup,
     NotSimple,
     OrderCapExceeded,
 )
 from semiconv.generators import CorpusSpec, XorShift64Star, build
 from semiconv.rees import rees_decompose
-from semiconv.verify import build_corpus, principal_minimal_ideals, simple_by_sweep
+from semiconv.verify import (
+    _corrupted_instance,
+    build_corpus,
+    principal_minimal_ideals,
+    simple_by_sweep,
+)
 
 
 def cyclic(n):
@@ -109,16 +116,22 @@ def first_broken_triple(table):
     return None
 
 
-def greedy_generators(table):
-    """Each element in index order that the closure of the earlier picks
-    misses, the closure being the fixed point of all pairwise products."""
+def pairwise_closure(table, start):
+    """The fixed point of all pairwise products, from the given elements."""
+    closed = set(start)
+    while new := {table[x][y] for x in closed for y in closed} - closed:
+        closed |= new
+    return closed
+
+
+def greedy_generators(table, order=None):
+    """Each element in the given order (default: index order) that the
+    closure of the earlier picks misses."""
     closed, gens = set(), []
-    for g in range(len(table)):
+    for g in range(len(table)) if order is None else order:
         if g not in closed:
             gens.append(g)
-            closed.add(g)
-            while new := {table[x][y] for x in closed for y in closed} - closed:
-                closed |= new
+            closed = pairwise_closure(table, closed | {g})
     return gens
 
 
@@ -141,6 +154,24 @@ def test_generating_set_matches_the_pairwise_closure(spec):
         variants.append(table)
     for table in variants:
         assert _greedy_generators(np.array(table)) == greedy_generators(table)
+        # The set that decides Light's test is picked in descending order of
+        # |a*S|, ties by index; it must still generate every element.
+        order = sorted(range(len(table)), key=lambda a: (-len(set(table[a])), a))
+        by_image = _by_image_size(np.array(table))
+        assert by_image.tolist() == order
+        gens = _greedy_generators(np.array(table), by_image)
+        assert gens == greedy_generators(table, order)
+        assert pairwise_closure(table, gens) == set(range(len(table)))
+
+
+def test_image_ordered_generating_set_is_small():
+    # Index order needs 26 and 36 rows on these tables.
+    for spec, most in [
+        (CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25), 4),
+        (CorpusSpec("full_transformation", (4,)), 5),
+    ]:
+        t = build(spec).table_array()
+        assert len(_greedy_generators(t, _by_image_size(t))) <= most
 
 
 @pytest.mark.parametrize("spec", LIGHT_TABLES, ids=CorpusSpec.describe)
@@ -188,6 +219,45 @@ def test_validate_rejects_malformed():
         validate_cayley(["a", "b"], [[0, True], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "value",
+    [2**63, 2**70, -(2**70), True, 1.0, np.int64(1), "1"],
+    ids=["2**63", "2**70", "-2**70", "True", "1.0", "np.int64(1)", "str"],
+)
+def test_validate_names_the_first_entry_numpy_cannot_hold(value):
+    # A later cell holding the same value must not be the one reported.
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    table[1][2] = table[2][0] = value
+    with pytest.raises(IndexOutOfRange) as info:
+        validate_cayley(["0", "1", "2"], table)
+    assert (info.value.row, info.value.col) == (1, 2)
+    assert info.value.value is value
+
+
+def test_validate_names_an_in_range_int64_entry_before_a_later_overflow():
+    table = [[0, 5, 0], [0, 0, 0], [0, 0, 2**70]]
+    with pytest.raises(IndexOutOfRange) as info:
+        validate_cayley(["0", "1", "2"], table)
+    assert (info.value.row, info.value.col, info.value.value) == (0, 1, 5)
+
+
+def test_validated_table_array_is_kept_read_only():
+    sg = validate_cayley(["0", "1", "2"], [[(i + j) % 3 for j in range(3)] for i in range(3)])
+    arr = sg.table_array()
+    assert arr.dtype == np.int32
+    assert np.array_equal(arr, np.array(sg.rows, dtype=np.int32))
+    assert arr.flags.writeable is False
+    assert sg.table_array() is arr
+
+
+def test_directly_built_semigroup_builds_its_array_on_first_use():
+    sg = _corrupted_instance().semigroup
+    arr = sg.table_array()
+    assert np.array_equal(arr, np.array(sg.rows, dtype=np.int32))
+    assert arr.flags.writeable is False
+    assert sg.table_array() is arr
+
+
 def test_validate_order_cap():
     # The cap is checked before any row is read, so no table is needed.
     with pytest.raises(OrderCapExceeded):
@@ -210,6 +280,36 @@ def test_element_set_operations():
     assert a.issubset(sg.carrier())
     with pytest.raises(EmptySet):
         sg.empty().least()
+
+
+def test_element_set_caches_its_elements_but_compares_by_mask():
+    sg = cyclic(5)
+    a = sg.subset([4, 1])
+    assert a.elements() is a.elements() == (1, 4)
+    b = sg.subset([1, 4])
+    assert a == b and hash(a) == hash(b)
+    assert a != sg.subset([1])
+
+
+def first_unclosed_pair(sg, els):
+    return next(((a, b) for a in els for b in els if sg.mul(a, b) not in els), None)
+
+
+def test_closure_witness_is_the_first_unclosed_pair():
+    # Small sets take the pair loop in product_sets, cyclic(100) subsets
+    # of more than 64 elements its array path.
+    cases = [(sg, list(all_subsets(sg.order))) for sg in (cyclic(5), t_full(2))]
+    big = cyclic(100)
+    cases.append((big, [range(100), range(0, 100, 2), range(1, 100), range(70)]))
+    for sg, subsets in cases:
+        for els in subsets:
+            sub = sg.subset(els)
+            want = first_unclosed_pair(sg, sub.elements())
+            assert core._closure_witness(sub) == want
+            if want is not None:
+                with pytest.raises(NotASubsemigroup) as info:
+                    is_left_simple(sub)
+                assert info.value.witness == want
 
 
 def test_element_set_parent_mismatch():
