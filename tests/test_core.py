@@ -241,21 +241,18 @@ def test_validate_names_an_in_range_int64_entry_before_a_later_overflow():
     assert (info.value.row, info.value.col, info.value.value) == (0, 1, 5)
 
 
-def test_validated_table_array_is_kept_read_only():
-    sg = validate_cayley(["0", "1", "2"], [[(i + j) % 3 for j in range(3)] for i in range(3)])
-    arr = sg.table_array()
-    assert arr.dtype == np.int32
-    assert np.array_equal(arr, np.array(sg.rows, dtype=np.int32))
-    assert arr.flags.writeable is False
-    assert sg.table_array() is arr
-
-
-def test_directly_built_semigroup_builds_its_array_on_first_use():
-    sg = _corrupted_instance().semigroup
-    arr = sg.table_array()
-    assert np.array_equal(arr, np.array(sg.rows, dtype=np.int32))
-    assert arr.flags.writeable is False
-    assert sg.table_array() is arr
+def test_table_array_is_read_only_and_built_once():
+    # validate_cayley keeps the array it validated; a Semigroup built
+    # directly builds its array on first use.
+    kept = validate_cayley(["0", "1", "2"], [[(i + j) % 3 for j in range(3)] for i in range(3)])
+    direct = _corrupted_instance().semigroup
+    assert kept._np is not None and direct._np is None
+    for sg in (kept, direct):
+        arr = sg.table_array()
+        assert arr.dtype == np.int32
+        assert np.array_equal(arr, np.array(sg.rows, dtype=np.int32))
+        assert arr.flags.writeable is False
+        assert sg.table_array() is arr
 
 
 def test_validate_order_cap():
