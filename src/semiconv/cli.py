@@ -15,15 +15,7 @@ import argparse
 import sys
 
 from . import serialize
-from .core import (
-    idempotents,
-    is_left_simple,
-    is_right_simple,
-    is_simple,
-    kernel,
-    minimal_left_ideals,
-    minimal_right_ideals,
-)
+from .core import _kernel_and_left_ideals, _translates, idempotents, kernel
 from .dynamics import (
     analyze_limit,
     cesaro_diagnostic,
@@ -96,9 +88,10 @@ def cmd_analyze(args):
     sg = serialize.load_semigroup(args.table)
     car = sg.carrier()
     e_set = idempotents(car)
-    mins_l = minimal_left_ideals(car)
-    mins_r = minimal_right_ideals(car)
-    k = kernel(car)
+    # One kernel build gives K and the minimal left ideals S*y; the minimal
+    # right ideals are the sets y*S for y in K.
+    k, mins_l = _kernel_and_left_ideals(car)
+    mins_r = _translates(car, k, left=False)
     dec = rees_decompose(k)
     payload = {
         "order": sg.order,
@@ -106,9 +99,11 @@ def cmd_analyze(args):
         "minimal_left_ideals": [list(a.labels()) for a in mins_l],
         "minimal_right_ideals": [list(a.labels()) for a in mins_r],
         "kernel": list(k.labels()),
-        "is_simple": is_simple(car),
-        "is_left_simple": is_left_simple(car),
-        "is_right_simple": is_right_simple(car),
+        # The full carrier is closed, so the simplicity predicates reduce to
+        # these comparisons with the kernel and ideals built above.
+        "is_simple": k == car,
+        "is_left_simple": mins_l == [car],
+        "is_right_simple": mins_r == [car],
         "kernel_decomposition": serialize.rees_to_json(dec),
     }
     human = [

@@ -36,6 +36,9 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1024
+# Above this many index pairs, product_sets and group_structure work on a
+# numpy gather of the table instead of Python loops.
+_BULK_PAIRS = 4096
 
 
 class Semigroup:
@@ -330,7 +333,7 @@ def product_sets(first, second):
     aa, bb = first.elements(), second.elements()
     if not aa or not bb:
         return sg.empty()
-    if len(aa) * len(bb) > 4096:
+    if len(aa) * len(bb) > _BULK_PAIRS:
         t = sg.table_array()
         mask = 0
         for z in np.unique(t[np.ix_(aa, bb)]).tolist():
@@ -549,35 +552,63 @@ def group_structure(subset):
     its identity and inverse map.
 
     A finite subsemigroup is a group exactly when x*A = A = A*x for every x;
-    that test is run first and its witness reported on failure.
+    that test is run first, reading row x of the table for x*A and column x
+    for A*x, and its witness reported on failure: the least x, its left
+    translate before its right.  Each inverse is looked up in a row: any b
+    with a*b = e gives the inverse e*b*e, which is then checked.
     """
     _require_subsemigroup(subset)
     sg = subset.parent
-    for a in subset:
-        single = sg.singleton(a)
-        if product_sets(single, subset) != subset:
+    for a, left_onto, right_onto in _translations_onto(subset):
+        if not left_onto:
             raise NotAGroup("left translation is not onto", sg.label(a))
-        if product_sets(subset, single) != subset:
+        if not right_onto:
             raise NotAGroup("right translation is not onto", sg.label(a))
+    rows = sg.rows
     els = subset.elements()
     anchor = els[0]
     identity = None
     for e in els:
-        if sg.mul(e, anchor) == anchor:
+        if rows[e][anchor] == anchor:
             identity = e
             break
     if identity is None:
         raise VerificationFailed("group identity", "no left identity on anchor element")
+    row_e = rows[identity]
     for a in els:
-        if sg.mul(identity, a) != a or sg.mul(a, identity) != a:
+        if row_e[a] != a or rows[a][identity] != a:
             raise VerificationFailed("group identity", f"not two-sided at {sg.label(a)}")
     inverses = {}
     for a in els:
-        inv = next((b for b in els if sg.mul(a, b) == identity), None)
-        if inv is None or sg.mul(inv, a) != identity:
+        # a*A = A holds e, so the row has a b with a*b = e; then e*b*e is in
+        # e*S*e and a*(e*b*e) = e, so it is a's inverse if A is a group.
+        inv = rows[row_e[rows[a].index(identity)]][identity]
+        if inv not in subset or rows[a][inv] != identity or rows[inv][a] != identity:
             raise VerificationFailed("group inverses", f"no two-sided inverse for {sg.label(a)}")
         inverses[a] = inv
     return GroupStructure(carrier=subset, identity=identity, inverses=inverses)
+
+
+def _translations_onto(subset):
+    """(a, a*A = A, A*a = A) for each a of a closed subset A, ascending.
+
+    Closure puts both translates inside A, so each is onto exactly when it
+    hits |A| distinct elements.  Above _BULK_PAIRS pairs the counts come
+    from one sorted gather of the table on A x A."""
+    els = subset.elements()
+    n = len(els)
+    if n * n > _BULK_PAIRS:
+        block = subset.parent.table_array()[np.ix_(els, els)]
+        by_row = np.sort(block, axis=1)
+        by_col = np.sort(block, axis=0)
+        left = (by_row[:, 1:] != by_row[:, :-1]).all(axis=1).tolist()
+        right = (by_col[1:] != by_col[:-1]).all(axis=0).tolist()
+        return zip(els, left, right)
+    rows = subset.parent.rows
+    return (
+        (a, len({rows[a][b] for b in els}) == n, len({rows[b][a] for b in els}) == n)
+        for a in els
+    )
 
 
 @dataclass(frozen=True, eq=False)

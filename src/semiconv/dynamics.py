@@ -16,7 +16,13 @@ and forget their start too, as w padded to a length divisible by p still
 lands in K.  The period p and H = e*supp(eta)*e are read off the support
 cycle of mu^n on K, whose sets are the supports of the p cluster points.
 analyze_limit computes the whole picture and proof-checks every clause on
-the concrete instance.
+the concrete instance, from the structure it already holds.  The cluster
+points are built as c_k = mu^k * eta until mu^p * eta = eta, so the cycle
+is closed under convolution once eta * c_j = c_j for each j, which is p
+convolutions: by associativity c_i * c_j = mu^i * (eta * c_j) =
+mu^(i+j) * eta = c_((i+j) mod p).  The same construction hands the
+factorization check mu^k * eta as c_(k mod p), with no further power.
+Subgroup, coset and normality tests read the table rows of their elements.
 
 Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
@@ -241,7 +247,9 @@ def analyze_limit(mu):
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
     solves, its cost is set algebra and convolution over the walk's
-    supports.
+    supports.  cluster_closed_cyclic is proven from the generator, eta *
+    c_j = c_j for each of the p cluster points (see _cluster_closed), and
+    cluster_factorization reads mu^k * eta off the cycle as c_(k mod p).
     """
     sg = mu.parent
     checks = {}
@@ -285,9 +293,10 @@ def analyze_limit(mu):
     period = next(
         t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
     )
-    single_e = sg.singleton(e)
+    rows = sg.rows
+    row_e = rows[e]
     eta_support = ElementSet(sg, on_kernel[-q % period])
-    h_set = product_sets(single_e, product_sets(eta_support, single_e))
+    h_set = ElementSet(sg, _mask(row_e[rows[z][e]] for z in eta_support))
     try:
         subgroup = group_structure(h_set)
     except (NotAGroup, SemiconvError) as exc:
@@ -301,22 +310,19 @@ def analyze_limit(mu):
     )
 
     normal = all(
-        product_sets(
-            sg.singleton(g), product_sets(h_set, sg.singleton(dec.group.inv(g)))
-        )
-        == h_set
+        _mask(rows[rows[g][h]][dec.group.inv(g)] for h in h_set) == h_set.mask
         for g in g_carrier
     )
     record("subgroup_normal", normal)
 
     mu_eta = convolve(mu, eta)
-    gamma_set = product_sets(single_e, product_sets(support(mu_eta), single_e))
+    gamma_set = ElementSet(sg, _mask(row_e[rows[z][e]] for z in support(mu_eta)))
     gamma = gamma_set.least()
-    gamma_coset = product_sets(sg.singleton(gamma), h_set)
+    gamma_coset = ElementSet(sg, _mask(rows[gamma][h] for h in h_set))
     record("gamma_coset", gamma_set == gamma_coset)
     record(
         "gamma_representative_independent",
-        all(product_sets(sg.singleton(z), h_set) == gamma_coset for z in gamma_set),
+        all(_mask(rows[z][h] for h in h_set) == gamma_coset.mask for z in gamma_set),
     )
 
     # Cluster cycle: iterate mu^k * eta until it returns to eta.
@@ -342,7 +348,7 @@ def analyze_limit(mu):
     gamma_pows = [e]
     for _ in range(2 * p):
         gamma_pows.append(sg.mul(gamma_pows[-1], gamma))
-    cosets = [product_sets(sg.singleton(gamma_pows[k]), h_set) for k in range(p)]
+    cosets = [ElementSet(sg, _mask(rows[gamma_pows[k]][h] for h in h_set)) for k in range(p)]
     union = sg.empty()
     for cos in cosets:
         union = union | cos
@@ -353,12 +359,7 @@ def analyze_limit(mu):
     record("gamma_power_in_subgroup", gamma_pows[p] in h_set)
 
     record("cluster_distinct", len(set(cluster)) == p)
-    closed = all(
-        convolve(cluster[i], cluster[j]) == cluster[(i + j) % p]
-        for i in range(p)
-        for j in range(p)
-    )
-    record("cluster_closed_cyclic", closed)
+    record("cluster_closed_cyclic", _cluster_closed(cluster))
     record(
         "cluster_supports_cosets",
         all(
@@ -368,16 +369,15 @@ def analyze_limit(mu):
         ),
     )
 
-    eta_left, _eta_mid, eta_right = marginals(eta, dec)
+    eta_left, eta_mid, eta_right = marginals(eta, dec)
     haar_h = haar_uniform(subgroup)
-    factor_ok = True
-    lam = eta
-    for k in range(2 * p + 1):
-        coset_uniform = translate(haar_h, gamma_pows[k], "left")
-        if convolve(convolve(eta_left, coset_uniform), eta_right) != lam:
-            factor_ok = False
-            break
-        lam = convolve(mu, lam)
+    # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
+    # mu^k * eta = cluster[k % p] for every k.
+    factor_ok = all(
+        convolve(convolve(eta_left, translate(haar_h, gamma_pows[k], "left")), eta_right)
+        == cluster[k % p]
+        for k in range(2 * p + 1)
+    )
     record("cluster_factorization", factor_ok)
     record(
         "nu_factorization",
@@ -386,11 +386,12 @@ def analyze_limit(mu):
     record("eta_factorization", convolve(convolve(eta_left, haar_h), eta_right) == eta)
 
     # With p = 1, supp(eta) = supp(nu) = K and e is K's least idempotent, so
-    # decomposing supp(eta) at e would rebuild dec.
-    dec_eta = dec if period == 1 else rees_decompose(support(eta), at=e)
+    # decomposing supp(eta) at e would rebuild dec, and its reading would be
+    # the triple read above.
     record(
         "marginal_readings_agree",
-        marginals(eta, dec_eta) == (eta_left, _eta_mid, eta_right),
+        period == 1
+        or marginals(eta, rees_decompose(support(eta), at=e)) == (eta_left, eta_mid, eta_right),
     )
 
     return LimitReport(
@@ -404,6 +405,26 @@ def analyze_limit(mu):
         gamma=gamma,
         checks=checks,
     )
+
+
+def _mask(elements):
+    """Bitmask of the given element indices."""
+    mask = 0
+    for z in elements:
+        mask |= 1 << z
+    return mask
+
+
+def _cluster_closed(cluster):
+    """Whether the cycle c_k = mu^k * eta (c_0 = eta, mu^p * eta = eta) is
+    closed under convolution, c_i * c_j = c_((i+j) mod p).
+
+    By associativity c_i * c_j = mu^i * (eta * c_j), and mu^i * c_j =
+    c_((i+j) mod p) by construction, so eta * c_j = c_j for each j is the
+    whole proof: p convolutions instead of the p^2 of a sweep.
+    """
+    eta = cluster[0]
+    return all(convolve(eta, c) == c for c in cluster)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ product of the two denominators and reduces once at the end.  items(),
 probs, prob() and repr hand out fractions.Fraction values, built on first
 use and cached.  Every Dist is a probability, checked where it is made:
 
-* Dist(parent, probs) and Dist.from_mapping check a dense vector in full:
-  one entry per element, none negative, exact sum 1.
+* Dist(parent, probs) checks a dense vector in full: one entry per
+  element, none negative, exact sum 1.
+* Dist.from_mapping makes the same checks over the entries it is given
+  only, so reading a distribution costs its support, not the order.
 * Dist._from_numerators(parent, den, numerators) is the constructor for
   results that are probabilities by construction (convolve, translate,
   marginals, haar_uniform, uniform_on, dirac, generators.random_dist); it
@@ -152,12 +154,21 @@ class Dist:
 
     @classmethod
     def from_mapping(cls, sg, mapping):
-        probs = [ZERO] * sg.order
+        """The Dist with the given {label or index: probability}; a label and
+        an index naming one element add up, and zero entries are dropped.
+        Checked as Dist() checks a dense vector, at the mapping's size."""
+        weights = {}
         for key, value in mapping.items():
             i = sg.index(key) if isinstance(key, str) else key
             _check_index(sg, i)
-            probs[i] += as_rat(value)
-        return cls(sg, probs)
+            weights[i] = weights.get(i, ZERO) + as_rat(value)
+        negative = [i for i, p in weights.items() if p < 0]
+        if negative:
+            raise InvalidDistribution(f"negative probability at {sg.label(min(negative))}")
+        total = sum(weights.values(), ZERO)
+        if total != ONE:
+            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+        return cls._from_support(sg, {i: p for i, p in weights.items() if p})
 
 
 def _check_index(sg, a):

@@ -4,12 +4,15 @@ A simple finite semigroup S with an idempotent e splits as S = L*G*R with
 L = E(Se), G = eSe (a group with identity e), R = E(eS), and the product
 map psi(x, g, y) = x*g*y a bijection L x G x R -> S.  The inverse has the
 closed form psi_inv(z) = (z*e*(e*z*e)^-1, e*z*e, (e*z*e)^-1*e*z).
+rees_decompose computes that closed form and verifies it, by multiplying
+back, once for every element of the carrier, and keeps the verified
+triples in the decomposition; psi_inv then looks them up.
 
 Also builds the converse construction: the semigroup on I x G x J with
 product (i, g, k)(j, h, l) = (i, g*P[k][j]*h, l) for a sandwich matrix P.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     ElementSet,
@@ -42,6 +45,8 @@ class ReesDecomposition:
     left: ElementSet
     group: GroupStructure
     right: ElementSet
+    # z -> (x, g, y) for every z in the carrier, each verified x*g*y = z.
+    coordinates: dict = field(repr=False)
 
     @property
     def parent(self):
@@ -106,34 +111,50 @@ def rees_decompose(x, at=None):
     if group.identity != e:
         raise VerificationFailed("group", "identity of e*S*e differs from e")
 
-    dec = ReesDecomposition(carrier=s, base=e, left=left, group=group, right=right)
-    _verify_decomposition(dec, se, es)
-    return dec
+    coordinates = _verify_decomposition(s, e, left, group, right, se, es)
+    return ReesDecomposition(
+        carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
+    )
 
 
-def _verify_decomposition(dec, se, es):
-    g_set = dec.group.carrier
-    lg = product_sets(dec.left, g_set)
-    gr = product_sets(g_set, dec.right)
-    if lg != se or len(dec.left) * len(g_set) != len(se):
+def _verify_decomposition(s, e, left, group, right, se, es):
+    """Check that S = L*G*R splits as a product and return the coordinates
+    of every z in S, each verified by multiplying back."""
+    sg = s.parent
+    g_set = group.carrier
+    lg = product_sets(left, g_set)
+    gr = product_sets(g_set, right)
+    if lg != se or len(left) * len(g_set) != len(se):
         raise VerificationFailed("left group", "S*e does not split as L x G")
-    if gr != es or len(g_set) * len(dec.right) != len(es):
+    if gr != es or len(g_set) * len(right) != len(es):
         raise VerificationFailed("right group", "e*S does not split as G x R")
-    single_e = dec.parent.singleton(dec.base)
-    if not product_sets(dec.right, dec.left).issubset(g_set):
+    single_e = sg.singleton(e)
+    if not product_sets(right, left).issubset(g_set):
         raise VerificationFailed("interface", "R*L not contained in G")
-    if product_sets(single_e, dec.left) != single_e:
+    if product_sets(single_e, left) != single_e:
         raise VerificationFailed("interface", "e*L != {e}")
-    if product_sets(dec.right, single_e) != single_e:
+    if product_sets(right, single_e) != single_e:
         raise VerificationFailed("interface", "R*e != {e}")
-    full = product_sets(lg, dec.right)
-    if full != dec.carrier:
+    full = product_sets(lg, right)
+    if full != s:
         raise VerificationFailed("bijection", "L*G*R does not cover the carrier")
-    if len(dec.left) * len(g_set) * len(dec.right) != len(dec.carrier):
+    if len(left) * len(g_set) * len(right) != len(s):
         raise VerificationFailed("bijection", "factor sizes do not multiply to the order")
-    for z in dec.carrier:
-        if psi(dec, *psi_inv(dec, z)) != z:
-            raise VerificationFailed("bijection", f"round trip failed at {dec.parent.label(z)}")
+    rows = sg.rows
+    row_e = rows[e]
+    coordinates = {}
+    for z in s:
+        ze = rows[z][e]
+        eze = row_e[ze]
+        g_inv = group.inv(eze)
+        x = rows[ze][g_inv]
+        y = rows[g_inv][row_e[z]]
+        if x not in left or eze not in g_set or y not in right:
+            raise VerificationFailed("coordinates", f"inverse image of {sg.label(z)} left the factors")
+        if rows[rows[x][eze]][y] != z:
+            raise VerificationFailed("coordinates", f"x*g*y != z at {sg.label(z)}")
+        coordinates[z] = (x, eze, y)
+    return coordinates
 
 
 def psi(dec, x, g, y):
@@ -149,21 +170,10 @@ def psi(dec, x, g, y):
 
 
 def psi_inv(dec, z):
-    """Coordinates (x, g, y) of z: closed form, then checked by multiplying back."""
+    """Coordinates (x, g, y) of z, as computed and verified by rees_decompose."""
     if z not in dec.carrier:
         raise NotInFactor("carrier", dec.parent.label(z) if 0 <= z < dec.parent.order else z)
-    sg = dec.parent
-    e = dec.base
-    ze = sg.mul(z, e)
-    eze = sg.mul(e, ze)
-    g_inv = dec.group.inv(eze)
-    x = sg.mul(ze, g_inv)
-    y = sg.mul(g_inv, sg.mul(e, z))
-    if x not in dec.left or eze not in dec.group.carrier or y not in dec.right:
-        raise VerificationFailed("coordinates", f"inverse image of {sg.label(z)} left the factors")
-    if sg.mul(sg.mul(x, eze), y) != z:
-        raise VerificationFailed("coordinates", f"x*g*y != z at {sg.label(z)}")
-    return (x, eze, y)
+    return dec.coordinates[z]
 
 
 def idempotent_criterion(dec, x, y):

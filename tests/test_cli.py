@@ -8,9 +8,11 @@ import json
 
 import pytest
 
-from semiconv import DEFAULT_ORDER_CAP, cli, generators, rees
+from semiconv import DEFAULT_ORDER_CAP, cli, core, generators, rees
 from semiconv.cli import main
-from semiconv.serialize import dumps_canonical
+from semiconv.core import is_left_simple, is_right_simple, is_simple
+from semiconv.serialize import dumps_canonical, semigroup_to_json
+from semiconv.verify import build_corpus
 
 
 def write(path, obj):
@@ -350,3 +352,29 @@ def test_limit_answers_on_a_table_over_300_elements(tmp_path, capsys):
     assert main(["limit", band, mu, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["checks"]) == 21 and all(report["checks"].values())
+
+
+def test_analyze_builds_the_kernel_once_and_keeps_the_flags(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = core._kernel_and_left_ideals
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+    monkeypatch.setattr(cli, "_kernel_and_left_ideals", counted)
+    for inst in build_corpus("default"):
+        sg = inst.semigroup
+        car = sg.carrier()
+        path = write(tmp_path / "sg.json", semigroup_to_json(sg))
+        calls.clear()
+        assert main(["analyze", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # once on the carrier, once on K inside rees_decompose's simplicity check
+        assert len(calls) == 2, inst.name
+        assert [payload[f] for f in ("is_simple", "is_left_simple", "is_right_simple")] == [
+            is_simple(car),
+            is_left_simple(car),
+            is_right_simple(car),
+        ], inst.name

@@ -568,3 +568,75 @@ def test_group_structure_rejects_non_groups():
     perms = t2.subset_of_labels(["01", "10"])
     grp = group_structure(perms)
     assert grp.order == 2 and t2.label(grp.identity) == "01"
+
+
+def group_by_sweep(subset):
+    """Oracle for group_structure: a pair loop for closure, then one
+    product_sets sweep per element for x*A = A = A*x, then searches for the
+    identity and each inverse."""
+    sg = subset.parent
+    els = subset.elements()
+    for a in els:
+        for b in els:
+            if sg.mul(a, b) not in subset:
+                raise NotASubsemigroup(a, b)
+    for a in els:
+        single = sg.singleton(a)
+        if product_sets(single, subset) != subset:
+            raise NotAGroup("left translation is not onto", sg.label(a))
+        if product_sets(subset, single) != subset:
+            raise NotAGroup("right translation is not onto", sg.label(a))
+    identity = next(e for e in els if sg.mul(e, els[0]) == els[0])
+    return identity, {a: next(b for b in els if sg.mul(a, b) == identity) for a in els}
+
+
+def group_verdict(fn, subset):
+    try:
+        grp = fn(subset)
+    except (NotAGroup, NotASubsemigroup) as exc:
+        return type(exc), str(exc)
+    if isinstance(grp, tuple):
+        return grp
+    return grp.identity, grp.inverses
+
+
+def test_group_structure_matches_the_sweep_on_every_small_subset():
+    tables = [inst.semigroup for inst in build_corpus("default") if inst.semigroup.order <= 8]
+    compared = rejected = 0
+    for sg in tables:
+        for els in all_subsets(sg.order):
+            subset = sg.subset(els)
+            expected = group_verdict(group_by_sweep, subset)
+            assert group_verdict(group_structure, subset) == expected, (sg, els)
+            compared += 1
+            rejected += expected[0] in (NotAGroup, NotASubsemigroup)
+    assert 0 < rejected < compared
+
+
+@pytest.mark.parametrize(
+    "spec, pick, rejection",
+    [
+        (CorpusSpec("cyclic", (70,)), range, None),
+        (CorpusSpec("cyclic", (70,)), lambda n: range(1, n), NotASubsemigroup),
+        (CorpusSpec("full_transformation", (4,)), range, NotAGroup),
+        (CorpusSpec("rectangular_band", (70, 1)), range, NotAGroup),  # left zero
+        (CorpusSpec("rectangular_band", (1, 70)), range, NotAGroup),  # right zero
+    ],
+)
+def test_group_structure_matches_the_sweep_above_the_bulk_threshold(spec, pick, rejection):
+    sg = build(spec)
+    subset = sg.subset(pick(sg.order))
+    assert len(subset) ** 2 > core._BULK_PAIRS
+    expected = group_verdict(group_by_sweep, subset)
+    assert group_verdict(group_structure, subset) == expected
+    if rejection is not None:
+        assert expected[0] is rejection
+
+
+def test_group_structure_reads_rows_not_set_products(monkeypatch):
+    monkeypatch.setattr(core, "product_sets", lambda first, second: pytest.fail("swept"))
+    # _require_subsemigroup's one closure product is the only set product.
+    monkeypatch.setattr(core, "_closure_witness", lambda subset: None)
+    for n in (8, 70):
+        grp = group_structure(cyclic(n).carrier())
+        assert grp.identity == 0 and all(grp.inv(a) == -a % n for a in range(n))

@@ -408,3 +408,74 @@ def test_float_shadow_periodic_step():
     z2 = cyclic(2)
     rep = float_shadow(dirac(z2, 1), dirac(z2, 0), step=2)
     assert rep.converged and rep.iterations_to_tolerance == 0
+
+
+def default_corpus_walks(seed):
+    return [
+        mu
+        for inst in verify.build_corpus("default")
+        for mu in verify._seeded_dists(inst, seed, 9, 2)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_closure_from_the_generator_matches_the_pair_sweep(seed):
+    for mu in default_corpus_walks(seed):
+        cluster = analyze_limit(mu).cluster
+        assert dynamics._cluster_closed(cluster) is True
+        assert verify.cluster_closed_by_sweep(cluster) is True
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 30])
+def test_cluster_closure_on_point_masses_of_full_period(n):
+    rep = analyze_limit(dirac(cyclic(n), 1))
+    assert rep.p == n and rep.checks["cluster_closed_cyclic"]
+    assert dynamics._cluster_closed(rep.cluster) is True
+    assert verify.cluster_closed_by_sweep(rep.cluster) is True
+
+
+def test_an_open_cluster_list_fails_both_closure_tests():
+    # On cyclic(4) x left_zero(2), (g, u) * (h, v) = (g + h, u).  mu = delta
+    # of (1,a) cycles through c_k = delta of (k,a).  Putting (j,b) in place
+    # of c_j leaves the other points alone, but eta * c_j = (j,a) != c_j,
+    # and c_0 * c_j misses c_j in the sweep: each j on its own must be
+    # caught, so neither test may skip a point of the cycle.
+    sg = build(product_spec(CorpusSpec("cyclic", (4,)), CorpusSpec("left_zero", (2,))))
+    rep = analyze_limit(dirac(sg, sg.index("(1,a)")))
+    assert [c.support().labels() for c in rep.cluster] == [
+        ("(0,a)",), ("(1,a)",), ("(2,a)",), ("(3,a)",)
+    ]
+    assert dynamics._cluster_closed(rep.cluster) and verify.cluster_closed_by_sweep(rep.cluster)
+    for j in range(1, 4):
+        open_list = list(rep.cluster)
+        open_list[j] = dirac(sg, sg.index(f"({j},b)"))
+        assert not dynamics._cluster_closed(open_list), j
+        assert not verify.cluster_closed_by_sweep(open_list), j
+
+
+def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "cluster_closed_by_sweep", lambda cluster: False)
+    ctx = verify._SuiteContext(instances=verify.build_corpus("default")[:1], corrupted=[], seed=0)
+    assert verify._check_limit_theorem(ctx) == (
+        1,
+        "cyclic(1): cluster cycle not closed under convolution",
+    )
+
+
+def test_marginal_reading_at_period_one_reuses_the_first_reading(monkeypatch):
+    # At p = 1 the second reading would decompose supp(eta) = K at e again
+    # and read the same triple; the clause is recorded without that call.
+    calls = []
+    real = dynamics.marginals
+
+    def counted(mu, dec):
+        calls.append(dec)
+        return real(mu, dec)
+
+    monkeypatch.setattr(dynamics, "marginals", counted)
+    rep = analyze_limit(t2_walk())
+    assert rep.p == 1 and rep.checks["marginal_readings_agree"]
+    assert calls == [rep.rees]
+    calls.clear()
+    rep = analyze_limit(dirac(cyclic(3), 1))
+    assert rep.p == 3 and len(calls) == 2

@@ -436,3 +436,47 @@ def test_marginals_match_dense_loop(data):
                 coord[w] += mu.prob(z)
     for dist, coord in zip(marginals(mu, dec), dense):
         check_against_dense(dist, tuple(coord))
+
+
+def dense_from_mapping(sg, mapping):
+    """Oracle for Dist.from_mapping: the dense vector, checked by Dist()."""
+    probs = [RAT(0)] * sg.order
+    for key, value in mapping.items():
+        probs[sg.index(key) if isinstance(key, str) else key] += RAT(value)
+    return Dist(sg, probs)
+
+
+def mapping_verdict(build_dist, sg, mapping):
+    try:
+        dist = build_dist(sg, mapping)
+    except InvalidDistribution as exc:
+        return str(exc)
+    return dist, dist.den, dist.items()
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"0": RAT(1, 2), "2": RAT(1, 2)},
+        {"0": RAT(1, 2), "1": RAT(0), "2": RAT(1, 2)},  # zero entry dropped
+        {0: RAT(1, 4), "0": RAT(1, 4), "3": RAT(1, 2)},  # label and index add up
+        {"1": RAT(1, 2), 1: RAT(-1, 2), 2: RAT(1)},  # they cancel to zero
+        {"3": RAT(-1, 2), "1": RAT(-1, 2), "0": RAT(2)},  # least negative index
+        {"0": RAT(3, 2), "1": RAT(-1, 2)},
+        {"0": RAT(1, 2)},
+        {"0": RAT(0)},
+        {"0": RAT(1, 2), 1: RAT(1, 3)},
+    ],
+)
+def test_from_mapping_matches_the_dense_vector(mapping):
+    z4 = cyclic(4)
+    assert mapping_verdict(Dist.from_mapping, z4, mapping) == mapping_verdict(
+        dense_from_mapping, z4, mapping
+    )
+
+
+def test_from_mapping_reads_only_the_given_entries():
+    sg = cyclic(1000)
+    mu = Dist.from_mapping(sg, {"1": RAT(1, 3), 7: RAT(2, 3)})
+    assert mu._probs is None  # no dense vector was built
+    assert mu == dense_from_mapping(sg, {"1": RAT(1, 3), 7: RAT(2, 3)})

@@ -19,6 +19,7 @@ from semiconv.rees import (
     rees_decompose,
     rees_matrix_semigroup,
 )
+from semiconv.verify import build_corpus
 
 
 def factor_sizes(dec):
@@ -181,3 +182,35 @@ def test_rees_matrix_order_cap_before_building(monkeypatch):
     monkeypatch.setattr(rees, "validate_cayley", unreachable)
     with pytest.raises(OrderCapExceeded, match="order 1600 exceeds"):
         rees_matrix_semigroup(z1, rows=40, cols=40, sandwich=[[0] * 40] * 40)
+
+
+def closed_form_coordinates(dec, z):
+    """(z*e*g^-1, g, g^-1*e*z) with g = e*z*e, the inverse found by search."""
+    sg = dec.parent
+    e = dec.base
+    g = sg.mul(sg.mul(e, z), e)
+    g_inv = next(h for h in dec.group.carrier if sg.mul(g, h) == e)
+    return (sg.mul(sg.mul(z, e), g_inv), g, sg.mul(g_inv, sg.mul(e, z)))
+
+
+def test_coordinates_equal_the_closed_form_on_the_extended_corpus():
+    checked = 0
+    for inst in build_corpus("extended"):
+        k = kernel(inst.semigroup.carrier())
+        for e in idempotents(k):
+            dec = rees_decompose(k, at=e)
+            for z in k:
+                assert psi_inv(dec, z) == closed_form_coordinates(dec, z), (inst.name, e, z)
+                checked += 1
+    assert checked > 500
+
+
+def test_psi_inv_rejects_every_index_outside_the_carrier():
+    sg = build(CorpusSpec("full_transformation", (3,)))
+    dec = rees_decompose(kernel(sg.carrier()))
+    outside = [z for z in range(sg.order) if z not in dec.carrier]
+    assert outside
+    named = [(z, sg.label(z)) for z in outside] + [(-1, "-1"), (sg.order, str(sg.order))]
+    for z, shown in named:
+        with pytest.raises(NotInFactor, match=f"^element {shown} does not belong to the carrier factor$"):
+            psi_inv(dec, z)
