@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import serialize
-from .core import _kernel_and_left_ideals, _translates, idempotents, kernel
+from .core import idempotents, kernel, minimal_ideals
 from .dynamics import (
     analyze_limit,
     cesaro_diagnostic,
@@ -88,10 +88,7 @@ def cmd_analyze(args):
     sg = serialize.load_semigroup(args.table)
     car = sg.carrier()
     e_set = idempotents(car)
-    # One kernel build gives K and the minimal left ideals S*y; the minimal
-    # right ideals are the sets y*S for y in K.
-    k, mins_l = _kernel_and_left_ideals(car)
-    mins_r = _translates(car, k, left=False)
+    k, mins_l, mins_r = minimal_ideals(car)
     dec = rees_decompose(k)
     payload = {
         "order": sg.order,
@@ -99,8 +96,8 @@ def cmd_analyze(args):
         "minimal_left_ideals": [list(a.labels()) for a in mins_l],
         "minimal_right_ideals": [list(a.labels()) for a in mins_r],
         "kernel": list(k.labels()),
-        # The full carrier is closed, so the simplicity predicates reduce to
-        # these comparisons with the kernel and ideals built above.
+        # The full carrier is closed, so is_simple, is_left_simple and
+        # is_right_simple come down to these comparisons (their definitions).
         "is_simple": k == car,
         "is_left_simple": mins_l == [car],
         "is_right_simple": mins_r == [car],

@@ -36,9 +36,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1024
-# Above this many index pairs, product_sets and group_structure work on a
-# numpy gather of the table instead of Python loops.
-_BULK_PAIRS = 4096
 
 
 class Semigroup:
@@ -333,7 +330,7 @@ def product_sets(first, second):
     aa, bb = first.elements(), second.elements()
     if not aa or not bb:
         return sg.empty()
-    if len(aa) * len(bb) > _BULK_PAIRS:
+    if len(aa) * len(bb) > 4096:
         t = sg.table_array()
         mask = 0
         for z in np.unique(t[np.ix_(aa, bb)]).tolist():
@@ -476,7 +473,18 @@ def minimal_left_ideals(x):
 
 def minimal_right_ideals(x):
     s = _as_set(x)
-    return _translates(s, kernel(s), left=False) if s else []
+    return minimal_ideals(s)[2] if s else []
+
+
+def minimal_ideals(x):
+    """(K, minimal left ideals, minimal right ideals) from one kernel build.
+
+    The minimal right ideals are the distinct sets y*S for y in K, verified
+    as minimal_left_ideals verifies the sets S*y; both lists are sorted by
+    least member."""
+    s = _as_set(x)
+    k, lefts = _kernel_and_left_ideals(s)
+    return k, lefts, _translates(s, k, left=False)
 
 
 def kernel(x):
@@ -552,20 +560,21 @@ def group_structure(subset):
     its identity and inverse map.
 
     A finite subsemigroup is a group exactly when x*A = A = A*x for every x;
-    that test is run first, reading row x of the table for x*A and column x
-    for A*x, and its witness reported on failure: the least x, its left
-    translate before its right.  Each inverse is looked up in a row: any b
-    with a*b = e gives the inverse e*b*e, which is then checked.
+    that test is run first and its witness reported on failure: the least
+    x, its left translate before its right.  Closure puts x*A and A*x inside
+    A, so each is A exactly when row or column x hits |A| distinct elements
+    of it.  Each inverse is looked up in a row: any b with a*b = e gives the
+    inverse e*b*e, which is then checked.
     """
     _require_subsemigroup(subset)
     sg = subset.parent
-    for a, left_onto, right_onto in _translations_onto(subset):
-        if not left_onto:
-            raise NotAGroup("left translation is not onto", sg.label(a))
-        if not right_onto:
-            raise NotAGroup("right translation is not onto", sg.label(a))
     rows = sg.rows
     els = subset.elements()
+    for a in els:
+        if len({rows[a][b] for b in els}) != len(els):
+            raise NotAGroup("left translation is not onto", sg.label(a))
+        if len({rows[b][a] for b in els}) != len(els):
+            raise NotAGroup("right translation is not onto", sg.label(a))
     anchor = els[0]
     identity = None
     for e in els:
@@ -587,28 +596,6 @@ def group_structure(subset):
             raise VerificationFailed("group inverses", f"no two-sided inverse for {sg.label(a)}")
         inverses[a] = inv
     return GroupStructure(carrier=subset, identity=identity, inverses=inverses)
-
-
-def _translations_onto(subset):
-    """(a, a*A = A, A*a = A) for each a of a closed subset A, ascending.
-
-    Closure puts both translates inside A, so each is onto exactly when it
-    hits |A| distinct elements.  Above _BULK_PAIRS pairs the counts come
-    from one sorted gather of the table on A x A."""
-    els = subset.elements()
-    n = len(els)
-    if n * n > _BULK_PAIRS:
-        block = subset.parent.table_array()[np.ix_(els, els)]
-        by_row = np.sort(block, axis=1)
-        by_col = np.sort(block, axis=0)
-        left = (by_row[:, 1:] != by_row[:, :-1]).all(axis=1).tolist()
-        right = (by_col[1:] != by_col[:-1]).all(axis=0).tolist()
-        return zip(els, left, right)
-    rows = subset.parent.rows
-    return (
-        (a, len({rows[a][b] for b in els}) == n, len({rows[b][a] for b in els}) == n)
-        for a in els
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -296,7 +296,7 @@ def analyze_limit(mu):
     rows = sg.rows
     row_e = rows[e]
     eta_support = ElementSet(sg, on_kernel[-q % period])
-    h_set = ElementSet(sg, _mask(row_e[rows[z][e]] for z in eta_support))
+    h_set = sg.subset(row_e[rows[z][e]] for z in eta_support)
     try:
         subgroup = group_structure(h_set)
     except (NotAGroup, SemiconvError) as exc:
@@ -310,19 +310,19 @@ def analyze_limit(mu):
     )
 
     normal = all(
-        _mask(rows[rows[g][h]][dec.group.inv(g)] for h in h_set) == h_set.mask
+        sg.subset(rows[rows[g][h]][dec.group.inv(g)] for h in h_set) == h_set
         for g in g_carrier
     )
     record("subgroup_normal", normal)
 
     mu_eta = convolve(mu, eta)
-    gamma_set = ElementSet(sg, _mask(row_e[rows[z][e]] for z in support(mu_eta)))
+    gamma_set = sg.subset(row_e[rows[z][e]] for z in support(mu_eta))
     gamma = gamma_set.least()
-    gamma_coset = ElementSet(sg, _mask(rows[gamma][h] for h in h_set))
+    gamma_coset = sg.subset(rows[gamma][h] for h in h_set)
     record("gamma_coset", gamma_set == gamma_coset)
     record(
         "gamma_representative_independent",
-        all(_mask(rows[z][h] for h in h_set) == gamma_coset.mask for z in gamma_set),
+        all(sg.subset(rows[z][h] for h in h_set) == gamma_coset for z in gamma_set),
     )
 
     # Cluster cycle: iterate mu^k * eta until it returns to eta.
@@ -348,7 +348,7 @@ def analyze_limit(mu):
     gamma_pows = [e]
     for _ in range(2 * p):
         gamma_pows.append(sg.mul(gamma_pows[-1], gamma))
-    cosets = [ElementSet(sg, _mask(rows[gamma_pows[k]][h] for h in h_set)) for k in range(p)]
+    cosets = [sg.subset(rows[gamma_pows[k]][h] for h in h_set) for k in range(p)]
     union = sg.empty()
     for cos in cosets:
         union = union | cos
@@ -405,14 +405,6 @@ def analyze_limit(mu):
         gamma=gamma,
         checks=checks,
     )
-
-
-def _mask(elements):
-    """Bitmask of the given element indices."""
-    mask = 0
-    for z in elements:
-        mask |= 1 << z
-    return mask
 
 
 def _cluster_closed(cluster):

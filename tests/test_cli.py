@@ -363,7 +363,6 @@ def test_analyze_builds_the_kernel_once_and_keeps_the_flags(tmp_path, capsys, mo
         return real(s)
 
     monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
-    monkeypatch.setattr(cli, "_kernel_and_left_ideals", counted)
     for inst in build_corpus("default"):
         sg = inst.semigroup
         car = sg.carrier()

@@ -16,6 +16,7 @@ from semiconv.core import (
     is_right_simple,
     is_simple,
     kernel,
+    minimal_ideals,
     minimal_left_ideals,
     minimal_right_ideals,
     principal_left_ideal,
@@ -484,6 +485,7 @@ def test_kernel_and_minimal_ideals_match_the_principal_ideal_enumeration():
                 union |= part.mask
             k = kernel(car)
             assert k.mask == union, inst.name
+            assert minimal_ideals(car) == (k, left, right), inst.name
             # the kernel-based simplicity flags against the per-element sweeps
             for a in [car, k] + left + right:
                 simple = simple_by_sweep(a, "two-sided")
@@ -496,8 +498,9 @@ def test_kernel_and_minimal_ideals_match_the_principal_ideal_enumeration():
                     w = sg.singleton(sg.index(info.value.witness))
                     assert product_sets(product_sets(a, w), a) != a, inst.name
     empty = cyclic(3).empty()
-    with pytest.raises(EmptySet):
-        kernel(empty)
+    for build_kernel in (kernel, minimal_ideals):
+        with pytest.raises(EmptySet):
+            build_kernel(empty)
     assert minimal_left_ideals(empty) == [] and minimal_right_ideals(empty) == []
 
 
@@ -623,10 +626,9 @@ def test_group_structure_matches_the_sweep_on_every_small_subset():
         (CorpusSpec("rectangular_band", (1, 70)), range, NotAGroup),  # right zero
     ],
 )
-def test_group_structure_matches_the_sweep_above_the_bulk_threshold(spec, pick, rejection):
+def test_group_structure_matches_the_sweep_on_large_subsets(spec, pick, rejection):
     sg = build(spec)
     subset = sg.subset(pick(sg.order))
-    assert len(subset) ** 2 > core._BULK_PAIRS
     expected = group_verdict(group_by_sweep, subset)
     assert group_verdict(group_structure, subset) == expected
     if rejection is not None:
