@@ -23,12 +23,16 @@ convolutions: by associativity c_i * c_j = mu^i * (eta * c_j) =
 mu^(i+j) * eta = c_((i+j) mod p).  The same construction hands the
 factorization check mu^k * eta as c_(k mod p), with no further power.
 Subgroup, coset and normality tests read the table rows of their elements.
+The Cesaro averages and variation norms work on the integer numerators of
+their distributions over one common denominator; a Fraction is made only
+for each norm returned.
 
 Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -74,14 +78,29 @@ def cesaro_average(mu, n):
     """(1/n) * (mu + mu^2 + ... + mu^n), exact."""
     if n < 1:
         raise MalformedInput(f"average length must be >= 1, got {n}")
-    acc = dict(mu.items())
+    acc, den = dict(mu._nums), mu.den
     cur = mu
     for _ in range(n - 1):
         cur = convolve(cur, mu)
-        for i, p in cur.items():
-            acc[i] = acc.get(i, ZERO) + p
-    inv = RAT(1, n)
-    return Dist._from_support(mu.parent, {i: a * inv for i, a in acc.items()})
+        den = _accumulate(acc, den, cur)
+    return Dist._from_numerators(mu.parent, den * n, acc)
+
+
+def _accumulate(acc, den, dist):
+    """Add dist to acc, numerators over den, in place, and return the
+    denominator lcm(den, dist.den) that acc is then over."""
+    common = lcm(den, dist.den)
+    if common != den:
+        scale = common // den
+        for z in acc:
+            acc[z] *= scale
+    scale = common // dist.den
+    for z, n in dist._nums:
+        if z in acc:
+            acc[z] += n * scale
+        else:
+            acc[z] = n * scale
+    return common
 
 
 def tv_distance(mu, nu):
@@ -95,10 +114,18 @@ def variation_norm(mu, nu):
     """Unhalved l1 distance; the norm in which the 2j/n bound is tight."""
     if mu.parent is not nu.parent:
         raise MismatchedParent("distributions on different semigroups")
-    diff = dict(mu.items())
-    for z, q in nu.items():
-        diff[z] = diff.get(z, ZERO) - q
-    return sum((abs(d) for d in diff.values()), ZERO)
+    return RAT(*_variation_numerator(mu, nu))
+
+
+def _variation_numerator(mu, nu):
+    """The unhalved l1 distance as (numerator, denominator), over the lcm
+    of the two denominators."""
+    den = lcm(mu.den, nu.den)
+    a, b = den // mu.den, den // nu.den
+    diff = {z: n * a for z, n in mu._nums}
+    for z, n in nu._nums:
+        diff[z] = diff.get(z, 0) - n * b
+    return sum(map(abs, diff.values())), den
 
 
 def _fixed_law(mu, states, step):
@@ -346,7 +373,7 @@ def analyze_limit(mu):
     )
 
     gamma_pows = [e]
-    for _ in range(2 * p):
+    for _ in range(p):
         gamma_pows.append(sg.mul(gamma_pows[-1], gamma))
     cosets = [sg.subset(rows[gamma_pows[k]][h] for h in h_set) for k in range(p)]
     union = sg.empty()
@@ -372,11 +399,13 @@ def analyze_limit(mu):
     eta_left, eta_mid, eta_right = marginals(eta, dec)
     haar_h = haar_uniform(subgroup)
     # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
-    # mu^k * eta = cluster[k % p] for every k.
+    # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
+    # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
+    # p, and k < p covers every k.
     factor_ok = all(
         convolve(convolve(eta_left, translate(haar_h, gamma_pows[k], "left")), eta_right)
-        == cluster[k % p]
-        for k in range(2 * p + 1)
+        == cluster[k]
+        for k in range(p)
     )
     record("cluster_factorization", factor_ok)
     record(
@@ -438,19 +467,17 @@ def cesaro_diagnostic(mu, n_max, nu):
         raise MalformedInput(f"n_max must be >= 1, got {n_max}")
     deviations = []
     gaps = []
-    acc = dict(mu.items())
+    acc, den = dict(mu._nums), mu.den
     cur = mu
     for n in range(1, n_max + 1):
         if n > 1:
             cur = convolve(cur, mu)
-            for i, p in cur.items():
-                acc[i] = acc.get(i, ZERO) + p
-        inv = RAT(1, n)
-        avg = Dist._from_support(mu.parent, {i: a * inv for i, a in acc.items()})
-        dev = variation_norm(avg, convolve(mu, avg))
-        if dev > RAT(2, n):
-            raise VerificationFailed("cesaro bound", f"deviation {dev} > 2/{n}")
-        deviations.append(dev)
+            den = _accumulate(acc, den, cur)
+        avg = Dist._from_numerators(mu.parent, den * n, acc)
+        dev, dev_den = _variation_numerator(avg, convolve(mu, avg))
+        if dev * n > 2 * dev_den:
+            raise VerificationFailed("cesaro bound", f"deviation {RAT(dev, dev_den)} > 2/{n}")
+        deviations.append(RAT(dev, dev_den))
         gaps.append(variation_norm(avg, nu))
     return CesaroDiagnostic(deviations=tuple(deviations), limit_gaps=tuple(gaps))
 

@@ -42,6 +42,22 @@ class XorShift64Star:
             raise ParameterOutOfRange(f"draw bound must be >= 1, got {n}")
         return self.next_word() % n
 
+    def below_many(self, n, count):
+        """count draws in [0, n), in one loop: the values, and the state left
+        behind, of count calls to below(n)."""
+        if n < 1:
+            raise ParameterOutOfRange(f"draw bound must be >= 1, got {n}")
+        s = self.state
+        multiplier = self.MULTIPLIER
+        out = []
+        for _ in range(count):
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            out.append((s * multiplier & _MASK64) % n)
+        self.state = s
+        return out
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -282,8 +298,7 @@ def random_dist(support, seed, denominator_bound):
         raise ParameterOutOfRange(
             f"denominator_bound {denominator_bound} below support size {k}"
         )
-    rng = XorShift64Star(seed)
     weights = [1] * k
-    for _ in range(denominator_bound - k):
-        weights[rng.below(k)] += 1
+    for i in XorShift64Star(seed).below_many(k, denominator_bound - k):
+        weights[i] += 1
     return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))

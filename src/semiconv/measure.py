@@ -15,12 +15,12 @@ use and cached.  Every Dist is a probability, checked where it is made:
   only, so reading a distribution costs its support, not the order.
 * Dist._from_numerators(parent, den, numerators) is the constructor for
   results that are probabilities by construction (convolve, translate,
-  marginals, haar_uniform, uniform_on, dirac, generators.random_dist); it
-  checks only the given support: the map is non-empty, every numerator is
-  > 0 and they sum to exactly den.
-* Dist._from_support(parent, weights) takes rational weights (the rebuilds
-  in dynamics), puts them over the lcm of their denominators and hands the
-  numerators to _from_numerators.
+  marginals, haar_uniform, uniform_on, dirac, generators.random_dist and
+  the Cesaro averages in dynamics); it checks only the given support: the
+  map is non-empty, every numerator is > 0 and they sum to exactly den.
+* Dist._from_support(parent, weights) takes rational weights (the fixed
+  laws in dynamics), puts them over the lcm of their denominators and
+  hands the numerators to _from_numerators.
 
 Key facts implemented and verified here: an idempotent distribution
 (mu*mu = mu) is supported on a completely simple subsemigroup and factors

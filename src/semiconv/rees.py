@@ -8,6 +8,28 @@ rees_decompose computes that closed form and verifies it, by multiplying
 back, once for every element of the carrier, and keeps the verified
 triples in the decomposition; psi_inv then looks them up.
 
+The verified split is itself the proof that the carrier is completely
+simple, so rees_decompose tries it first, at the least idempotent e (or
+at the requested one), and proves nothing beforehand.  Suppose the split
+holds: L*G*R = S with |L|*|G|*|R| = |S|, every z in S is x*g*y for
+verified coordinates, G is a group with identity e, R*L lies in G,
+e*L = {e} and R*e = {e}, all in an associative ambient table.  Then
+  * S is closed: for z = x*g*y and z' = x'*g'*y',
+    z*z' = x*(g*(y*x')*g')*y' with g*(y*x')*g' in G, so it lies in L*G*R;
+  * S is simple: for a = x*g*y and any t = x'*g'*y', put c = y*x in G,
+    h = g'*(c*g*c)^-1 and k = e; then (x'*h*y)*a*(x*k*y') =
+    x'*(h*c*g*c)*y' = t, so S*a*S = S, and S is its own kernel;
+  * e is primitive: an idempotent f with e*f = f*e = f is
+    f = e*f*e = (e*x)*g*(y*e) = e*g*e = g for its coordinates (x, g, y),
+    an idempotent of the group G, so f = e.
+So the hypotheses the decomposition theorem needs (a closed carrier, its
+own kernel, an idempotent, a primitive base) all follow from a split that
+verifies, and checking them first would only repeat that work.  Only
+when the split fails, or no idempotent can serve as the base, are they
+checked, in the order closure, kernel, idempotent, requested base,
+primitivity, so that the error raised names the first one to fail, as
+before; if they all hold, the split is re-run to raise its own error.
+
 Also builds the converse construction: the semigroup on I x G x J with
 product (i, g, k)(j, h, l) = (i, g*P[k][j]*h, l) for a sandwich matrix P.
 """
@@ -27,6 +49,8 @@ from .core import (
 )
 from .errors import (
     InvalidSandwichEntry,
+    NotAGroup,
+    NotASubsemigroup,
     NotIdempotent,
     NotInFactor,
     NotPrimitive,
@@ -79,14 +103,27 @@ def rees_decompose(x, at=None):
     a, for which S*a*S is the kernel, a proper ideal; that need not be the
     first element with S*a*S != S.  Every clause of the decomposition is
     verified on the concrete table before returning; a failure raises
-    VerificationFailed naming the clause.
+    VerificationFailed naming the clause.  A split that verifies proves the
+    carrier completely simple (see the module docstring), so the
+    hypotheses are checked only to name a failure.
     """
     s = _as_set(x)
+    ids = idempotents(s)
+    if ids and (at is None or at in ids):
+        try:
+            return _split(s, ids.least() if at is None else at)
+        except (NotASubsemigroup, NotAGroup, VerificationFailed):
+            pass
+    return _split(s, _base_or_raise(s, ids, at))
+
+
+def _base_or_raise(s, ids, at):
+    """The base idempotent, once S is checked closed, simple and with a
+    primitive idempotent there; the first failing hypothesis raises."""
     sg = s.parent
     w = _simplicity_witness(s)
     if w is not None:
         raise NotSimple(sg.label(w))
-    ids = idempotents(s)
     if not ids:
         raise VerificationFailed("idempotent existence", "no idempotent in a finite semigroup")
     if at is None:
@@ -100,7 +137,12 @@ def rees_decompose(x, at=None):
             f for f in ids if f != e and sg.mul(e, f) == f and sg.mul(f, e) == f
         )
         raise NotPrimitive(sg.label(e), sg.label(below))
+    return e
 
+
+def _split(s, e):
+    """S = L*G*R at the idempotent e of S, every clause verified."""
+    sg = s.parent
     single_e = sg.singleton(e)
     se = product_sets(s, single_e)
     es = product_sets(single_e, s)

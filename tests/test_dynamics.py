@@ -10,6 +10,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiconv import (
     CorpusSpec,
@@ -38,7 +40,7 @@ from semiconv import (
     uniform_on,
     variation_norm,
 )
-from semiconv import dynamics, verify
+from semiconv import core, dynamics, verify
 from semiconv._rat import ONE, ZERO
 from semiconv.linalg import nullspace, solve
 
@@ -479,3 +481,69 @@ def test_marginal_reading_at_period_one_reuses_the_first_reading(monkeypatch):
     calls.clear()
     rep = analyze_limit(dirac(cyclic(3), 1))
     assert rep.p == 3 and len(calls) == 2
+
+
+def test_analyze_limit_builds_the_kernel_once(monkeypatch):
+    # The walk kernel is built once; rees_decompose proves it simple from
+    # its split, also for supp(eta) in marginal_readings_agree (p = 600).
+    calls = []
+    real = core._kernel_and_left_ideals
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+    rep = analyze_limit(dirac(cyclic(600), 1))
+    assert rep.p == 600
+    assert len(calls) == 1
+
+
+WALK_TABLES = [
+    inst.semigroup for inst in verify.build_corpus("default") if inst.semigroup.order <= 12
+]
+
+
+@st.composite
+def small_walks(draw):
+    sg = draw(st.sampled_from(WALK_TABLES))
+    points = draw(st.lists(st.integers(0, sg.order - 1), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    return Dist.from_mapping(sg, {z: RAT(w, total) for z, w in zip(points, weights)})
+
+
+def fraction_variation_norm(mu, nu):
+    return sum((abs(mu.prob(z) - nu.prob(z)) for z in range(mu.parent.order)), ZERO)
+
+
+def fraction_averages(mu, n_max):
+    """The Cesaro averages of lengths 1..n_max, summed as Fractions."""
+    acc = [ZERO] * mu.parent.order
+    cur = mu
+    out = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            cur = convolve(cur, mu)
+        for z, p in cur.items():
+            acc[z] += p
+        out.append(Dist(mu.parent, [a / n for a in acc]))
+    return out
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_walks(), st.integers(1, 8))
+def test_integer_cesaro_helpers_match_fraction_sums(mu, n_max):
+    averages = fraction_averages(mu, n_max)
+    for n, avg in enumerate(averages, 1):
+        assert cesaro_average(mu, n) == avg
+    nu = cesaro_limit(mu)
+    diag = cesaro_diagnostic(mu, n_max, nu)
+    assert diag.deviations == tuple(
+        fraction_variation_norm(avg, convolve(mu, avg)) for avg in averages
+    )
+    assert diag.limit_gaps == tuple(fraction_variation_norm(avg, nu) for avg in averages)
+    assert all(type(v) is RAT for v in diag.deviations + diag.limit_gaps)
+    for other in (averages[-1], nu):
+        norm = variation_norm(mu, other)
+        assert type(norm) is RAT and norm == fraction_variation_norm(mu, other)

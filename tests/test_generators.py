@@ -66,6 +66,17 @@ def test_below():
         rng.below(0)
 
 
+@pytest.mark.parametrize("n", [1, 3, 10, 1 << 40])
+def test_below_many_is_repeated_below(n):
+    for seed in (0, 42, MASK):
+        one, many = XorShift64Star(seed), XorShift64Star(seed)
+        draws = [one.below(n) for _ in range(70)]
+        assert many.below_many(n, 50) + many.below_many(n, 0) + many.below_many(n, 20) == draws
+        assert many.state == one.state
+    with pytest.raises(ParameterOutOfRange):
+        XorShift64Star(1).below_many(0, 5)
+
+
 def test_cyclic_builder():
     z5 = build(CorpusSpec("cyclic", (5,)))
     assert z5.order == 5

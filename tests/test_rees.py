@@ -1,13 +1,17 @@
 import pytest
 
-from semiconv import rees
-from semiconv.core import idempotents, kernel, product_sets
+from semiconv import core, rees
+from semiconv.core import group_structure, idempotents, kernel, product_sets
 from semiconv.errors import (
     InvalidSandwichEntry,
+    NotASubsemigroup,
     NotIdempotent,
     NotInFactor,
+    NotPrimitive,
     NotSimple,
     OrderCapExceeded,
+    SemiconvError,
+    VerificationFailed,
 )
 from semiconv.generators import CorpusSpec, build
 from semiconv.rees import (
@@ -214,3 +218,94 @@ def test_psi_inv_rejects_every_index_outside_the_carrier():
     for z, shown in named:
         with pytest.raises(NotInFactor, match=f"^element {shown} does not belong to the carrier factor$"):
             psi_inv(dec, z)
+
+
+def rees_in_checked_order(x, at=None):
+    """Oracle: every hypothesis checked before the split, in the order
+    closure, kernel witness, idempotent, requested base, primitivity."""
+    s = core._as_set(x)
+    sg = s.parent
+    w = core._simplicity_witness(s)
+    if w is not None:
+        raise NotSimple(sg.label(w))
+    ids = idempotents(s)
+    if not ids:
+        raise VerificationFailed("idempotent existence", "no idempotent in a finite semigroup")
+    e = ids.least() if at is None else at
+    if e not in ids:
+        raise NotIdempotent(sg.label(e) if 0 <= e < sg.order else e)
+    if not is_primitive_idempotent(s, e):
+        below = next(f for f in ids if f != e and sg.mul(e, f) == f and sg.mul(f, e) == f)
+        raise NotPrimitive(sg.label(e), sg.label(below))
+    single_e = sg.singleton(e)
+    se = product_sets(s, single_e)
+    es = product_sets(single_e, s)
+    group = group_structure(product_sets(single_e, se))
+    if group.identity != e:
+        raise VerificationFailed("group", "identity of e*S*e differs from e")
+    left, right = idempotents(se), idempotents(es)
+    coordinates = rees._verify_decomposition(s, e, left, group, right, se, es)
+    return rees.ReesDecomposition(
+        carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
+    )
+
+
+def outcome(decompose, x, at=None):
+    try:
+        dec = decompose(x, at=at)
+    except SemiconvError as exc:
+        return type(exc), str(exc)
+    g = dec.group
+    return dec.carrier, dec.base, dec.left, dec.right, g.carrier, g.identity, g.inverses, dec.coordinates
+
+
+def test_decompose_agrees_with_the_checked_order_on_every_small_subset():
+    # Every non-empty subset of the default tables of order <= 8: most are
+    # not closed or not simple, so each error path is compared too.
+    seen = set()
+    count = 0
+    for inst in build_corpus("default"):
+        sg = inst.semigroup
+        if sg.order > 8:
+            continue
+        for mask in range(1, 1 << sg.order):
+            x = core.ElementSet(sg, mask)
+            got = outcome(rees_decompose, x)
+            assert got == outcome(rees_in_checked_order, x), (inst.name, x)
+            seen.add(got[0] if isinstance(got[0], type) else "ok")
+            count += 1
+    assert count == 1558
+    # a finite simple semigroup is completely simple, so NotPrimitive and
+    # the idempotent-existence failure cannot be reached here
+    assert seen == {"ok", NotSimple, NotASubsemigroup}
+
+
+def test_decompose_agrees_with_the_checked_order_at_every_base():
+    for inst in build_corpus("extended"):
+        sg = inst.semigroup
+        k = kernel(sg.carrier())
+        for at in range(-1, sg.order + 1):
+            assert outcome(rees_decompose, k, at) == outcome(rees_in_checked_order, k, at), (
+                inst.name,
+                at,
+            )
+
+
+def test_decompose_on_a_kernel_builds_no_kernel(monkeypatch):
+    calls = []
+    real = core._kernel_and_left_ideals
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+    sg = build(CorpusSpec("full_transformation", (3,)))
+    k = kernel(sg.carrier())
+    calls.clear()
+    rees_decompose(k)
+    assert calls == []
+    # a carrier that is not simple is named by its kernel witness
+    with pytest.raises(NotSimple):
+        rees_decompose(sg.carrier())
+    assert calls == [sg.carrier()]
