@@ -498,11 +498,16 @@ class ShadowReport:
     converged: bool
 
 
-def float_shadow(mu, eta, step, tolerance=1e-9, max_iterations=4096):
+_SHADOW_TOLERANCE = 1e-9
+_SHADOW_MAX_ITERATIONS = 4096
+
+
+def float_shadow(mu, eta, step):
     """Iterate the float transition matrix p steps at a time toward eta.
 
     Checks that the l1 gap never increases (up to float jitter) and finds
-    the first iterate below tolerance.  Exact checks remain authoritative.
+    the first iterate below _SHADOW_TOLERANCE, within
+    _SHADOW_MAX_ITERATIONS steps.  Exact checks remain authoritative.
     """
     rows = mu.parent.rows
     n = mu.parent.order
@@ -517,12 +522,12 @@ def float_shadow(mu, eta, step, tolerance=1e-9, max_iterations=4096):
     gaps = []
     non_increasing = True
     hit = -1
-    for it in range(max_iterations):
+    for it in range(_SHADOW_MAX_ITERATIONS):
         gap = float(np.abs(v - target).sum())
         if gaps and gap > gaps[-1] + 1e-12:
             non_increasing = False
         gaps.append(gap)
-        if gap < tolerance and hit < 0:
+        if gap < _SHADOW_TOLERANCE and hit < 0:
             hit = it
             break
         v = v @ m_step

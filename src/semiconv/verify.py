@@ -1,16 +1,28 @@
 """Batch verification suite over a corpus of generated semigroups.
 
-Each check exercises one structural or probabilistic law on every corpus
-instance it applies to, using exact arithmetic throughout.  Checks never
-assume each other's conclusions: wherever feasible a second, independent
-route (brute-force subset sweeps, exact linear solves) confirms the
-optimized implementation.
+Each check is a law, (instance, seed) -> witness or None, holding only the
+mathematics of one structural or probabilistic statement in exact
+arithmetic.  One driver, _run_law, owns the rest: the loop over instances,
+the instance count, the "<instance>: " prefix, exceptions as witnesses,
+the uncounted skip of instances a law's `only` rule rejects, and the
+"no <kind> instance in corpus" witness when no instance meets its `needs`.
+Laws are registered with _law in the report's fixed check order.
+
+A CorpusInstance is also a structure record: its carrier, its kernel and
+minimal left and right ideals (one minimal_ideals build), the kernel's
+Rees decomposition, the one-sided simplicity flags and the group structure
+or None, each built on first use and kept for the suite run.  A part whose
+build raises is not kept, so each use raises again.  Laws about a public
+predicate (is_left_simple, is_right_simple, is_simple) still call it, and
+wherever feasible an independent route (subset sweeps, principal-ideal
+enumeration, exact linear solves) confirms the optimized one.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 from ._rat import ONE, RAT, ZERO
@@ -24,9 +36,7 @@ from .core import (
     is_right_ideal,
     is_right_simple,
     is_simple,
-    kernel,
-    minimal_left_ideals,
-    minimal_right_ideals,
+    minimal_ideals,
     principal_left_ideal,
     principal_right_ideal,
     product_sets,
@@ -57,8 +67,42 @@ from .rees import idempotent_criterion, psi, psi_inv, rebase, rees_decompose
 
 @dataclass(frozen=True)
 class CorpusInstance:
+    """A named corpus table and its structure record, built on first use."""
+
     name: str
     semigroup: Semigroup
+
+    @cached_property
+    def carrier(self):
+        return self.semigroup.carrier()
+
+    @cached_property
+    def ideals(self):
+        """(kernel, minimal left ideals, minimal right ideals)."""
+        return minimal_ideals(self.carrier)
+
+    @property
+    def kernel(self):
+        return self.ideals[0]
+
+    @cached_property
+    def rees(self):
+        return rees_decompose(self.kernel)
+
+    @property
+    def left_simple(self):
+        return self.ideals[1] == [self.carrier]
+
+    @property
+    def right_simple(self):
+        return self.ideals[2] == [self.carrier]
+
+    @cached_property
+    def group(self):
+        try:
+            return group_structure(self.carrier)
+        except SemiconvError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -259,337 +303,301 @@ def _labels(es):
 
 
 # ---------------------------------------------------------------------------
-# Structural checks
+# Registration and the driver
 # ---------------------------------------------------------------------------
 
 
-def _check_minimal_ideal_criterion(ctx):
+@dataclass(frozen=True)
+class _Law:
+    name: str
+    holds: object  # (instance, seed) -> witness or None
+    only: object = None  # instance -> bool; instances it rejects are skipped, uncounted
+    needs: tuple = None  # (kind, instance -> bool) that some counted instance must meet
+    corrupted: bool = False  # also run first on the --inject-corruption table
+
+
+_LAWS = {}
+
+
+def _law(name, **rules):
+    def register(holds):
+        _LAWS[name] = _Law(name, holds, **rules)
+        return holds
+
+    return register
+
+
+def _run_law(law, instances, seed):
+    """One check: the law on each instance in turn, up to the first witness."""
+    start = perf_counter()
+    ran, witness, met = 0, "", law.needs is None
+    for inst in instances:
+        ran += 1  # before `only`, so an instance whose rule raises is counted
+        try:
+            if law.only is not None and not law.only(inst):
+                ran -= 1
+                continue
+            witness = law.holds(inst, seed) or ""
+            met = met or law.needs[1](inst)
+        except SemiconvError as exc:
+            witness = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            # A bug inside a law fails its check; the rest of the suite runs.
+            witness = f"internal error: {type(exc).__name__}: {exc}"
+        if witness:
+            witness = f"{inst.name}: {witness}"
+            break
+    if not witness and not met:
+        witness = f"no {law.needs[0]} instance in corpus"
+    return CheckResult(law.name, not witness, ran, witness, perf_counter() - start)
+
+
+def _simple(inst):
+    # A finite simple semigroup is completely simple.
+    return inst.kernel == inst.carrier
+
+
+# ---------------------------------------------------------------------------
+# Structural laws
+# ---------------------------------------------------------------------------
+
+
+@_law("minimal_ideal_criterion")
+def _minimal_ideal_criterion(inst, seed):
     """Minimal one-sided ideals are exactly the sets with Sa = A for all a,
     cross-checked against the principal-ideal enumeration, and against a
     full subset sweep on tiny instances."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        for side, finder in (("left", minimal_left_ideals), ("right", minimal_right_ideals)):
-            mins = finder(car)
-            if [a.mask for a in mins] != [a.mask for a in principal_minimal_ideals(car, side)]:
-                return ran, (
-                    f"{inst.name}: minimal {side} ideals differ from the "
-                    f"principal-ideal enumeration"
+    sg, car = inst.semigroup, inst.carrier
+    _, lefts, rights = inst.ideals
+    for side, mins in (("left", lefts), ("right", rights)):
+        if [a.mask for a in mins] != [a.mask for a in principal_minimal_ideals(car, side)]:
+            return f"minimal {side} ideals differ from the principal-ideal enumeration"
+        for a in mins:
+            for x in a:
+                trans = (
+                    product_sets(car, sg.singleton(x))
+                    if side == "left"
+                    else product_sets(sg.singleton(x), car)
                 )
-            for a in mins:
-                for x in a:
-                    trans = (
-                        product_sets(car, sg.singleton(x))
-                        if side == "left"
-                        else product_sets(sg.singleton(x), car)
-                    )
-                    if trans.mask != a.mask:
-                        return ran, (
-                            f"{inst.name}: {side} ideal {_labels(a)} fails "
-                            f"translation criterion at {sg.label(x)}"
-                        )
-            if sg.order <= 5:
-                brute = _inclusion_minimal(_all_subset_ideals(sg, side))
-                if {a.mask for a in brute} != {a.mask for a in mins}:
-                    return ran, (
-                        f"{inst.name}: subset sweep found different minimal "
-                        f"{side} ideals than the kernel translates"
-                    )
-    return ran, ""
+                if trans.mask != a.mask:
+                    return f"{side} ideal {_labels(a)} fails translation criterion at {sg.label(x)}"
+        if sg.order <= 5:
+            brute = _inclusion_minimal(_all_subset_ideals(sg, side))
+            if {a.mask for a in brute} != {a.mask for a in mins}:
+                return f"subset sweep found different minimal {side} ideals than the kernel translates"
+    return None
 
 
-def _check_kernel_least_ideal(ctx):
+@_law("kernel_least_ideal", corrupted=True)
+def _kernel_least_ideal(inst, seed):
     """The kernel is a simple ideal contained in every ideal."""
-    ran = 0
-    for inst in ctx.corrupted + ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        try:
-            k = kernel(car)
-        except SemiconvError as exc:
-            return ran, f"{inst.name}: kernel computation failed: {exc}"
-        union = 0
-        for part in principal_minimal_ideals(car, "left"):
-            union |= part.mask
-        if k.mask != union:
-            return ran, (
-                f"{inst.name}: kernel {_labels(k)} is not the union of the minimal "
-                f"principal left ideals"
-            )
-        if not is_ideal(k):
-            return ran, f"{inst.name}: kernel {_labels(k)} is not an ideal"
-        if not simple_by_sweep(k, "two-sided"):
-            return ran, f"{inst.name}: kernel {_labels(k)} is not simple"
-        for a in car:
-            principal = principal_left_ideal(car, a) | principal_right_ideal(car, a)
-            principal |= product_sets(product_sets(car, sg.singleton(a)), car)
-            if not k.issubset(principal):
-                return ran, (
-                    f"{inst.name}: kernel escapes the ideal generated by {sg.label(a)}"
-                )
-    return ran, ""
+    sg, car = inst.semigroup, inst.carrier
+    try:
+        k = inst.kernel
+    except SemiconvError as exc:
+        return f"kernel computation failed: {exc}"
+    union = 0
+    for part in principal_minimal_ideals(car, "left"):
+        union |= part.mask
+    if k.mask != union:
+        return f"kernel {_labels(k)} is not the union of the minimal principal left ideals"
+    if not is_ideal(k):
+        return f"kernel {_labels(k)} is not an ideal"
+    if not simple_by_sweep(k, "two-sided"):
+        return f"kernel {_labels(k)} is not simple"
+    for a in car:
+        principal = principal_left_ideal(car, a) | principal_right_ideal(car, a)
+        principal |= product_sets(product_sets(car, sg.singleton(a)), car)
+        if not k.issubset(principal):
+            return f"kernel escapes the ideal generated by {sg.label(a)}"
+    return None
 
 
-def _check_one_sided_simplicity(ctx):
+@_law("one_sided_simplicity_criterion")
+def _one_sided_simplicity(inst, seed):
     """Left (right) simplicity is equivalent to every translation Sa (aS)
     covering the carrier, confirmed by subset sweep on tiny instances."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        for side, fast in (("left", is_left_simple), ("right", is_right_simple)):
-            claimed = fast(car)
-            if claimed != simple_by_sweep(car, side):
-                return ran, (
-                    f"{inst.name}: {side} simplicity flag disagrees with translation sweep"
-                )
-            if sg.order <= 5:
-                brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, side))
-                if claimed != brute:
-                    return ran, (
-                        f"{inst.name}: {side} simplicity flag disagrees with subset sweep"
-                    )
-    return ran, ""
-
-
-def _check_simplicity(ctx):
-    """Simplicity is equivalent to SaS = S for every a."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        claimed = is_simple(car)
-        if claimed != simple_by_sweep(car, "two-sided"):
-            return ran, f"{inst.name}: simplicity flag disagrees with SaS sweep"
+    sg, car = inst.semigroup, inst.carrier
+    for side, fast in (("left", is_left_simple), ("right", is_right_simple)):
+        claimed = fast(car)
+        if claimed != simple_by_sweep(car, side):
+            return f"{side} simplicity flag disagrees with translation sweep"
         if sg.order <= 5:
-            brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, "two-sided"))
+            brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, side))
             if claimed != brute:
-                return ran, f"{inst.name}: simplicity flag disagrees with subset sweep"
-    return ran, ""
+                return f"{side} simplicity flag disagrees with subset sweep"
+    return None
 
 
-def _check_bilateral_simple_group(ctx):
+@_law("simplicity_criterion")
+def _simplicity(inst, seed):
+    """Simplicity is equivalent to SaS = S for every a."""
+    sg, car = inst.semigroup, inst.carrier
+    claimed = is_simple(car)
+    if claimed != simple_by_sweep(car, "two-sided"):
+        return "simplicity flag disagrees with SaS sweep"
+    if sg.order <= 5:
+        brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, "two-sided"))
+        if claimed != brute:
+            return "simplicity flag disagrees with subset sweep"
+    return None
+
+
+def _bilaterally_simple(inst):
+    return inst.left_simple and inst.right_simple
+
+
+@_law("bilateral_simple_is_group", needs=("bilaterally simple", _bilaterally_simple))
+def _bilateral_simple_group(inst, seed):
     """A semigroup is both left and right simple exactly when it is a group."""
-    ran = 0
-    applicable = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        both = is_left_simple(car) and is_right_simple(car)
+    both = _bilaterally_simple(inst)
+    if both and inst.group is None:
         try:
-            group_structure(car)
-            found_group = True
+            group_structure(inst.carrier)
         except SemiconvError as exc:
-            found_group = False
-            group_error = exc
-        if both and not found_group:
-            return ran, f"{inst.name}: bilaterally simple but not a group: {group_error}"
-        if found_group and not both:
-            return ran, f"{inst.name}: group found despite missing one-sided simplicity"
-        applicable += both
-    if applicable == 0:
-        return ran, "no bilaterally simple instance in corpus"
-    return ran, ""
+            return f"bilaterally simple but not a group: {exc}"
+    if inst.group is not None and not both:
+        return "group found despite missing one-sided simplicity"
+    return None
 
 
-def _check_idempotent_right_identity(ctx):
+@_law("idempotent_right_identity")
+def _idempotent_right_identity(inst, seed):
     """Each idempotent e acts as a right identity on Se."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        for e in idempotents(car):
-            for x in product_sets(car, sg.singleton(e)):
-                if sg.mul(x, e) != x:
-                    return ran, (
-                        f"{inst.name}: {sg.label(e)} is not a right identity "
-                        f"for {sg.label(x)}"
-                    )
-    return ran, ""
+    sg, car = inst.semigroup, inst.carrier
+    for e in idempotents(car):
+        for x in product_sets(car, sg.singleton(e)):
+            if sg.mul(x, e) != x:
+                return f"{sg.label(e)} is not a right identity for {sg.label(x)}"
+    return None
 
 
-def _check_left_group_structure(ctx):
-    """A left simple semigroup with an idempotent tiles as L x G with a
-    singleton right factor."""
-    ran = 0
-    applicable = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        if not is_left_simple(car) or not idempotents(car):
-            continue
-        applicable += 1
-        dec = rees_decompose(car)
-        if len(dec.right) != 1:
-            return ran, f"{inst.name}: left simple carrier has non-singleton right factor"
-        combos = {sg.mul(x, g) for x in dec.left for g in dec.group.carrier}
-        if len(combos) != len(dec.left) * dec.group.order or combos != set(car):
-            return ran, f"{inst.name}: L x G does not tile the left group"
-    if applicable == 0:
-        return ran, "no left group instance in corpus"
-    return ran, ""
+@_law("left_group_structure", needs=("left group", lambda inst: inst.left_simple))
+def _left_group_structure(inst, seed):
+    """A left simple semigroup (which has an idempotent, being finite)
+    tiles as L x G with a singleton right factor.  It is its own kernel,
+    so the record's decomposition is the carrier's."""
+    if not inst.left_simple:
+        return None
+    sg, dec = inst.semigroup, inst.rees
+    if len(dec.right) != 1:
+        return "left simple carrier has non-singleton right factor"
+    combos = {sg.mul(x, g) for x in dec.left for g in dec.group.carrier}
+    if len(combos) != len(dec.left) * dec.group.order or combos != set(inst.carrier):
+        return "L x G does not tile the left group"
+    return None
 
 
-def _check_rees_decomposition(ctx):
+@_law("kernel_product_decomposition")
+def _rees_decomposition(inst, seed):
     """The kernel of every instance admits a verified product decomposition
     L x G x R with invertible coordinates."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        k = kernel(sg.carrier())
-        dec = rees_decompose(k)
-        for z in k:
-            x, g, y = psi_inv(dec, z)
-            if psi(dec, x, g, y) != z:
-                return ran, f"{inst.name}: coordinate round trip failed at {sg.label(z)}"
-    return ran, ""
+    dec = inst.rees
+    for z in inst.kernel:
+        x, g, y = psi_inv(dec, z)
+        if psi(dec, x, g, y) != z:
+            return f"coordinate round trip failed at {inst.semigroup.label(z)}"
+    return None
 
 
-def _check_rees_ideal_translates(ctx):
-    """Minimal left ideals of the kernel are the sets (LG)y, and minimal
-    right ideals are the sets x(GR)."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        k = kernel(sg.carrier())
-        dec = rees_decompose(k)
-        lg = product_sets(dec.left, dec.group.carrier)
-        gr = product_sets(dec.group.carrier, dec.right)
-        expect_left = {product_sets(lg, sg.singleton(y)).mask for y in dec.right}
-        expect_right = {product_sets(sg.singleton(x), gr).mask for x in dec.left}
-        got_left = {a.mask for a in minimal_left_ideals(k)}
-        got_right = {a.mask for a in minimal_right_ideals(k)}
-        if got_left != expect_left:
-            return ran, f"{inst.name}: minimal left ideals are not the (LG)y translates"
-        if got_right != expect_right:
-            return ran, f"{inst.name}: minimal right ideals are not the x(GR) translates"
-    return ran, ""
+@_law("decomposition_ideal_translates")
+def _rees_ideal_translates(inst, seed):
+    """Minimal left ideals of the kernel, which are those of the carrier,
+    are the sets (LG)y, and minimal right ideals are the sets x(GR)."""
+    sg, dec = inst.semigroup, inst.rees
+    _, lefts, rights = inst.ideals
+    lg = product_sets(dec.left, dec.group.carrier)
+    gr = product_sets(dec.group.carrier, dec.right)
+    expect_left = {product_sets(lg, sg.singleton(y)).mask for y in dec.right}
+    expect_right = {product_sets(sg.singleton(x), gr).mask for x in dec.left}
+    if {a.mask for a in lefts} != expect_left:
+        return "minimal left ideals are not the (LG)y translates"
+    if {a.mask for a in rights} != expect_right:
+        return "minimal right ideals are not the x(GR) translates"
+    return None
 
 
-def _check_rees_idempotent_criterion(ctx):
+@_law("cell_idempotent_criterion")
+def _rees_idempotent_criterion(inst, seed):
     """Within each cell xGy there is exactly one idempotent, the one whose
     group coordinate inverts yx."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        k = kernel(sg.carrier())
-        dec = rees_decompose(k)
-        predicted = set()
-        for x in dec.left:
-            for y in dec.right:
-                e = idempotent_criterion(dec, x, y)
-                predicted.add(e)
-                cell = {psi(dec, x, g, y) for g in dec.group.carrier}
-                cell_idem = {z for z in cell if sg.mul(z, z) == z}
-                if cell_idem != {e}:
-                    return ran, (
-                        f"{inst.name}: cell ({sg.label(x)},{sg.label(y)}) has "
-                        f"idempotents {sorted(sg.label(z) for z in cell_idem)}"
-                    )
-        if predicted != set(idempotents(k)):
-            return ran, f"{inst.name}: predicted idempotents disagree with direct scan"
-    return ran, ""
+    sg, dec = inst.semigroup, inst.rees
+    predicted = set()
+    for x in dec.left:
+        for y in dec.right:
+            e = idempotent_criterion(dec, x, y)
+            predicted.add(e)
+            cell = {psi(dec, x, g, y) for g in dec.group.carrier}
+            cell_idem = {z for z in cell if sg.mul(z, z) == z}
+            if cell_idem != {e}:
+                return (
+                    f"cell ({sg.label(x)},{sg.label(y)}) has "
+                    f"idempotents {sorted(sg.label(z) for z in cell_idem)}"
+                )
+    if predicted != set(idempotents(inst.kernel)):
+        return "predicted idempotents disagree with direct scan"
+    return None
 
 
-def _check_rees_rebase(ctx):
+@_law("decomposition_rebase")
+def _rees_rebase(inst, seed):
     """Re-anchoring the kernel decomposition at any idempotent satisfies the
     translation identities relating the two coordinate systems."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        k = kernel(sg.carrier())
-        dec = rees_decompose(k)
-        for e2 in idempotents(k):
-            rebase(dec, e2)
-    return ran, ""
+    for e2 in idempotents(inst.kernel):
+        rebase(inst.rees, e2)
 
 
-def _check_minimal_product_group(ctx):
+@_law("minimal_product_group")
+def _minimal_product_group(inst, seed):
     """The product BA of a minimal right ideal B and a minimal left ideal A
     is a group."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        for b in minimal_right_ideals(car):
-            for a in minimal_left_ideals(car):
-                ba = product_sets(b, a)
-                try:
-                    group_structure(ba)
-                except SemiconvError as exc:
-                    return ran, (
-                        f"{inst.name}: {_labels(b)} * {_labels(a)} is not a group: {exc}"
-                    )
-    return ran, ""
+    _, lefts, rights = inst.ideals
+    for b in rights:
+        for a in lefts:
+            try:
+                group_structure(product_sets(b, a))
+            except SemiconvError as exc:
+                return f"{_labels(b)} * {_labels(a)} is not a group: {exc}"
+    return None
 
 
-def _check_element_power_clusters(ctx):
+@_law("element_power_clusters")
+def _element_power_clusters(inst, seed):
     """Powers of every element settle into a coset cycle of a cyclic group."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        for a in sg.carrier():
-            element_power_cluster(sg, a)
-    return ran, ""
+    for a in inst.carrier:
+        element_power_cluster(inst.semigroup, a)
 
 
 # ---------------------------------------------------------------------------
-# Measure checks
+# Measure laws
 # ---------------------------------------------------------------------------
 
 
-def _check_support_convolution(ctx):
+@_law("support_convolution")
+def _support_convolution(inst, seed):
     """The support of a convolution is the product of the supports."""
-    ran = 0
-    for inst in ctx.instances:
-        ran += 1
-        mus = _seeded_dists(inst, ctx.seed, 1, 3)
-        nus = _seeded_dists(inst, ctx.seed, 2, 3)
-        for mu, nu in zip(mus, nus):
-            got = support(convolve(mu, nu))
-            want = product_sets(support(mu), support(nu))
-            if got != want:
-                return ran, f"{inst.name}: support law failed"
-    return ran, ""
+    mus = _seeded_dists(inst, seed, 1, 3)
+    nus = _seeded_dists(inst, seed, 2, 3)
+    for mu, nu in zip(mus, nus):
+        if support(convolve(mu, nu)) != product_sets(support(mu), support(nu)):
+            return "support law failed"
+    return None
 
 
-def _check_convolution_marginals(ctx):
+@_law("convolution_marginals", only=_simple, needs=("completely simple", _simple))
+def _convolution_marginals(inst, seed):
     """On a completely simple carrier the left marginal of mu * nu matches
     mu's and the right marginal matches nu's."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        car = sg.carrier()
-        if not is_simple(car) or not idempotents(car):
-            continue
-        ran += 1
-        dec = rees_decompose(car)
-        mus = _seeded_dists(inst, ctx.seed, 3, 3)
-        nus = _seeded_dists(inst, ctx.seed, 4, 3)
-        for mu, nu in zip(mus, nus):
-            conv_l, _, conv_r = marginals(convolve(mu, nu), dec)
-            if conv_l != marginals(mu, dec)[0]:
-                return ran, f"{inst.name}: left marginal not inherited from left factor"
-            if conv_r != marginals(nu, dec)[2]:
-                return ran, f"{inst.name}: right marginal not inherited from right factor"
-    if ran == 0:
-        return ran, "no completely simple instance in corpus"
-    return ran, ""
+    dec = inst.rees
+    mus = _seeded_dists(inst, seed, 3, 3)
+    nus = _seeded_dists(inst, seed, 4, 3)
+    for mu, nu in zip(mus, nus):
+        conv_l, _, conv_r = marginals(convolve(mu, nu), dec)
+        if conv_l != marginals(mu, dec)[0]:
+            return "left marginal not inherited from left factor"
+        if conv_r != marginals(nu, dec)[2]:
+            return "right marginal not inherited from right factor"
+    return None
 
 
 def _solve_invariant_dists(sg):
@@ -613,175 +621,104 @@ def _solve_invariant_dists(sg):
     return nullspace(rows)
 
 
-def _check_translation_biinvariance(ctx):
+def _small_group(inst):
+    return inst.group is not None and inst.semigroup.order <= 8
+
+
+@_law("translation_biinvariance", needs=("small group", _small_group))
+def _translation_biinvariance(inst, seed):
     """Bi-invariance pins down the uniform distribution on a group: the
     exact linear system has a one-dimensional solution space, and any seeded
     distribution found bi-invariant is uniform on a group support."""
-    ran = 0
-    solved = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        ran += 1
-        car = sg.carrier()
-        try:
-            grp = group_structure(car)
-        except SemiconvError:
-            grp = None
-        if grp is not None and sg.order <= 8:
-            solved += 1
-            basis = _solve_invariant_dists(sg)
-            if len(basis) != 1:
-                return ran, (
-                    f"{inst.name}: invariance system has solution dimension {len(basis)}"
-                )
-            vec = basis[0]
-            total = sum(vec, ZERO)
-            if total == ZERO:
-                return ran, f"{inst.name}: invariance solution does not normalize"
-            uni = haar_uniform(grp)
-            if any(vec[i] / total != uni.prob(i) for i in range(sg.order)):
-                return ran, f"{inst.name}: normalized invariance solution is not uniform"
-        if grp is not None:
-            inv = classify_translation_invariance(haar_uniform(grp))
-            if not inv.biinvariant_on_carrier:
-                return ran, f"{inst.name}: uniform distribution not bi-invariant on group"
-        for mu in _seeded_dists(inst, ctx.seed, 5, 2):
-            inv = classify_translation_invariance(mu)
-            if inv.biinvariant_on_carrier:
-                sub = group_structure(support(mu))
-                if mu != haar_uniform(sub):
-                    return ran, (
-                        f"{inst.name}: bi-invariant distribution is not uniform on a group"
-                    )
-    if solved == 0:
-        return ran, "no small group instance in corpus"
-    return ran, ""
+    sg, grp = inst.semigroup, inst.group
+    if _small_group(inst):
+        basis = _solve_invariant_dists(sg)
+        if len(basis) != 1:
+            return f"invariance system has solution dimension {len(basis)}"
+        vec = basis[0]
+        total = sum(vec, ZERO)
+        if total == ZERO:
+            return "invariance solution does not normalize"
+        uni = haar_uniform(grp)
+        if any(vec[i] / total != uni.prob(i) for i in range(sg.order)):
+            return "normalized invariance solution is not uniform"
+    if grp is not None:
+        if not classify_translation_invariance(haar_uniform(grp)).biinvariant_on_carrier:
+            return "uniform distribution not bi-invariant on group"
+    for mu in _seeded_dists(inst, seed, 5, 2):
+        if classify_translation_invariance(mu).biinvariant_on_carrier:
+            if mu != haar_uniform(group_structure(support(mu))):
+                return "bi-invariant distribution is not uniform on a group"
+    return None
 
 
-def _check_idempotent_factorization(ctx):
+@_law("idempotent_factorization", only=_simple, needs=("completely simple", _simple))
+def _idempotent_factorization(inst, seed):
     """Idempotent distributions are exactly the products of an L-part, the
     uniform distribution on the anchor group, and an R-part; composing and
     factoring are mutually inverse."""
-    ran = 0
-    for inst in ctx.instances:
-        sg = inst.semigroup
-        car = sg.carrier()
-        if not is_simple(car) or not idempotents(car):
-            continue
-        ran += 1
-        dec = rees_decompose(car)
-        rng = _instance_rng(inst, ctx.seed, 6)
-        for _ in range(2):
-            supp_l = sg.subset(psi_inv(dec, z)[0] for z in _random_support(sg, rng))
-            supp_r = sg.subset(psi_inv(dec, z)[2] for z in _random_support(sg, rng))
-            mu_l = random_dist(supp_l, rng.next_word(), 32)
-            mu_r = random_dist(supp_r, rng.next_word(), 32)
-            composed = compose_idempotent(mu_l, mu_r, dec.group)
-            fact = factorize_idempotent(composed)
-            if fact.recompose() != composed:
-                return ran, f"{inst.name}: factorization does not recompose the composition"
-        nu = cesaro_limit(_seeded_dists(inst, ctx.seed, 7, 1)[0])
-        fact = factorize_idempotent(nu)
-        if fact.recompose() != nu:
-            return ran, f"{inst.name}: limit distribution does not recompose from factors"
-    if ran == 0:
-        return ran, "no completely simple instance in corpus"
-    return ran, ""
+    sg, dec = inst.semigroup, inst.rees
+    rng = _instance_rng(inst, seed, 6)
+    for _ in range(2):
+        supp_l = sg.subset(psi_inv(dec, z)[0] for z in _random_support(sg, rng))
+        supp_r = sg.subset(psi_inv(dec, z)[2] for z in _random_support(sg, rng))
+        mu_l = random_dist(supp_l, rng.next_word(), 32)
+        mu_r = random_dist(supp_r, rng.next_word(), 32)
+        composed = compose_idempotent(mu_l, mu_r, dec.group)
+        if factorize_idempotent(composed).recompose() != composed:
+            return "factorization does not recompose the composition"
+    nu = cesaro_limit(_seeded_dists(inst, seed, 7, 1)[0])
+    if factorize_idempotent(nu).recompose() != nu:
+        return "limit distribution does not recompose from factors"
+    return None
 
 
-def _check_convolution_invariance(ctx):
+@_law("convolution_invariance")
+def _convolution_invariance(inst, seed):
     """A distribution fixed by mu under convolution on both sides is fixed
     by every point mass drawn from supp(mu), relative to its own support."""
-    ran = 0
-    for inst in ctx.instances:
-        ran += 1
-        for mu in _seeded_dists(inst, ctx.seed, 8, 2):
-            nu = cesaro_limit(mu)
-            res = check_convolution_invariance(mu, nu)
-            if res.pairs_checked < 1:
-                return ran, f"{inst.name}: no invariance pairs checked"
-    return ran, ""
+    for mu in _seeded_dists(inst, seed, 8, 2):
+        if check_convolution_invariance(mu, cesaro_limit(mu)).pairs_checked < 1:
+            return "no invariance pairs checked"
+    return None
 
 
-def _check_limit_theorem(ctx):
+@_law("limit_theorem")
+def _limit_theorem(inst, seed):
     """Full limit analysis: the averaged limit, the cluster cycle, and the
     product factorizations all verify on seeded walks, and the cycle's
     closure, proven from its generator, holds under a full pair sweep."""
-    ran = 0
-    for inst in ctx.instances:
-        ran += 1
-        for mu in _seeded_dists(inst, ctx.seed, 9, 2):
-            report = analyze_limit(mu)
-            if not cluster_closed_by_sweep(report.cluster):
-                return ran, f"{inst.name}: cluster cycle not closed under convolution"
-    return ran, ""
+    for mu in _seeded_dists(inst, seed, 9, 2):
+        if not cluster_closed_by_sweep(analyze_limit(mu).cluster):
+            return "cluster cycle not closed under convolution"
+    return None
 
 
-def _check_cesaro_bound(ctx):
+@_law("cesaro_average_shift_bound", only=lambda inst: inst.semigroup.order <= 64)
+def _cesaro_bound(inst, seed):
     """Shifting a length-n average by j steps moves it by at most 2j/n in
     variation norm."""
-    ran = 0
-    for inst in ctx.instances:
-        if inst.semigroup.order > 64:
-            continue
-        ran += 1
-        mu = _seeded_dists(inst, ctx.seed, 10, 1)[0]
-        cesaro_diagnostic(mu, 12, cesaro_limit(mu))
-        for n, j in ((8, 2), (12, 3)):
-            dev = cesaro_deviation(mu, n, j)
-            if dev > RAT(2 * j, n):
-                return ran, f"{inst.name}: shift deviation {dev} exceeds {2 * j}/{n}"
-    return ran, ""
+    mu = _seeded_dists(inst, seed, 10, 1)[0]
+    cesaro_diagnostic(mu, 12, cesaro_limit(mu))
+    for n, j in ((8, 2), (12, 3)):
+        dev = cesaro_deviation(mu, n, j)
+        if dev > RAT(2 * j, n):
+            return f"shift deviation {dev} exceeds {2 * j}/{n}"
+    return None
 
 
-def _check_float_shadow(ctx):
+@_law("float_shadow_decay", only=lambda inst: inst.semigroup.order <= 32)
+def _float_shadow(inst, seed):
     """A floating-point power iteration tracks the exact cluster cycle with
     non-increasing distance once aligned to the period."""
-    ran = 0
-    for inst in ctx.instances:
-        if inst.semigroup.order > 32:
-            continue
-        ran += 1
-        mu = _seeded_dists(inst, ctx.seed, 11, 1)[0]
-        report = analyze_limit(mu)
-        shadow = float_shadow(mu, report.eta, report.p)
-        if not shadow.non_increasing:
-            return ran, f"{inst.name}: shadow distance increased between iterations"
-        if not shadow.converged:
-            return ran, f"{inst.name}: shadow distance did not fall below tolerance"
-    return ran, ""
-
-
-_CHECKS = [
-    ("minimal_ideal_criterion", _check_minimal_ideal_criterion),
-    ("kernel_least_ideal", _check_kernel_least_ideal),
-    ("one_sided_simplicity_criterion", _check_one_sided_simplicity),
-    ("simplicity_criterion", _check_simplicity),
-    ("bilateral_simple_is_group", _check_bilateral_simple_group),
-    ("idempotent_right_identity", _check_idempotent_right_identity),
-    ("left_group_structure", _check_left_group_structure),
-    ("kernel_product_decomposition", _check_rees_decomposition),
-    ("decomposition_ideal_translates", _check_rees_ideal_translates),
-    ("cell_idempotent_criterion", _check_rees_idempotent_criterion),
-    ("decomposition_rebase", _check_rees_rebase),
-    ("minimal_product_group", _check_minimal_product_group),
-    ("element_power_clusters", _check_element_power_clusters),
-    ("support_convolution", _check_support_convolution),
-    ("convolution_marginals", _check_convolution_marginals),
-    ("translation_biinvariance", _check_translation_biinvariance),
-    ("idempotent_factorization", _check_idempotent_factorization),
-    ("convolution_invariance", _check_convolution_invariance),
-    ("limit_theorem", _check_limit_theorem),
-    ("cesaro_average_shift_bound", _check_cesaro_bound),
-    ("float_shadow_decay", _check_float_shadow),
-]
-
-
-@dataclass
-class _SuiteContext:
-    instances: list
-    corrupted: list
-    seed: int
+    mu = _seeded_dists(inst, seed, 11, 1)[0]
+    report = analyze_limit(mu)
+    shadow = float_shadow(mu, report.eta, report.p)
+    if not shadow.non_increasing:
+        return "shadow distance increased between iterations"
+    if not shadow.converged:
+        return "shadow distance did not fall below tolerance"
+    return None
 
 
 def _corrupted_instance():
@@ -792,25 +729,13 @@ def _corrupted_instance():
     return CorpusInstance("corrupted cyclic(3)", Semigroup(labels, rows))
 
 
-def _run_check(name, fn, ctx):
-    start = perf_counter()
-    try:
-        count, witness = fn(ctx)
-        passed = witness == ""
-    except SemiconvError as exc:
-        count, witness, passed = 0, f"{type(exc).__name__}: {exc}", False
-    except Exception as exc:
-        # A bug inside a check fails that check; the rest of the suite runs.
-        count, witness, passed = 0, f"internal error: {type(exc).__name__}: {exc}", False
-    elapsed = perf_counter() - start
-    return CheckResult(name, passed, count, witness, elapsed)
-
-
 def run_suite(corpus="default", seed=0, inject_corruption=False):
     """Run every check against the named corpus, one after another in the
     fixed check order; each check's elapsed is its own wall time."""
     instances = build_corpus(corpus)
     corrupted = [_corrupted_instance()] if inject_corruption else []
-    ctx = _SuiteContext(instances=instances, corrupted=corrupted, seed=seed)
-    results = tuple(_run_check(name, fn, ctx) for name, fn in _CHECKS)
-    return SuiteResult(corpus=corpus, seed=seed, checks=results)
+    checks = tuple(
+        _run_law(law, corrupted + instances if law.corrupted else instances, seed)
+        for law in _LAWS.values()
+    )
+    return SuiteResult(corpus=corpus, seed=seed, checks=checks)

@@ -457,8 +457,8 @@ def test_an_open_cluster_list_fails_both_closure_tests():
 
 def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
     monkeypatch.setattr(verify, "cluster_closed_by_sweep", lambda cluster: False)
-    ctx = verify._SuiteContext(instances=verify.build_corpus("default")[:1], corrupted=[], seed=0)
-    assert verify._check_limit_theorem(ctx) == (
+    res = verify._run_law(verify._LAWS["limit_theorem"], verify.build_corpus("default")[:1], 0)
+    assert (res.instances, res.witness) == (
         1,
         "cyclic(1): cluster cycle not closed under convolution",
     )

@@ -1,14 +1,25 @@
 """The self-check suite: green on the stock corpus, red when fed damage."""
 
 import json
+from collections import Counter
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 from semiconv import build_corpus, run_suite, verify
-from semiconv.verify import _CHECKS, _corrupted_instance
+from semiconv.cli import main
+from semiconv.errors import NotAGroup, SemiconvError
+from semiconv.generators import CorpusSpec, build
+from semiconv.verify import _LAWS, CorpusInstance, _corrupted_instance, _Law, _run_law
 
-CHECK_NAMES = [name for name, _ in _CHECKS]
+CHECK_NAMES = list(_LAWS)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def instance(kind, *params):
+    spec = CorpusSpec(kind, params)
+    return CorpusInstance(spec.describe(), build(spec))
 
 
 def test_default_suite_passes():
@@ -76,12 +87,83 @@ def test_check_times_are_wall_times():
     assert sum(c.elapsed for c in res.checks) <= wall
 
 
+def test_default_seed0_report_matches_the_golden_file(capsys):
+    assert main(["verify", "--corpus", "default", "--seed", "0", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_default_seed0.json").read_text(encoding="utf-8")
+
+
 def test_internal_error_fails_its_check(monkeypatch):
-    def broken(ctx):
+    def broken(inst, seed):
         return {}["missing"]
 
-    monkeypatch.setattr(verify, "_CHECKS", [("broken", broken), _CHECKS[0]])
+    first = next(iter(_LAWS.values()))
+    monkeypatch.setattr(verify, "_LAWS", {"broken": _Law("broken", broken), first.name: first})
     res = run_suite(corpus="default", seed=0)
-    assert [(c.name, c.passed) for c in res.checks] == [("broken", False), (_CHECKS[0][0], True)]
-    assert res.checks[0].witness == "internal error: KeyError: 'missing'"
-    assert res.checks[0].instances == 0
+    assert [(c.name, c.passed) for c in res.checks] == [("broken", False), (first.name, True)]
+    assert res.checks[0].witness == "cyclic(1): internal error: KeyError: 'missing'"
+    assert res.checks[0].instances == 1
+
+
+def test_a_package_error_names_its_instance_and_counts_it():
+    def raises_on_the_second(inst, seed):
+        if inst.name == "left_zero(2)":
+            raise NotAGroup("left translation is not onto", "1")
+
+    law = _Law("raises", raises_on_the_second)
+    res = _run_law(law, [instance("cyclic", 2), instance("left_zero", 2), instance("cyclic", 3)], 0)
+    assert (res.passed, res.instances) == (False, 2)
+    assert res.witness == "left_zero(2): NotAGroup: " + str(NotAGroup("left translation is not onto", "1"))
+
+
+def test_skipped_instances_are_not_counted():
+    insts = [instance("full_transformation", 2), instance("left_zero", 2), instance("cyclic", 3)]
+    res = _run_law(_LAWS["convolution_marginals"], insts, 0)
+    assert (res.passed, res.instances, res.witness) == (True, 2, "")
+
+
+def test_instances_outside_a_law_are_still_counted():
+    insts = [instance("full_transformation", 2), instance("left_zero", 2), instance("right_zero", 2)]
+    res = _run_law(_LAWS["left_group_structure"], insts, 0)
+    assert (res.passed, res.instances, res.witness) == (True, 3, "")
+
+
+@pytest.mark.parametrize(
+    "name, instances, witness",
+    [
+        ("convolution_marginals", 0, "no completely simple instance in corpus"),
+        ("idempotent_factorization", 0, "no completely simple instance in corpus"),
+        ("bilateral_simple_is_group", 1, "no bilaterally simple instance in corpus"),
+        ("left_group_structure", 1, "no left group instance in corpus"),
+        ("translation_biinvariance", 1, "no small group instance in corpus"),
+    ],
+)
+def test_a_corpus_without_the_needed_kind_fails(name, instances, witness):
+    res = _run_law(_LAWS[name], [instance("full_transformation", 2)], 0)
+    assert (res.passed, res.instances, res.witness) == (False, instances, witness)
+
+
+def test_each_corpus_kernel_is_built_and_decomposed_once_per_run(monkeypatch):
+    built, decomposed = Counter(), Counter()
+
+    def counting(counter, real):
+        def call(s):
+            counter[id(s.parent), s.mask] += 1
+            return real(s)
+
+        return call
+
+    monkeypatch.setattr(verify, "minimal_ideals", counting(built, verify.minimal_ideals))
+    monkeypatch.setattr(verify, "rees_decompose", counting(decomposed, verify.rees_decompose))
+    corpus = build_corpus("default")
+    monkeypatch.setattr(verify, "build_corpus", lambda name: corpus)
+    assert run_suite(corpus="default", seed=1).passed
+    assert built == Counter({(id(i.semigroup), i.carrier.mask): 1 for i in corpus})
+    assert decomposed == Counter({(id(i.semigroup), i.kernel.mask): 1 for i in corpus})
+
+
+def test_a_record_part_that_fails_is_not_kept():
+    inst = _corrupted_instance()
+    for _ in range(2):
+        with pytest.raises(SemiconvError, match="not regenerated by element 2"):
+            inst.kernel
+    assert "ideals" not in vars(inst)
