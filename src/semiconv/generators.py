@@ -4,12 +4,19 @@ Transformation composition is (f.g)(x) = f(g(x)) throughout: the right
 factor acts first.  Under this convention constant maps form a LEFT-zero
 kernel (c.g = c), so e.g. full_transformation(2) has kernel {"00", "11"}.
 
+Tables are composed by array gathers: the transformation, cyclic,
+rectangular-band and direct-product builders form the whole table as numpy
+expressions over all pairs at once, and hand validate_cayley its rows as
+lists of Python ints.
+
 Randomized kinds draw from xorshift64*, a fixed 64-bit shift-register
 generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D), so the
 corpus is reproducible bit-for-bit across implementations and platforms.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import _check_order, validate_cayley
 from .errors import EmptySupport, ParameterOutOfRange
@@ -107,8 +114,8 @@ def _build_cyclic(spec):
     (n,) = _expect_params(spec, 1)
     _check_order(n)
     labels = [str(i) for i in range(n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_cayley(labels, table)
+    r = np.arange(n)
+    return validate_cayley(labels, (np.add.outer(r, r) % n).tolist())
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -136,19 +143,10 @@ def _build_rectangular_band(spec):
     m, k = _expect_params(spec, 2)
     _check_order(m * k)
     labels = [f"({i},{j})" for i in range(m) for j in range(k)]
-
-    def enc(i, j):
-        return i * k + j
-
+    # (i,j)*(a,b) = (i,b), coded i*k + b; axes are (i, j, a, b)
+    codes = np.arange(m).reshape(m, 1, 1, 1) * k + np.arange(k)
     n = m * k
-    table = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(k):
-            row = table[enc(i, j)]
-            for a in range(m):
-                for b in range(k):
-                    row[enc(a, b)] = enc(i, b)
-    return validate_cayley(labels, table)
+    return validate_cayley(labels, np.broadcast_to(codes, (m, k, m, k)).reshape(n, n).tolist())
 
 
 def _all_maps(degree):
@@ -169,9 +167,22 @@ def _map_label(images):
 
 
 def _transformation_table(maps):
-    index = {m: i for i, m in enumerate(maps)}
-    table = [[index[_compose(f, g)] for g in maps] for f in maps]
-    return [_map_label(m) for m in maps], table
+    """Labels and Cayley table of a composition-closed list of maps.
+
+    Every composite f.g is coded base degree, image of 0 first, one
+    coordinate at a time: (f.g)(x) = m[f, m[g, x]] is one gather over all
+    pairs.  A lookup array indexed by code turns codes into positions in
+    maps (-1 for a code outside the list, which validate_cayley rejects)."""
+    n, degree = len(maps), len(maps[0])
+    m = np.array(maps, dtype=np.int16)
+    code = np.zeros((n, n), dtype=np.int16)
+    own = np.zeros(n, dtype=np.int16)
+    for x in range(degree):
+        code = code * degree + m[:, m[:, x]]
+        own = own * degree + m[:, x]
+    index = np.full(degree**degree, -1, dtype=np.int16)
+    index[own] = np.arange(n)
+    return [_map_label(f) for f in maps], index[code].tolist()
 
 
 def _build_full_transformation(spec):
@@ -235,16 +246,10 @@ def _build_direct_product(spec):
     ]
     nb = second.order
     n = first.order * nb
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(first.order):
-        for b1 in range(nb):
-            row = table[a1 * nb + b1]
-            ra, rb = first.rows[a1], second.rows[b1]
-            for a2 in range(first.order):
-                prod_a = ra[a2] * nb
-                for b2 in range(nb):
-                    row[a2 * nb + b2] = prod_a + rb[b2]
-    return validate_cayley(labels, table)
+    # (a1,b1)*(a2,b2) = (a1*a2, b1*b2), coded a*nb + b; axes are (a1, b1, a2, b2)
+    fa = first.table_array()[:, None, :, None]
+    sb = second.table_array()[None, :, None, :]
+    return validate_cayley(labels, (fa * nb + sb).reshape(n, n).tolist())
 
 
 def _build_random_transformation_subsemigroup(spec):
@@ -252,7 +257,13 @@ def _build_random_transformation_subsemigroup(spec):
     if degree > 4:
         raise ParameterOutOfRange("transformation degree capped at 4")
     rng = XorShift64Star(spec.seed)
-    gens = {tuple(rng.below(degree) for _ in range(degree)) for _ in range(count)}
+    # Drawing stops once every map has been drawn: further draws change
+    # neither the set nor the table, and the count may be huge.
+    gens = set()
+    for _ in range(count):
+        gens.add(tuple(rng.below(degree) for _ in range(degree)))
+        if len(gens) == degree**degree:
+            break
     # Every composite is a shorter one composed with one generator on the
     # right, so a breadth-first search under f -> f.g reaches them all.
     closed = set(gens)

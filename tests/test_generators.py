@@ -5,6 +5,8 @@ recurrence (shifts 12/25/27, multiplier 0x2545F4914F6CDD1D) so the class
 is checked against the algorithm, not against itself.
 """
 
+import itertools
+
 import pytest
 
 from semiconv import (
@@ -246,6 +248,11 @@ def two_sided_closure(gens):
     return closed
 
 
+def drawn_generators(degree, count, seed):
+    rng = XorShift64Star(seed)
+    return {tuple(rng.below(degree) for _ in range(degree)) for _ in range(count)}
+
+
 def test_random_transformation_closure_matches_two_sided_oracle(monkeypatch):
     # Only the label set is compared: the table and the labels are functions
     # of the sorted closure, so skip building and validating the tables.
@@ -254,10 +261,91 @@ def test_random_transformation_closure_matches_two_sided_oracle(monkeypatch):
     for degree in range(1, 5):
         for count in range(1, 5):
             for seed in range(40):
-                rng = XorShift64Star(seed)
-                gens = [tuple(rng.below(degree) for _ in range(degree)) for _ in range(count)]
+                gens = drawn_generators(degree, count, seed)
                 spec = CorpusSpec("random_transformation_subsemigroup", (degree, count), seed=seed)
                 assert build(spec) == sorted(two_sided_closure(gens)), spec.describe()
+
+
+def transformation_table_by_loop(maps):
+    """Oracle: the table of a composition-closed map list, one composite at
+    a time."""
+    index = {m: i for i, m in enumerate(maps)}
+    table = [[index[compose(f, g)] for g in maps] for f in maps]
+    return ["".join(str(v) for v in m) for m in maps], table
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_transformation_tables_match_the_composition_loop(degree):
+    specs = [(CorpusSpec("full_transformation", (degree,)), itertools.product(range(degree), repeat=degree))]
+    for count in range(1, 4):
+        for seed in range(20):
+            spec = CorpusSpec("random_transformation_subsemigroup", (degree, count), seed=seed)
+            specs.append((spec, two_sided_closure(drawn_generators(degree, count, seed))))
+    for spec, closure in specs:
+        labels, table = transformation_table_by_loop(sorted(closure))
+        sg = build(spec)
+        assert sg.labels == tuple(labels), spec.describe()
+        assert [list(row) for row in sg.rows] == table, spec.describe()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CorpusSpec("cyclic", (7,)),
+        CorpusSpec("rectangular_band", (2, 3)),
+        CorpusSpec("full_transformation", (3,)),
+        CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25),
+        CorpusSpec(
+            "direct_product",
+            factors=(CorpusSpec("full_transformation", (2,)), CorpusSpec("cyclic", (3,))),
+        ),
+    ],
+    ids=lambda spec: spec.describe(),
+)
+def test_array_built_tables_hold_python_ints(spec):
+    assert all(type(v) is int for row in build(spec).rows for v in row)
+
+
+class BoundedXorShift(XorShift64Star):
+    """The corpus generator, failing once a build draws far more than it
+    needs instead of running on for a huge generator count."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def below(self, n):
+        self.draws += 1
+        if self.draws > 10**6:
+            raise RuntimeError("drew past every map")
+        return super().below(n)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_a_huge_generator_count_stops_drawing_once_every_map_is_drawn(degree, monkeypatch):
+    monkeypatch.setattr(generators, "XorShift64Star", BoundedXorShift)
+    sg = build(CorpusSpec("random_transformation_subsemigroup", (degree, 10**12), seed=degree))
+    full = build(CorpusSpec("full_transformation", (degree,)))
+    assert sg.labels == full.labels
+    assert sg.rows == full.rows
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_the_early_stop_keeps_the_table_of_every_draw(degree):
+    # Every map generates every map, so a full draw set needs no closure run.
+    every_map = frozenset(itertools.product(range(degree), repeat=degree))
+    tables = {}
+    for count in (2, 24, 241, 2683, 3000):
+        for seed in range(3):
+            gens = drawn_generators(degree, count, seed)
+            closure = every_map if gens == every_map else frozenset(two_sided_closure(gens))
+            if closure not in tables:
+                tables[closure] = transformation_table_by_loop(sorted(closure))
+            labels, table = tables[closure]
+            spec = CorpusSpec("random_transformation_subsemigroup", (degree, count), seed=seed)
+            sg = build(spec)
+            assert sg.labels == tuple(labels), spec.describe()
+            assert [list(row) for row in sg.rows] == table, spec.describe()
 
 
 def test_spec_validation():
