@@ -16,13 +16,16 @@ and forget their start too, as w padded to a length divisible by p still
 lands in K.  The period p and H = e*supp(eta)*e are read off the support
 cycle of mu^n on K, whose sets are the supports of the p cluster points.
 analyze_limit computes the whole picture and proof-checks every clause on
-the concrete instance, from the structure it already holds.  The cluster
-points are built as c_k = mu^k * eta until mu^p * eta = eta, so the cycle
-is closed under convolution once eta * c_j = c_j for each j, which is p
-convolutions: by associativity c_i * c_j = mu^i * (eta * c_j) =
-mu^(i+j) * eta = c_((i+j) mod p).  The same construction hands the
-factorization check mu^k * eta as c_(k mod p), with no further power.
-Subgroup, coset and normality tests read the table rows of their elements.
+the concrete instance, each once, from the structure it already holds.
+The cluster points are built as c_k = mu^k * eta until mu^p * eta = eta,
+so the cycle is closed under convolution once eta * c_j = c_j for each
+j > 0, which is p - 1 convolutions: by associativity c_i * c_j = mu^i *
+(eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  The same construction
+hands the factorization check mu^k * eta as c_(k mod p), with no further
+power.  H and the coset of gamma are read from the G-coordinates the split
+already verified, normality conjugates H by gamma alone, and one marginal
+reading of eta proves the factorizations of nu and eta; a clause that
+_limit_factors, the split or the cycle already proves is recorded from it.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -274,9 +277,20 @@ def analyze_limit(mu):
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
     solves, its cost is set algebra and convolution over the walk's
-    supports.  cluster_closed_cyclic is proven from the generator, eta *
-    c_j = c_j for each of the p cluster points (see _cluster_closed), and
-    cluster_factorization reads mu^k * eta off the cycle as c_(k mod p).
+    supports.
+
+    Each clause is proven once.  A clause an earlier step already proves
+    records that step's result: _limit_factors (nu * nu = nu and mu * nu
+    = nu = nu * mu, so at p = 1, where eta is nu, the eta clauses too),
+    the verified split (L*G*R = K, every G-coordinate in G), the cluster
+    loop (it stops at the first mu^p * eta = eta, so no point repeats) or
+    the verified group H (gamma*h*H = gamma*H).  Normality conjugates H by
+    gamma alone, as H and gamma generate G (coset_powers_exhaust).  One
+    marginal reading of eta against (lambda, omega_H, rho) proves
+    nu_factorization, eta_factorization and the k = 0 term of
+    cluster_factorization; only the terms k = 1..p-1 are convolved.
+    cluster_closed_cyclic is proven from the generator (see
+    _cluster_closed).
     """
     sg = mu.parent
     checks = {}
@@ -295,17 +309,18 @@ def analyze_limit(mu):
     nu, lam, rho = _limit_factors(mu, dec)
     record("nu_idempotent", True)
     record("nu_invariant", True)
+    nu_support = support(nu)
     record(
         "support_nu_is_kernel",
-        support(nu) == walk_kernel,
-        f"supp(nu)={support(nu).labels()}, kernel={walk_kernel.labels()}",
+        nu_support == walk_kernel,
+        f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}",
     )
+    # The split verified L*G*R = dec.carrier.
+    record("support_nu_product", nu_support == dec.carrier)
     e = dec.base
     g_carrier = dec.group.carrier
-    record(
-        "support_nu_product",
-        support(nu) == product_sets(product_sets(dec.left, g_carrier), dec.right),
-    )
+    # The split stored e*z*e, verified to lie in G, as the G-coordinate of z.
+    coordinates = dec.coordinates
 
     # The cluster period, read off the support cycle on the kernel K.  Every
     # element of K is recurrent for the walk z -> z*s, because each minimal
@@ -321,36 +336,34 @@ def analyze_limit(mu):
         t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
     )
     rows = sg.rows
-    row_e = rows[e]
-    eta_support = ElementSet(sg, on_kernel[-q % period])
-    h_set = sg.subset(row_e[rows[z][e]] for z in eta_support)
+    h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, on_kernel[-q % period]))
     try:
         subgroup = group_structure(h_set)
     except (NotAGroup, SemiconvError) as exc:
         raise TheoremViolation("subgroup_structure", str(exc)) from exc
-    eta = nu if period == 1 else convolve(convolve(lam, haar_uniform(subgroup)), rho)
-    record("eta_idempotent", convolve(eta, eta) == eta)
-    record("subgroup_in_group", h_set.issubset(g_carrier))
+    haar_h = haar_uniform(subgroup)
+    # At p = 1 eta is nu, which _limit_factors proved idempotent and fixed
+    # by mu on both sides.
+    eta_is_nu = period == 1
+    eta = nu if eta_is_nu else convolve(convolve(lam, haar_h), rho)
+    record("eta_idempotent", eta_is_nu or convolve(eta, eta) == eta)
+    record("subgroup_in_group", True)  # the split verified every G-coordinate
     record(
         "eta_support_product",
         support(eta) == product_sets(product_sets(dec.left, h_set), dec.right),
     )
 
-    normal = all(
-        sg.subset(rows[rows[g][h]][dec.group.inv(g)] for h in h_set) == h_set
-        for g in g_carrier
-    )
-    record("subgroup_normal", normal)
-
-    mu_eta = convolve(mu, eta)
-    gamma_set = sg.subset(row_e[rows[z][e]] for z in support(mu_eta))
+    mu_eta = eta if eta_is_nu else convolve(mu, eta)
+    gamma_set = sg.subset(coordinates[z][1] for z in support(mu_eta))
     gamma = gamma_set.least()
     gamma_coset = sg.subset(rows[gamma][h] for h in h_set)
+    # H and gamma generate G (coset_powers_exhaust below, which a returned
+    # report also passed), so gamma*H*gamma^-1 = H makes H normal in G.
+    gamma_inv = dec.group.inv(gamma)
+    record("subgroup_normal", sg.subset(rows[z][gamma_inv] for z in gamma_coset) == h_set)
     record("gamma_coset", gamma_set == gamma_coset)
-    record(
-        "gamma_representative_independent",
-        all(sg.subset(rows[z][h] for h in h_set) == gamma_coset for z in gamma_set),
-    )
+    # Any z = gamma*h in gamma*H has z*H = gamma*(h*H) = gamma*H.
+    record("gamma_representative_independent", True)
 
     # Cluster cycle: iterate mu^k * eta until it returns to eta.
     cluster = [eta]
@@ -366,11 +379,8 @@ def analyze_limit(mu):
         p * subgroup.order == dec.group.order,
         f"p={p}, |G|={dec.group.order}, |H|={subgroup.order}",
     )
-    mu_p = power(mu, p)
-    record(
-        "eta_power_invariant",
-        convolve(mu_p, eta) == eta and convolve(eta, mu_p) == eta,
-    )
+    # The loop ended on mu^p * eta = eta; at p = 1, eta * mu = nu * mu = nu.
+    record("eta_power_invariant", eta_is_nu or convolve(eta, power(mu, p)) == eta)
 
     gamma_pows = [e]
     for _ in range(p):
@@ -385,42 +395,48 @@ def analyze_limit(mu):
     )
     record("gamma_power_in_subgroup", gamma_pows[p] in h_set)
 
-    record("cluster_distinct", len(set(cluster)) == p)
+    # The loop stopped at the first return to eta: c_i = c_j with
+    # 0 < i < j < p would return it earlier, at c_(i+p-j) = c_p = eta.
+    record("cluster_distinct", True)
     record("cluster_closed_cyclic", _cluster_closed(cluster))
+    # k = 0 is eta_support_product, as cosets[0] = e*H = H.
     record(
         "cluster_supports_cosets",
         all(
             support(cluster[k])
             == product_sets(product_sets(dec.left, cosets[k]), dec.right)
-            for k in range(p)
+            for k in range(1, p)
         ),
     )
 
-    eta_left, eta_mid, eta_right = marginals(eta, dec)
-    haar_h = haar_uniform(subgroup)
+    # psi is a verified bijection, so a product lambda * m * rho reads back
+    # as exactly (lambda, m, rho).  nu = lambda * omega_G * rho and eta =
+    # lambda * omega_H * rho by construction (at p = 1 the reading of nu
+    # matches omega_H only if H = G), so this one reading proves both
+    # factorizations, and the k = 0 term eta = cluster[0] of the next.
+    reading = (lam, haar_h, rho)
+    read_back = marginals(eta, dec) == reading
     # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
     # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
     # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
     # p, and k < p covers every k.
-    factor_ok = all(
-        convolve(convolve(eta_left, translate(haar_h, gamma_pows[k], "left")), eta_right)
-        == cluster[k]
-        for k in range(p)
-    )
-    record("cluster_factorization", factor_ok)
     record(
-        "nu_factorization",
-        convolve(convolve(eta_left, haar_uniform(dec.group)), eta_right) == nu,
+        "cluster_factorization",
+        read_back
+        and all(
+            convolve(convolve(lam, translate(haar_h, gamma_pows[k], "left")), rho) == cluster[k]
+            for k in range(1, p)
+        ),
     )
-    record("eta_factorization", convolve(convolve(eta_left, haar_h), eta_right) == eta)
+    record("nu_factorization", read_back)
+    record("eta_factorization", read_back)
 
     # With p = 1, supp(eta) = supp(nu) = K and e is K's least idempotent, so
     # decomposing supp(eta) at e would rebuild dec, and its reading would be
-    # the triple read above.
+    # the one above.
     record(
         "marginal_readings_agree",
-        period == 1
-        or marginals(eta, rees_decompose(support(eta), at=e)) == (eta_left, eta_mid, eta_right),
+        period == 1 or marginals(eta, rees_decompose(support(eta), at=e)) == reading,
     )
 
     return LimitReport(
@@ -442,10 +458,11 @@ def _cluster_closed(cluster):
 
     By associativity c_i * c_j = mu^i * (eta * c_j), and mu^i * c_j =
     c_((i+j) mod p) by construction, so eta * c_j = c_j for each j is the
-    whole proof: p convolutions instead of the p^2 of a sweep.
+    whole proof: p - 1 convolutions instead of the p^2 of a sweep, as
+    eta * eta = eta is the clause eta_idempotent.
     """
     eta = cluster[0]
-    return all(convolve(eta, c) == c for c in cluster)
+    return all(convolve(eta, c) == c for c in cluster[1:])
 
 
 @dataclass(frozen=True)

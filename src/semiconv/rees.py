@@ -84,11 +84,18 @@ class ReesDecomposition:
 
 
 def is_primitive_idempotent(x, e):
-    """Whether no other idempotent f satisfies e*f = f*e = f."""
+    """Whether no other idempotent f satisfies e*f = f*e = f.
+
+    e must be an idempotent of x: an index that is not an idempotent of the
+    table raises NotIdempotent, one that is but lies outside x NotInFactor.
+    """
     s = _as_set(x)
-    rows = s.parent.rows
-    if e not in s or rows[e][e] != e:
-        raise NotIdempotent(s.parent.label(e) if 0 <= e < s.parent.order else e)
+    sg = s.parent
+    rows = sg.rows
+    if not 0 <= e < sg.order or rows[e][e] != e:
+        raise NotIdempotent(sg.label(e) if 0 <= e < sg.order else e)
+    if e not in s:
+        raise NotInFactor("carrier", sg.label(e))
     for f in idempotents(s):
         if f != e and rows[e][f] == f and rows[f][e] == f:
             return False
@@ -126,13 +133,8 @@ def _base_or_raise(s, ids, at):
         raise NotSimple(sg.label(w))
     if not ids:
         raise VerificationFailed("idempotent existence", "no idempotent in a finite semigroup")
-    if at is None:
-        e = ids.least()
-    else:
-        e = at
-        if e not in ids:
-            raise NotIdempotent(sg.label(e) if 0 <= e < sg.order else e)
-    if not is_primitive_idempotent(s, e):
+    e = ids.least() if at is None else at
+    if not is_primitive_idempotent(s, e):  # raises if a requested base is not in ids
         below = next(
             f for f in ids if f != e and sg.mul(e, f) == f and sg.mul(f, e) == f
         )
@@ -238,9 +240,9 @@ def rebase(dec, new_base):
     With (a, g0, b) = psi_inv(e'): L'G' = L*G*b, G' = a*G*b, G'R' = a*G*R.
     """
     sg = dec.parent
-    if new_base not in dec.carrier or sg.mul(new_base, new_base) != new_base:
+    if not 0 <= new_base < sg.order or sg.mul(new_base, new_base) != new_base:
         raise NotIdempotent(sg.label(new_base) if 0 <= new_base < sg.order else new_base)
-    a, _, b = psi_inv(dec, new_base)
+    a, _, b = psi_inv(dec, new_base)  # NotInFactor for an idempotent outside the carrier
     fresh = rees_decompose(dec.carrier, at=new_base)
 
     g_old = dec.group.carrier

@@ -167,6 +167,20 @@ def test_rees_subcommand(tmp_path, capsys):
     assert main(["rees", band, "--at", "zzz"]) == 1
 
 
+def test_rees_at_an_idempotent_outside_the_kernel(tmp_path, capsys):
+    # In full_transformation(2) the kernel is {00, 11}.  The identity map 01
+    # is idempotent but outside it; the swap 10 is not idempotent at all.
+    spec = write(tmp_path / "t2-spec.json", {"kind": "full_transformation", "params": [2]})
+    table = tmp_path / "t2.json"
+    assert main(["gen", spec, "-o", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["rees", str(table), "--at", "01"]) == 2
+    err = capsys.readouterr().err
+    assert "01" in err and "is not idempotent" not in err
+    assert main(["rees", str(table), "--at", "10"]) == 2
+    assert "element 10 is not idempotent" in capsys.readouterr().err
+
+
 def test_conv_subcommand(z4, tmp_path, capsys):
     mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
     nu = dist_file(tmp_path, "nu.json", {"2": "1/1"})

@@ -19,6 +19,7 @@ from semiconv import (
     MalformedInput,
     MismatchedParent,
     RAT,
+    TheoremViolation,
     VerificationFailed,
     analyze_limit,
     build,
@@ -33,9 +34,12 @@ from semiconv import (
     generated_subsemigroup,
     haar_uniform,
     is_idempotent_measure,
+    marginals,
     power,
+    rees_decompose,
     support,
     support_period,
+    translate,
     tv_distance,
     uniform_on,
     variation_norm,
@@ -239,40 +243,41 @@ def t2_by_z3_walk():
     return Dist.from_mapping(sg, {"(10,1)": RAT(1, 2), "(00,1)": RAT(1, 2)})
 
 
-@pytest.mark.parametrize(
-    "make_walk, period",
-    [
-        *[
-            pytest.param(
-                lambda n=n, a=a: dirac(cyclic(n), a), n // math.gcd(a, n), id=f"delta_{a} on Z{n}"
-            )
-            for n, a in ((2, 1), (4, 1), (4, 2), (6, 4), (12, 8), (30, 12), (30, 0))
-        ],
-        pytest.param(t2_walk, 1, id="t2_walk"),
-        pytest.param(t2_by_z3_walk, 3, id="t2_walk x rotation on Z3"),
+KNOWN_PERIOD_WALKS = [
+    *[
         pytest.param(
-            lambda: point_mass(
-                product_spec(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (2,))), "(a,1)"
-            ),
-            2,
-            id="point mass on left_zero(2) x Z2",
-        ),
-        pytest.param(
-            lambda: point_mass(CorpusSpec("rees_matrix", (4, 2, 1), seed=13), "(0,1,0)"),
-            4,
-            id="point mass on rees_matrix(4,2,1)",
-        ),
-        pytest.param(
-            lambda: point_mass(CorpusSpec("rees_matrix", (2, 2, 2), seed=11), "(1,1,1)"),
-            2,
-            id="point mass on rees_matrix(2,2,2)",
-        ),
+            lambda n=n, a=a: dirac(cyclic(n), a), n // math.gcd(a, n), id=f"delta_{a} on Z{n}"
+        )
+        for n, a in ((2, 1), (4, 1), (4, 2), (6, 4), (12, 8), (30, 12), (30, 0))
     ],
-)
+    pytest.param(t2_walk, 1, id="t2_walk"),
+    pytest.param(t2_by_z3_walk, 3, id="t2_walk x rotation on Z3"),
+    pytest.param(
+        lambda: point_mass(
+            product_spec(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (2,))), "(a,1)"
+        ),
+        2,
+        id="point mass on left_zero(2) x Z2",
+    ),
+    pytest.param(
+        lambda: point_mass(CorpusSpec("rees_matrix", (4, 2, 1), seed=13), "(0,1,0)"),
+        4,
+        id="point mass on rees_matrix(4,2,1)",
+    ),
+    pytest.param(
+        lambda: point_mass(CorpusSpec("rees_matrix", (2, 2, 2), seed=11), "(1,1,1)"),
+        2,
+        id="point mass on rees_matrix(2,2,2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_walk, period", KNOWN_PERIOD_WALKS)
 def test_cluster_period_on_walks_of_known_period(make_walk, period):
     mu = make_walk()
     rep = analyze_limit(mu)
     assert rep.p == period
+    assert limit_clauses_by_brute(mu, rep) == [True] * 21
     # the float iteration, p steps at a time, converges to eta only when p
     # is a multiple of the true period and eta is the cluster identity
     assert float_shadow(mu, rep.eta, rep.p).converged
@@ -420,20 +425,89 @@ def default_corpus_walks(seed):
     ]
 
 
+def limit_clauses_by_brute(mu, report):
+    """The 21 clauses of analyze_limit, in report order, each recomputed on
+    the report's values with every product made afresh: no clause is read
+    off another, and H, the gamma set and the cosets come from table rows."""
+    sg = mu.parent
+    rows = sg.rows
+    nu, eta, cluster, p, dec = report.nu, report.eta, report.cluster, report.p, report.rees
+    e, g_set, h_set, gamma = dec.base, dec.group.carrier, report.H.carrier, report.gamma
+    eta_left, _, eta_right = marginals(eta, dec)
+
+    def lgr(middle):
+        return core.product_sets(core.product_sets(dec.left, middle), dec.right)
+
+    def factor(middle):
+        return convolve(convolve(eta_left, middle), eta_right)
+
+    haar_h = haar_uniform(report.H)
+    mu_p = power(mu, p)
+    gamma_set = sg.subset(rows[e][rows[z][e]] for z in support(convolve(mu, eta)))
+    gamma_coset = sg.subset(rows[gamma][h] for h in h_set)
+    gamma_pows = [e]
+    for _ in range(p):
+        gamma_pows.append(sg.mul(gamma_pows[-1], gamma))
+    cosets = [sg.subset(rows[gamma_pows[k]][h] for h in h_set) for k in range(p)]
+    union = sg.empty()
+    for cos in cosets:
+        union = union | cos
+    clauses = {
+        "nu_idempotent": convolve(nu, nu) == nu,
+        "nu_invariant": convolve(mu, nu) == nu == convolve(nu, mu),
+        "support_nu_is_kernel": support(nu) == core.kernel(generated_subsemigroup(support(mu))),
+        "support_nu_product": support(nu) == lgr(g_set),
+        "eta_idempotent": convolve(eta, eta) == eta,
+        "subgroup_in_group": h_set.issubset(g_set)
+        and h_set == sg.subset(rows[e][rows[z][e]] for z in support(eta)),
+        "eta_support_product": support(eta) == lgr(h_set),
+        "subgroup_normal": all(
+            sg.subset(rows[rows[g][h]][dec.group.inv(g)] for h in h_set) == h_set for g in g_set
+        ),
+        "gamma_coset": gamma == gamma_set.least() and gamma_set == gamma_coset,
+        "gamma_representative_independent": all(
+            sg.subset(rows[z][h] for h in h_set) == gamma_coset for z in gamma_set
+        ),
+        "period_matches_quotient": p * len(h_set) == len(g_set),
+        "eta_power_invariant": convolve(mu_p, eta) == eta == convolve(eta, mu_p),
+        "coset_powers_exhaust": len({cos.mask for cos in cosets}) == p and union == g_set,
+        "gamma_power_in_subgroup": gamma_pows[p] in h_set,
+        "cluster_distinct": len(set(cluster)) == p,
+        "cluster_closed_cyclic": verify.cluster_closed_by_sweep(cluster),
+        "cluster_supports_cosets": all(support(cluster[k]) == lgr(cosets[k]) for k in range(p)),
+        "cluster_factorization": all(
+            factor(translate(haar_h, gamma_pows[k], "left"))
+            == cluster[k]
+            == (eta if k == 0 else convolve(power(mu, k), eta))
+            for k in range(p)
+        ),
+        "nu_factorization": factor(haar_uniform(dec.group)) == nu,
+        "eta_factorization": factor(haar_h) == eta,
+        "marginal_readings_agree": marginals(eta, rees_decompose(support(eta), at=e))
+        == marginals(eta, dec),
+    }
+    assert list(clauses) == list(report.checks)
+    return list(clauses.values())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cluster_closure_from_the_generator_matches_the_pair_sweep(seed):
+    # and so does every other clause the report records
     for mu in default_corpus_walks(seed):
-        cluster = analyze_limit(mu).cluster
-        assert dynamics._cluster_closed(cluster) is True
-        assert verify.cluster_closed_by_sweep(cluster) is True
+        report = analyze_limit(mu)
+        assert dynamics._cluster_closed(report.cluster) is True
+        assert verify.cluster_closed_by_sweep(report.cluster) is True
+        assert limit_clauses_by_brute(mu, report) == [True] * 21, mu.parent
 
 
 @pytest.mark.parametrize("n", [2, 3, 12, 30])
 def test_cluster_closure_on_point_masses_of_full_period(n):
-    rep = analyze_limit(dirac(cyclic(n), 1))
+    mu = dirac(cyclic(n), 1)
+    rep = analyze_limit(mu)
     assert rep.p == n and rep.checks["cluster_closed_cyclic"]
     assert dynamics._cluster_closed(rep.cluster) is True
     assert verify.cluster_closed_by_sweep(rep.cluster) is True
+    assert limit_clauses_by_brute(mu, rep) == [True] * 21
 
 
 def test_an_open_cluster_list_fails_both_closure_tests():
@@ -497,6 +571,24 @@ def test_analyze_limit_builds_the_kernel_once(monkeypatch):
     rep = analyze_limit(dirac(cyclic(600), 1))
     assert rep.p == 600
     assert len(calls) == 1
+
+
+def test_a_misread_factorization_fails_cluster_factorization(monkeypatch):
+    # On Z6 with support {2,5}, H = {0,3}: a reading whose group marginal
+    # is the point mass at e instead of omega_H must stop the report, at
+    # the first clause that rests on the reading.
+    z6 = cyclic(6)
+    mu = Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
+    real = dynamics.marginals
+
+    def misread(eta, dec):
+        left, _, right = real(eta, dec)
+        return left, dirac(eta.parent, dec.base), right
+
+    monkeypatch.setattr(dynamics, "marginals", misread)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "cluster_factorization"
 
 
 WALK_TABLES = [

@@ -1,7 +1,7 @@
 import pytest
 
 from semiconv import core, rees
-from semiconv.core import group_structure, idempotents, kernel, product_sets
+from semiconv.core import group_structure, idempotents, kernel, product_sets, validate_cayley
 from semiconv.errors import (
     InvalidSandwichEntry,
     NotASubsemigroup,
@@ -143,6 +143,47 @@ def test_rebase_at_every_idempotent():
         rebase(dec, non_idem)
 
 
+def test_an_idempotent_outside_the_carrier_is_not_in_the_factor():
+    # In full_transformation(2) the identity map 01 is idempotent but lies
+    # outside the kernel {00, 11}; the swap 10 is not idempotent at all.
+    t2 = build(CorpusSpec("full_transformation", (2,)))
+    k = kernel(t2.carrier())
+    dec = rees_decompose(k)
+    ident, swap = t2.index("01"), t2.index("10")
+    for attempt in (
+        lambda e: is_primitive_idempotent(k, e),
+        lambda e: rees_decompose(k, at=e),
+        lambda e: rebase(dec, e),
+    ):
+        with pytest.raises(NotInFactor, match="^element 01 does not belong to the carrier factor$"):
+            attempt(ident)
+        with pytest.raises(NotIdempotent, match="^element 10 is not idempotent$"):
+            attempt(swap)
+
+
+def test_rees_theorem_both_ways_on_the_extended_corpus():
+    # Each kernel K = L*G*R is the Rees matrix semigroup over G with the
+    # sandwich P[k][j] = y_k * x_j: (i, g, k) -> x_i * g * y_k is a
+    # bijection onto K that preserves products, since x_i*g*y_k * x_j*h*y_l
+    # = x_i * (g * P[k][j] * h) * y_l.
+    for inst in build_corpus("extended"):
+        sg = inst.semigroup
+        dec = rees_decompose(kernel(sg.carrier()))
+        xs, gs, ys = dec.left.elements(), dec.group.carrier.elements(), dec.right.elements()
+        pos = {g: t for t, g in enumerate(gs)}
+        group = validate_cayley(
+            [sg.label(g) for g in gs], [[pos[sg.mul(g, h)] for h in gs] for g in gs]
+        )
+        sandwich = [[pos[sg.mul(y, x)] for x in xs] for y in ys]
+        rms = rees_matrix_semigroup(group, len(xs), len(ys), sandwich)
+        # rees_matrix_semigroup numbers (i, g, k) in this order
+        image = [sg.mul(sg.mul(x, g), y) for x in xs for g in gs for y in ys]
+        assert sorted(image) == sorted(dec.carrier), inst.name
+        for a in range(rms.order):
+            for b in range(rms.order):
+                assert image[rms.mul(a, b)] == sg.mul(image[a], image[b]), inst.name
+
+
 def test_rebase_translation_identities():
     sg = build(CorpusSpec("rees_matrix", (4, 2, 2), seed=3))
     dec = rees_decompose(sg.carrier())
@@ -233,6 +274,8 @@ def rees_in_checked_order(x, at=None):
         raise VerificationFailed("idempotent existence", "no idempotent in a finite semigroup")
     e = ids.least() if at is None else at
     if e not in ids:
+        if 0 <= e < sg.order and sg.mul(e, e) == e:
+            raise NotInFactor("carrier", sg.label(e))
         raise NotIdempotent(sg.label(e) if 0 <= e < sg.order else e)
     if not is_primitive_idempotent(s, e):
         below = next(f for f in ids if f != e and sg.mul(e, f) == f and sg.mul(f, e) == f)
