@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import serialize
-from .core import idempotents, kernel, minimal_ideals
+from .core import idempotents, kernel
 from .dynamics import (
     analyze_limit,
     cesaro_diagnostic,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .generators import build
 from .measure import convolve
-from .rees import rees_decompose
+from .rees import minimal_one_sided_ideals, rees_decompose
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -88,8 +88,9 @@ def cmd_analyze(args):
     sg = serialize.load_semigroup(args.table)
     car = sg.carrier()
     e_set = idempotents(car)
-    k, mins_l, mins_r = minimal_ideals(car)
+    k = kernel(car)
     dec = rees_decompose(k)
+    mins_l, mins_r = minimal_one_sided_ideals(dec)
     payload = {
         "order": sg.order,
         "idempotents": list(e_set.labels()),

@@ -10,10 +10,11 @@ decides is taken in descending order of row image size |a*S|, which keeps
 it small; only when its sweep finds a broken row is a second set, taken in
 index order, swept to name the lexicographically first broken triple.  The
 validated table is kept as a read-only int32 array.  The kernel is
-computed from one of its elements, as K = (S*z)*S, and the simplicity
-predicates are decided from it at O(|S|*|K|) cost: S is simple exactly
-when it is its own kernel, and left (right) simple exactly when it is its
-own only minimal left (right) ideal.
+computed from one of its elements, as K = (S*z)*S, and checked to be an
+ideal.  S is simple exactly when it is its own kernel.  The minimal left
+(right) ideals are read off the verified Rees split of K, L*G*y (x*G*R),
+and S is left (right) simple exactly when it is its own only minimal left
+(right) ideal.
 """
 
 from dataclasses import dataclass, field
@@ -461,45 +462,37 @@ def principal_right_ideal(x, a):
 
 
 def minimal_left_ideals(x):
-    """The minimal left ideals, sorted by least member.
-
-    They are the distinct sets S*y for y in the kernel K: every minimal left
-    ideal lies in K and is S*y for each of its members y.  Each returned I
-    is verified to satisfy S*a = I for every a in I.
-    """
+    """The minimal left ideals, sorted by least member."""
     s = _as_set(x)
-    return _kernel_and_left_ideals(s)[1] if s else []
+    return minimal_ideals(s)[1] if s else []
 
 
 def minimal_right_ideals(x):
+    """The minimal right ideals, sorted by least member."""
     s = _as_set(x)
     return minimal_ideals(s)[2] if s else []
 
 
 def minimal_ideals(x):
-    """(K, minimal left ideals, minimal right ideals) from one kernel build.
+    """(K, minimal left ideals, minimal right ideals), the one-sided ideals
+    read off the verified Rees split of K (see rees.minimal_one_sided_ideals)."""
+    from .rees import minimal_one_sided_ideals, rees_decompose
 
-    The minimal right ideals are the distinct sets y*S for y in K, verified
-    as minimal_left_ideals verifies the sets S*y; both lists are sorted by
-    least member."""
-    s = _as_set(x)
-    k, lefts = _kernel_and_left_ideals(s)
-    return k, lefts, _translates(s, k, left=False)
+    k = kernel(x)
+    return (k, *minimal_one_sided_ideals(rees_decompose(k)))
 
 
 def kernel(x):
-    """The least two-sided ideal K, computed as (S*z)*S from one z in K.
+    """The least two-sided ideal K, computed as S*z*S and checked to be an
+    ideal.
 
-    z is the left-normed product of the elements of S, which lies in K
-    because K is an ideal.  Verified to be an ideal whose minimal left
-    ideals S*y all satisfy S*y*S = K, which pins it as the unique
-    inclusion-minimal ideal.
+    z is the left-normed product of the elements of S, so it has every
+    element of S as a factor, and it lies in every ideal I: the factor a
+    taken from I puts the partial product ending in a in I, and each later
+    factor on the right keeps it there.  So S*z*S lies inside every ideal,
+    and once the check shows it is an ideal, it is the least one.
     """
-    return _kernel_and_left_ideals(_as_set(x))[0]
-
-
-def _kernel_and_left_ideals(s):
-    """The kernel of S and its minimal left ideals, at O(|S|*|K|) cost."""
+    s = _as_set(x)
     if not s:
         raise EmptySet("the empty set has no kernel")
     sg = s.parent
@@ -511,48 +504,7 @@ def _kernel_and_left_ideals(s):
     k = product_sets(product_sets(s, sg.singleton(z)), s)
     if not is_ideal(k, s):
         raise VerificationFailed("kernel ideal", f"S*z*S is not an ideal for z = {sg.label(z)}")
-    parts = _translates(s, k, left=True)
-    # S*y*S = (S*y)*S is one set for every y in a minimal left ideal, so
-    # one sweep per part covers every y in K.
-    for part in parts:
-        if product_sets(part, s) != k:
-            raise VerificationFailed(
-                "kernel product identity",
-                f"S*z*S != K for z in {part.labels()}",
-            )
-    return k, parts
-
-
-def _translates(s, k, left):
-    """The distinct sets S*y (left) or y*S (right) for y in the ideal K,
-    sorted by least member.  Each is verified to be regenerated by every one
-    of its members, which makes it a minimal one-sided ideal."""
-    rows = s.parent.rows
-    els = s.elements()
-    moved = {}
-    for y in k:
-        mask = 0
-        if left:
-            for a in els:
-                mask |= 1 << rows[a][y]
-        else:
-            row = rows[y]
-            for a in els:
-                mask |= 1 << row[a]
-        moved[y] = mask
-    parts = {}
-    for mask in moved.values():
-        if mask in parts:
-            continue
-        part = ElementSet(s.parent, mask)
-        for a in part:
-            if moved[a] != mask:
-                raise VerificationFailed(
-                    "minimal ideal criterion",
-                    f"ideal {part.labels()} not regenerated by element {s.parent.label(a)}",
-                )
-        parts[mask] = part
-    return sorted(parts.values(), key=ElementSet.least)
+    return k
 
 
 def group_structure(subset):

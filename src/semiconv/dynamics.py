@@ -338,7 +338,8 @@ def analyze_limit(mu):
     rows = sg.rows
     h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, on_kernel[-q % period]))
     try:
-        subgroup = group_structure(h_set)
+        # At p = 1, H is G, which the split verified as dec.group.
+        subgroup = dec.group if h_set == g_carrier else group_structure(h_set)
     except (NotAGroup, SemiconvError) as exc:
         raise TheoremViolation("subgroup_structure", str(exc)) from exc
     haar_h = haar_uniform(subgroup)

@@ -30,6 +30,24 @@ checked, in the order closure, kernel, idempotent, requested base,
 primitivity, so that the error raised names the first one to fail, as
 before; if they all hold, the split is re-run to raise its own error.
 
+The split checks L*G*R = S without forming the product.  The coordinate
+loop maps S into L x G x R, and the map is one-to-one, since z = x*g*y is
+rebuilt from its coordinates; |L|*|G|*|R| = |S| then makes it a
+bijection, so every x*g*y lies in S and L*G*R = S.
+
+When S is the kernel K of a larger semigroup T, the split also gives the
+minimal one-sided ideals of T (minimal_one_sided_ideals).  For z in K,
+K*z is a left ideal of T inside T*z, as K is an ideal.  For z = x*g*y,
+K*z = L*G*y: K*z lies in L*(G*(R*x)*G)*y = L*G*y because R*L lies in G,
+and x'*g'*y = (x'*h*y'')*z for any y'' in R with h = g'*g^-1*(y''*x)^-1.
+So L*G*y is a left ideal of T that every left ideal of T inside it
+contains (K*z lies in any left ideal holding z), hence a minimal one;
+and a minimal left ideal M holds the left ideal K*m for each m in M, so
+M = K*m lies in K, and M is one of the sets L*G*y.  Since psi is a
+bijection, L*G*y is the set of kernel elements with R-coordinate y.
+Symmetrically the minimal right ideals are the sets x*G*R, the kernel
+elements with L-coordinate x.
+
 Also builds the converse construction: the semigroup on I x G x J with
 product (i, g, k)(j, h, l) = (i, g*P[k][j]*h, l) for a sandwich matrix P.
 """
@@ -155,23 +173,17 @@ def _split(s, e):
     if group.identity != e:
         raise VerificationFailed("group", "identity of e*S*e differs from e")
 
-    coordinates = _verify_decomposition(s, e, left, group, right, se, es)
+    coordinates = _verify_decomposition(s, e, left, group, right)
     return ReesDecomposition(
         carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
     )
 
 
-def _verify_decomposition(s, e, left, group, right, se, es):
+def _verify_decomposition(s, e, left, group, right):
     """Check that S = L*G*R splits as a product and return the coordinates
     of every z in S, each verified by multiplying back."""
     sg = s.parent
     g_set = group.carrier
-    lg = product_sets(left, g_set)
-    gr = product_sets(g_set, right)
-    if lg != se or len(left) * len(g_set) != len(se):
-        raise VerificationFailed("left group", "S*e does not split as L x G")
-    if gr != es or len(g_set) * len(right) != len(es):
-        raise VerificationFailed("right group", "e*S does not split as G x R")
     single_e = sg.singleton(e)
     if not product_sets(right, left).issubset(g_set):
         raise VerificationFailed("interface", "R*L not contained in G")
@@ -179,9 +191,6 @@ def _verify_decomposition(s, e, left, group, right, se, es):
         raise VerificationFailed("interface", "e*L != {e}")
     if product_sets(right, single_e) != single_e:
         raise VerificationFailed("interface", "R*e != {e}")
-    full = product_sets(lg, right)
-    if full != s:
-        raise VerificationFailed("bijection", "L*G*R does not cover the carrier")
     if len(left) * len(g_set) * len(right) != len(s):
         raise VerificationFailed("bijection", "factor sizes do not multiply to the order")
     rows = sg.rows
@@ -199,6 +208,21 @@ def _verify_decomposition(s, e, left, group, right, se, es):
             raise VerificationFailed("coordinates", f"x*g*y != z at {sg.label(z)}")
         coordinates[z] = (x, eze, y)
     return coordinates
+
+
+def minimal_one_sided_ideals(dec):
+    """(minimal left ideals, minimal right ideals) of any semigroup whose
+    kernel is dec.carrier, each list sorted by least member: the kernel
+    elements that share an R-coordinate, L*G*y, and those that share an
+    L-coordinate, x*G*R (see the module docstring)."""
+    lefts, rights = {}, {}
+    for z, (x, _, y) in dec.coordinates.items():
+        lefts[y] = lefts.get(y, 0) | 1 << z
+        rights[x] = rights.get(x, 0) | 1 << z
+    return tuple(
+        sorted((ElementSet(dec.parent, mask) for mask in parts.values()), key=ElementSet.least)
+        for parts in (lefts, rights)
+    )
 
 
 def psi(dec, x, g, y):

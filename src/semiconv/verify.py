@@ -8,14 +8,15 @@ the uncounted skip of instances a law's `only` rule rejects, and the
 "no <kind> instance in corpus" witness when no instance meets its `needs`.
 Laws are registered with _law in the report's fixed check order.
 
-A CorpusInstance is also a structure record: its carrier, its kernel and
-minimal left and right ideals (one minimal_ideals build), the kernel's
-Rees decomposition, the one-sided simplicity flags and the group structure
-or None, each built on first use and kept for the suite run.  A part whose
-build raises is not kept, so each use raises again.  Laws about a public
-predicate (is_left_simple, is_right_simple, is_simple) still call it, and
-wherever feasible an independent route (subset sweeps, principal-ideal
-enumeration, exact linear solves) confirms the optimized one.
+A CorpusInstance is also a structure record: its carrier, its kernel,
+the kernel's Rees decomposition, the minimal left and right ideals read
+off that decomposition, the one-sided simplicity flags and the group
+structure or None, each built on first use and kept for the suite run.
+A part whose build raises is not kept, so each use raises again.  Laws
+about a public predicate (is_left_simple, is_right_simple, is_simple)
+still call it, and wherever feasible an independent route (subset
+sweeps, principal-ideal enumeration, exact linear solves) confirms the
+optimized one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     is_right_ideal,
     is_right_simple,
     is_simple,
-    minimal_ideals,
+    kernel,
     principal_left_ideal,
     principal_right_ideal,
     product_sets,
@@ -62,7 +63,14 @@ from .measure import (
     marginals,
     support,
 )
-from .rees import idempotent_criterion, psi, psi_inv, rebase, rees_decompose
+from .rees import (
+    idempotent_criterion,
+    minimal_one_sided_ideals,
+    psi,
+    psi_inv,
+    rebase,
+    rees_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,17 @@ class CorpusInstance:
         return self.semigroup.carrier()
 
     @cached_property
-    def ideals(self):
-        """(kernel, minimal left ideals, minimal right ideals)."""
-        return minimal_ideals(self.carrier)
-
-    @property
     def kernel(self):
-        return self.ideals[0]
+        return kernel(self.carrier)
 
     @cached_property
     def rees(self):
         return rees_decompose(self.kernel)
+
+    @cached_property
+    def ideals(self):
+        """(kernel, minimal left ideals, minimal right ideals)."""
+        return (self.kernel, *minimal_one_sided_ideals(self.rees))
 
     @property
     def left_simple(self):
@@ -723,7 +731,8 @@ def _float_shadow(inst, seed):
 
 def _corrupted_instance():
     """A deliberately non-associative table used to prove the suite can
-    fail: the damaged entry breaks the minimal-ideal verification."""
+    fail: the damaged entry makes its kernel miss the minimal principal
+    left ideals."""
     labels = ("0", "1", "2")
     rows = ((0, 1, 2), (1, 2, 0), (2, 0, 2))
     return CorpusInstance("corrupted cyclic(3)", Semigroup(labels, rows))

@@ -369,23 +369,28 @@ def test_limit_answers_on_a_table_over_300_elements(tmp_path, capsys):
 
 
 def test_analyze_builds_the_kernel_once_and_keeps_the_flags(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = core._kernel_and_left_ideals
+    calls, decomposed = [], []
 
-    def counted(s):
-        calls.append(s)
-        return real(s)
+    def counting(into, real):
+        def call(s, *args, **kwargs):
+            into.append(s)
+            return real(s, *args, **kwargs)
 
-    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+        return call
+
+    monkeypatch.setattr(cli, "kernel", counting(calls, cli.kernel))
+    monkeypatch.setattr(cli, "rees_decompose", counting(decomposed, cli.rees_decompose))
     for inst in build_corpus("default"):
         sg = inst.semigroup
         car = sg.carrier()
         path = write(tmp_path / "sg.json", semigroup_to_json(sg))
         calls.clear()
+        decomposed.clear()
         assert main(["analyze", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # once on the carrier; rees_decompose proves K simple from its split
-        assert len(calls) == 1, inst.name
+        # once on the carrier; the minimal ideals are read off the one split
+        assert [c.mask for c in calls] == [car.mask], inst.name
+        assert [d.mask for d in decomposed] == [core.kernel(car).mask], inst.name
         assert [payload[f] for f in ("is_simple", "is_left_simple", "is_right_simple")] == [
             is_simple(car),
             is_left_simple(car),

@@ -558,19 +558,29 @@ def test_marginal_reading_at_period_one_reuses_the_first_reading(monkeypatch):
 
 
 def test_analyze_limit_builds_the_kernel_once(monkeypatch):
-    # The walk kernel is built once; rees_decompose proves it simple from
-    # its split, also for supp(eta) in marginal_readings_agree (p = 600).
-    calls = []
-    real = core._kernel_and_left_ideals
+    # The walk kernel is built and decomposed once; rees_decompose proves it
+    # simple from its split, also for supp(eta) in marginal_readings_agree
+    # (p = 600), which is the only other decomposition.
+    calls, decomposed = [], []
 
-    def counted(s):
-        calls.append(s)
-        return real(s)
+    def counting(into, real):
+        def call(s, *args, **kwargs):
+            into.append(s)
+            return real(s, *args, **kwargs)
 
-    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+        return call
+
+    monkeypatch.setattr(dynamics, "kernel", counting(calls, dynamics.kernel))
+    monkeypatch.setattr(dynamics, "rees_decompose", counting(decomposed, dynamics.rees_decompose))
     rep = analyze_limit(dirac(cyclic(600), 1))
     assert rep.p == 600
     assert len(calls) == 1
+    assert decomposed == [rep.rees.carrier, support(rep.eta)]
+    calls.clear()
+    decomposed.clear()
+    rep = analyze_limit(t2_walk())
+    assert rep.p == 1 and rep.H is rep.rees.group
+    assert len(calls) == 1 and decomposed == [rep.rees.carrier]
 
 
 def test_a_misread_factorization_fails_cluster_factorization(monkeypatch):

@@ -17,6 +17,7 @@ from semiconv.generators import CorpusSpec, build
 from semiconv.rees import (
     idempotent_criterion,
     is_primitive_idempotent,
+    minimal_one_sided_ideals,
     psi,
     psi_inv,
     rebase,
@@ -287,7 +288,7 @@ def rees_in_checked_order(x, at=None):
     if group.identity != e:
         raise VerificationFailed("group", "identity of e*S*e differs from e")
     left, right = idempotents(se), idempotents(es)
-    coordinates = rees._verify_decomposition(s, e, left, group, right, se, es)
+    coordinates = rees._verify_decomposition(s, e, left, group, right)
     return rees.ReesDecomposition(
         carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
     )
@@ -335,14 +336,15 @@ def test_decompose_agrees_with_the_checked_order_at_every_base():
 
 
 def test_decompose_on_a_kernel_builds_no_kernel(monkeypatch):
+    # rees_decompose reaches the kernel only through core._simplicity_witness.
     calls = []
-    real = core._kernel_and_left_ideals
+    real = core.kernel
 
     def counted(s):
         calls.append(s)
         return real(s)
 
-    monkeypatch.setattr(core, "_kernel_and_left_ideals", counted)
+    monkeypatch.setattr(core, "kernel", counted)
     sg = build(CorpusSpec("full_transformation", (3,)))
     k = kernel(sg.carrier())
     calls.clear()
@@ -352,3 +354,40 @@ def test_decompose_on_a_kernel_builds_no_kernel(monkeypatch):
     with pytest.raises(NotSimple):
         rees_decompose(sg.carrier())
     assert calls == [sg.carrier()]
+
+
+def translates_by_sweep(s, k, left):
+    """Oracle: the distinct sets S*y (left) or y*S (right) for y in the
+    ideal K, sorted by least member, each checked to be regenerated by
+    every one of its members, which makes it a minimal one-sided ideal.
+    One pass over S for each y in K."""
+    rows = s.parent.rows
+    moved = {}
+    for y in k:
+        mask = 0
+        for a in s:
+            mask |= 1 << (rows[a][y] if left else rows[y][a])
+        moved[y] = mask
+    parts = {}
+    for mask in moved.values():
+        part = core.ElementSet(s.parent, mask)
+        assert all(moved[a] == mask for a in part), part
+        parts[mask] = part
+    return sorted(parts.values(), key=core.ElementSet.least)
+
+
+def test_coordinate_reading_matches_the_translate_sweep():
+    sgs = [inst.semigroup for inst in build_corpus("extended")]
+    sgs.append(build(CorpusSpec("rectangular_band", (32, 32))))
+    seed = 200
+    for g in (1, 2, 3, 4):
+        for m in (1, 2, 3):
+            for k in (1, 2, 3):
+                sgs.append(build(CorpusSpec("rees_matrix", (g, m, k), seed=seed)))
+                seed += 1
+    for sg in sgs:
+        car = sg.carrier()
+        k = kernel(car)
+        lefts, rights = minimal_one_sided_ideals(rees_decompose(k))
+        assert lefts == translates_by_sweep(car, k, left=True), sg
+        assert rights == translates_by_sweep(car, k, left=False), sg

@@ -152,7 +152,7 @@ def test_each_corpus_kernel_is_built_and_decomposed_once_per_run(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(verify, "minimal_ideals", counting(built, verify.minimal_ideals))
+    monkeypatch.setattr(verify, "kernel", counting(built, verify.kernel))
     monkeypatch.setattr(verify, "rees_decompose", counting(decomposed, verify.rees_decompose))
     corpus = build_corpus("default")
     monkeypatch.setattr(verify, "build_corpus", lambda name: corpus)
@@ -162,8 +162,11 @@ def test_each_corpus_kernel_is_built_and_decomposed_once_per_run(monkeypatch):
 
 
 def test_a_record_part_that_fails_is_not_kept():
+    # The corrupted table's kernel builds; its split does not.
     inst = _corrupted_instance()
     for _ in range(2):
-        with pytest.raises(SemiconvError, match="not regenerated by element 2"):
-            inst.kernel
-    assert "ideals" not in vars(inst)
+        with pytest.raises(
+            SemiconvError, match="^idempotent 0 is not primitive: 2 lies strictly below it$"
+        ):
+            inst.rees
+    assert "rees" not in vars(inst) and "ideals" not in vars(inst)
