@@ -22,10 +22,14 @@ so the cycle is closed under convolution once eta * c_j = c_j for each
 j > 0, which is p - 1 convolutions: by associativity c_i * c_j = mu^i *
 (eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  The same construction
 hands the factorization check mu^k * eta as c_(k mod p), with no further
-power.  H and the coset of gamma are read from the G-coordinates the split
-already verified, normality conjugates H by gamma alone, and one marginal
-reading of eta proves the factorizations of nu and eta; a clause that
-_limit_factors, the split or the cycle already proves is recorded from it.
+power.  nu and eta are idempotent by the fold lemma of the measure
+module, as R*L lies in G and, for eta, supp(rho)*supp(lambda) in H; no
+measure is squared.  H and the coset of gamma are read from the
+G-coordinates the split already verified; H is a closed subset of the
+verified group G, so a subgroup with G's identity and inverses.
+Normality conjugates H by gamma alone, and one marginal reading of eta
+proves the factorizations of nu and eta; a clause that _limit_factors,
+the split, the fold or the cycle already proves is recorded from it.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -51,9 +55,7 @@ from .core import (
 from .errors import (
     MalformedInput,
     MismatchedParent,
-    NotAGroup,
     NotSimple,
-    SemiconvError,
     SingularDecomposition,
     TheoremViolation,
     VerificationFailed,
@@ -153,8 +155,9 @@ def _limit_factors(mu, dec):
     lam = _fixed_law(mu, dec.left, lambda s, x: psi_inv(dec, rows[s][x])[0])
     rho = _fixed_law(mu, dec.right, lambda s, y: psi_inv(dec, rows[y][s])[2])
     nu = convolve(convolve(lam, haar_uniform(dec.group)), rho)
-    if convolve(nu, nu) != nu:
-        raise VerificationFailed("limit idempotent", "nu * nu != nu")
+    # nu is idempotent by the fold lemma (see the measure module): lambda
+    # lives on L, rho on R, and the split verified R*L in G.  The invariance
+    # is checked, as it is what verifies the two solves.
     if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
         raise VerificationFailed("limit invariance", "mu * nu != nu or nu * mu != nu")
     return nu, lam, rho
@@ -171,7 +174,9 @@ def cesaro_limit(mu):
     x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
     y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns, so
     no bound on the order applies beyond the table's own DEFAULT_ORDER_CAP.
-    The result is verified idempotent and mu-invariant before returning.
+    The result is idempotent by the fold lemma of the measure module, since
+    the split verified R*L in G, and is verified mu-invariant before
+    returning.
     """
     return _limit_factors(mu, rees_decompose(kernel(generated_subsemigroup(support(mu)))))[0]
 
@@ -280,17 +285,20 @@ def analyze_limit(mu):
     supports.
 
     Each clause is proven once.  A clause an earlier step already proves
-    records that step's result: _limit_factors (nu * nu = nu and mu * nu
-    = nu = nu * mu, so at p = 1, where eta is nu, the eta clauses too),
-    the verified split (L*G*R = K, every G-coordinate in G), the cluster
-    loop (it stops at the first mu^p * eta = eta, so no point repeats) or
-    the verified group H (gamma*h*H = gamma*H).  Normality conjugates H by
-    gamma alone, as H and gamma generate G (coset_powers_exhaust).  One
-    marginal reading of eta against (lambda, omega_H, rho) proves
-    nu_factorization, eta_factorization and the k = 0 term of
-    cluster_factorization; only the terms k = 1..p-1 are convolved.
-    cluster_closed_cyclic is proven from the generator (see
-    _cluster_closed).
+    records that step's result: _limit_factors (mu * nu = nu = nu * mu,
+    and nu * nu = nu by the fold R*L in G; at p = 1, where eta is nu,
+    eta * mu^p = eta too), the verified split (L*G*R = K, every
+    G-coordinate in G), the fold supp(rho)*supp(lambda) in H (eta * eta =
+    eta, and a second split of supp(eta) would read eta as the first
+    does), the cluster loop (it stops at the first mu^p * eta = eta, so no
+    point repeats) or the subgroup H (gamma*h*H = gamma*H).  H is tested
+    only for closure, as it lies in the verified group G.  Normality
+    conjugates H by gamma alone, as H and gamma generate G
+    (coset_powers_exhaust).  One marginal reading of eta against (lambda,
+    omega_H, rho) proves nu_factorization, eta_factorization,
+    marginal_readings_agree and the k = 0 term of cluster_factorization;
+    only the terms k = 1..p-1 are convolved.  cluster_closed_cyclic is
+    proven from the generator (see _cluster_closed).
     """
     sg = mu.parent
     checks = {}
@@ -305,7 +313,8 @@ def analyze_limit(mu):
         dec = rees_decompose(walk_kernel)
     except NotSimple as exc:
         raise TheoremViolation("kernel completely simple", str(exc)) from exc
-    # _limit_factors raises unless nu * nu = nu and mu * nu = nu = nu * mu.
+    # _limit_factors raises unless mu * nu = nu = nu * mu, and nu * nu = nu
+    # by the fold R*L in G.
     nu, lam, rho = _limit_factors(mu, dec)
     record("nu_idempotent", True)
     record("nu_invariant", True)
@@ -337,17 +346,24 @@ def analyze_limit(mu):
     )
     rows = sg.rows
     h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, on_kernel[-q % period]))
-    try:
-        # At p = 1, H is G, which the split verified as dec.group.
-        subgroup = dec.group if h_set == g_carrier else group_structure(h_set)
-    except (NotAGroup, SemiconvError) as exc:
-        raise TheoremViolation("subgroup_structure", str(exc)) from exc
+    # H lies in the group G the split verified, so H is a subgroup once it
+    # is non-empty and closed: each h in H has h^n = e for some n >= 1, which
+    # puts e and h^-1 = h^(n-1) in H.  Its identity is e and its inverses
+    # are those of G.  At p = 1, H is G itself.
+    if h_set == g_carrier:
+        subgroup = dec.group
+    elif h_set and product_sets(h_set, h_set).issubset(h_set):
+        subgroup = GroupStructure(h_set, e, {h: dec.group.inv(h) for h in h_set})
+    else:
+        raise TheoremViolation("subgroup_structure", f"H={h_set.labels()} is not closed")
     haar_h = haar_uniform(subgroup)
-    # At p = 1 eta is nu, which _limit_factors proved idempotent and fixed
-    # by mu on both sides.
+    # At p = 1 eta is nu, which _limit_factors proved fixed by mu on both
+    # sides.
     eta_is_nu = period == 1
     eta = nu if eta_is_nu else convolve(convolve(lam, haar_h), rho)
-    record("eta_idempotent", eta_is_nu or convolve(eta, eta) == eta)
+    # eta = lambda * omega_H * rho is idempotent by the fold lemma (see the
+    # measure module) exactly when supp(rho)*supp(lambda) lies in H.
+    record("eta_idempotent", product_sets(support(rho), support(lam)).issubset(h_set))
     record("subgroup_in_group", True)  # the split verified every G-coordinate
     record(
         "eta_support_product",
@@ -432,13 +448,13 @@ def analyze_limit(mu):
     record("nu_factorization", read_back)
     record("eta_factorization", read_back)
 
-    # With p = 1, supp(eta) = supp(nu) = K and e is K's least idempotent, so
-    # decomposing supp(eta) at e would rebuild dec, and its reading would be
-    # the one above.
-    record(
-        "marginal_readings_agree",
-        period == 1 or marginals(eta, rees_decompose(support(eta), at=e)) == reading,
-    )
+    # A second split of supp(eta) at e would read the same triple.  The fold
+    # R*L in H (eta_idempotent; supp(eta) = L*H*R by eta_support_product)
+    # makes supp(eta) completely simple with base e and group e*supp(eta)*e
+    # = H.  Its psi_inv has the closed form (z*e*g^-1, g, g^-1*e*z) with
+    # g = e*z*e, and g^-1 in H is g^-1 in G, so both splits give every
+    # point of supp(eta) the same coordinates.
+    record("marginal_readings_agree", read_back)
 
     return LimitReport(
         nu=nu,

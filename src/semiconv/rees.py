@@ -101,6 +101,12 @@ class ReesDecomposition:
         )
 
 
+def _label_or_index(sg, a):
+    """The label of element a in error messages, or a itself when it is
+    not an index of sg."""
+    return sg.label(a) if 0 <= a < sg.order else a
+
+
 def is_primitive_idempotent(x, e):
     """Whether no other idempotent f satisfies e*f = f*e = f.
 
@@ -111,7 +117,7 @@ def is_primitive_idempotent(x, e):
     sg = s.parent
     rows = sg.rows
     if not 0 <= e < sg.order or rows[e][e] != e:
-        raise NotIdempotent(sg.label(e) if 0 <= e < sg.order else e)
+        raise NotIdempotent(_label_or_index(sg, e))
     if e not in s:
         raise NotInFactor("carrier", sg.label(e))
     for f in idempotents(s):
@@ -228,11 +234,11 @@ def minimal_one_sided_ideals(dec):
 def psi(dec, x, g, y):
     """Product map (x, g, y) -> x*g*y."""
     if x not in dec.left:
-        raise NotInFactor("left", dec.parent.label(x) if 0 <= x < dec.parent.order else x)
+        raise NotInFactor("left", _label_or_index(dec.parent, x))
     if g not in dec.group.carrier:
-        raise NotInFactor("group", dec.parent.label(g) if 0 <= g < dec.parent.order else g)
+        raise NotInFactor("group", _label_or_index(dec.parent, g))
     if y not in dec.right:
-        raise NotInFactor("right", dec.parent.label(y) if 0 <= y < dec.parent.order else y)
+        raise NotInFactor("right", _label_or_index(dec.parent, y))
     sg = dec.parent
     return sg.mul(sg.mul(x, g), y)
 
@@ -240,16 +246,16 @@ def psi(dec, x, g, y):
 def psi_inv(dec, z):
     """Coordinates (x, g, y) of z, as computed and verified by rees_decompose."""
     if z not in dec.carrier:
-        raise NotInFactor("carrier", dec.parent.label(z) if 0 <= z < dec.parent.order else z)
+        raise NotInFactor("carrier", _label_or_index(dec.parent, z))
     return dec.coordinates[z]
 
 
 def idempotent_criterion(dec, x, y):
     """The unique idempotent with coordinates (x, *, y): g = (y*x)^-1."""
     if x not in dec.left:
-        raise NotInFactor("left", dec.parent.label(x) if 0 <= x < dec.parent.order else x)
+        raise NotInFactor("left", _label_or_index(dec.parent, x))
     if y not in dec.right:
-        raise NotInFactor("right", dec.parent.label(y) if 0 <= y < dec.parent.order else y)
+        raise NotInFactor("right", _label_or_index(dec.parent, y))
     sg = dec.parent
     yx = sg.mul(y, x)
     z = psi(dec, x, dec.group.inv(yx), y)
@@ -265,7 +271,7 @@ def rebase(dec, new_base):
     """
     sg = dec.parent
     if not 0 <= new_base < sg.order or sg.mul(new_base, new_base) != new_base:
-        raise NotIdempotent(sg.label(new_base) if 0 <= new_base < sg.order else new_base)
+        raise NotIdempotent(_label_or_index(sg, new_base))
     a, _, b = psi_inv(dec, new_base)  # NotInFactor for an idempotent outside the carrier
     fresh = rees_decompose(dec.carrier, at=new_base)
 

@@ -243,6 +243,27 @@ def t2_by_z3_walk():
     return Dist.from_mapping(sg, {"(10,1)": RAT(1, 2), "(00,1)": RAT(1, 2)})
 
 
+def fold_walk():
+    # half ((0,0),2), half ((1,1),5) on rectangular_band(2,2) x Z6: the kernel
+    # is the whole table with |L| = |R| = 2 and |G| = 6, and the walk has
+    # q = 3, p = 3 and H = {0,3} in the Z6 coordinate, so the fold R*L in H
+    # is not trivial
+    sg = build(
+        product_spec(CorpusSpec("rectangular_band", (2, 2)), CorpusSpec("cyclic", (6,)))
+    )
+    return Dist.from_mapping(sg, {"((0,0),2)": RAT(1, 2), "((1,1),5)": RAT(1, 2)})
+
+
+def test_a_walk_whose_fold_is_not_trivial_passes_every_brute_clause():
+    mu = fold_walk()
+    rep = analyze_limit(mu)
+    dec = rep.rees
+    assert (rep.q, rep.p) == (3, 3)
+    assert (len(dec.left), dec.group.order, len(dec.right), rep.H.order) == (2, 6, 2, 2)
+    assert rep.H.carrier.labels() == ("((0,0),0)", "((0,0),3)")
+    assert limit_clauses_by_brute(mu, rep) == [True] * 21
+
+
 KNOWN_PERIOD_WALKS = [
     *[
         pytest.param(
@@ -441,6 +462,14 @@ def limit_clauses_by_brute(mu, report):
     def factor(middle):
         return convolve(convolve(eta_left, middle), eta_right)
 
+    # H from a full group test on its carrier: same carrier, identity e and
+    # the same inverse for every h
+    brute_h = core.group_structure(h_set)
+    assert (report.H.carrier, report.H.identity, report.H.inverses) == (
+        brute_h.carrier,
+        brute_h.identity,
+        brute_h.inverses,
+    )
     haar_h = haar_uniform(report.H)
     mu_p = power(mu, p)
     gamma_set = sg.subset(rows[e][rows[z][e]] for z in support(convolve(mu, eta)))
@@ -539,8 +568,10 @@ def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
 
 
 def test_marginal_reading_at_period_one_reuses_the_first_reading(monkeypatch):
-    # At p = 1 the second reading would decompose supp(eta) = K at e again
-    # and read the same triple; the clause is recorded without that call.
+    # A second reading would decompose supp(eta) at e again and read the
+    # same triple: at p = 1 supp(eta) is K, and at p > 1 the fold R*L in H
+    # gives its split the kernel's coordinates.  The clause is recorded
+    # from the one reading at every period.
     calls = []
     real = dynamics.marginals
 
@@ -554,14 +585,13 @@ def test_marginal_reading_at_period_one_reuses_the_first_reading(monkeypatch):
     assert calls == [rep.rees]
     calls.clear()
     rep = analyze_limit(dirac(cyclic(3), 1))
-    assert rep.p == 3 and len(calls) == 2
+    assert rep.p == 3 and calls == [rep.rees]
 
 
 def test_analyze_limit_builds_the_kernel_once(monkeypatch):
-    # The walk kernel is built and decomposed once; rees_decompose proves it
-    # simple from its split, also for supp(eta) in marginal_readings_agree
-    # (p = 600), which is the only other decomposition.
-    calls, decomposed = [], []
+    # The walk kernel is built and decomposed once, at every period, and no
+    # group is tested afresh: H is read off the verified group G.
+    calls, decomposed, grouped = [], [], []
 
     def counting(into, real):
         def call(s, *args, **kwargs):
@@ -572,15 +602,61 @@ def test_analyze_limit_builds_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "kernel", counting(calls, dynamics.kernel))
     monkeypatch.setattr(dynamics, "rees_decompose", counting(decomposed, dynamics.rees_decompose))
+    monkeypatch.setattr(dynamics, "group_structure", counting(grouped, dynamics.group_structure))
     rep = analyze_limit(dirac(cyclic(600), 1))
     assert rep.p == 600
     assert len(calls) == 1
-    assert decomposed == [rep.rees.carrier, support(rep.eta)]
+    assert decomposed == [rep.rees.carrier]
+    assert grouped == []
     calls.clear()
     decomposed.clear()
     rep = analyze_limit(t2_walk())
     assert rep.p == 1 and rep.H is rep.rees.group
     assert len(calls) == 1 and decomposed == [rep.rees.carrier]
+    assert grouped == []
+    rep = analyze_limit(fold_walk())
+    assert rep.p == 3 and rep.H.order == 2 and grouped == []
+
+
+def test_no_limit_measure_is_squared(monkeypatch):
+    # nu and eta are idempotent by the fold lemma, so neither is convolved
+    # with itself, in cesaro_limit or in analyze_limit; power(mu, p) still
+    # squares powers of mu
+    squared = []
+    real = dynamics.convolve
+
+    def watched(a, b):
+        if a is b:
+            squared.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(dynamics, "convolve", watched)
+    for mu in (t2_walk(), dirac(cyclic(3), 1), fold_walk()):
+        nu = cesaro_limit(mu)
+        rep = analyze_limit(mu)
+        assert rep.nu == nu
+        assert nu not in squared and rep.eta not in squared, mu.parent
+        # the squares the oracle makes
+        assert convolve(nu, nu) == nu and convolve(rep.eta, rep.eta) == rep.eta
+
+
+def test_a_subset_of_g_that_is_not_closed_fails_subgroup_structure(monkeypatch):
+    # On Z6 with support {2,5} the support cycle is {2,5}, {4,1}, {0,3}
+    # from q = 1.  Rotating it by one without moving q reads H off {2,5},
+    # the coset gamma*H, which is not closed ({2,5}*{2,5} = {4,1}): the
+    # closure test is what stops it.
+    z6 = cyclic(6)
+    mu = Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
+    real = dynamics._support_cycle
+
+    def shifted(walk):
+        q, cycle = real(walk)
+        return q, cycle[1:] + cycle[:1]
+
+    monkeypatch.setattr(dynamics, "_support_cycle", shifted)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "subgroup_structure"
 
 
 def test_a_misread_factorization_fails_cluster_factorization(monkeypatch):
