@@ -203,7 +203,10 @@ def validate_cayley(labels, table):
     """Build a Semigroup from labels and a Cayley table, checking everything.
 
     Checks: distinct labels, order at most DEFAULT_ORDER_CAP (before any row
-    is read), square table, entries in range, associativity.
+    is read), square table, entries in range, associativity.  The table is
+    rows of ints, or an integer numpy array as the corpus builders form it;
+    an array is checked as an array, with no pass over its entries in
+    Python.  Either way the Semigroup's rows are tuples of Python ints.
 
     Associativity is decided by Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, section 1.2).  Call a good when
@@ -234,19 +237,36 @@ def validate_cayley(labels, table):
     if len(set(labels)) != n:
         raise InvalidTable("duplicate element labels")
     _check_order(n)
-    if len(table) != n:
-        raise InvalidTable(f"table has {len(table)} rows for {n} elements")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise InvalidTable(f"table row {i} has {len(row)} entries for {n} elements")
-
-    t = _entry_array(table, n)
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        t = _checked_array(table, n)
+        table = t.tolist()
+    else:
+        if len(table) != n:
+            raise InvalidTable(f"table has {len(table)} rows for {n} elements")
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise InvalidTable(f"table row {i} has {len(row)} entries for {n} elements")
+        t = _entry_array(table, n)
     t.flags.writeable = False
     if _first_broken_triple(t, _greedy_generators(t, _by_image_size(t))) is not None:
         raise NonAssociative(*_first_broken_triple(t, _greedy_generators(t)))
     sg = Semigroup(labels, table)
     sg._np = t
     return sg
+
+
+def _checked_array(table, n):
+    """An integer array table as an int32 copy, checked as a list table is:
+    InvalidTable for a shape other than n x n, IndexOutOfRange naming the
+    first entry, in row-major order, outside range(n)."""
+    if table.ndim != 2 or len(table) != n:
+        raise InvalidTable(f"table has shape {table.shape} for {n} elements")
+    if table.shape[1] != n:
+        raise InvalidTable(f"table row 0 has {table.shape[1]} entries for {n} elements")
+    if table.min() < 0 or table.max() >= n:
+        i, j = np.argwhere((table < 0) | (table >= n))[0]
+        raise IndexOutOfRange(int(i), int(j), int(table[i, j]))
+    return table.astype(np.int32)
 
 
 def _entry_array(table, n):

@@ -9,22 +9,29 @@ group of measures {eta, mu*eta, ..., mu^(p-1)*eta} with eta = lambda *
 omega_H * rho for a normal subgroup H of G, with the same lambda and rho.
 So the only exact solves are two small ones: lambda is the stationary law
 of the walk x -> L(s*x) on L and rho that of y -> R(y*s) on R, s drawn
-from mu.  Each law is unique: some word w in supp(mu) lands in K, and from
-there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so every start
-forgets itself.  mu^p fixes the same lambda and rho: its walks fix them,
-and forget their start too, as w padded to a length divisible by p still
-lands in K.  The period p and H = e*supp(eta)*e are read off the support
+from mu.  Each is solved on integers: the rows den(mu)*(P - I), P the
+walk's transition matrix, hold numerators of mu, a fraction-free
+elimination gives their kernel vector v, and the law is v / sum(v), the
+one division.  Each law is unique: some word w in supp(mu) lands in K,
+and from there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so
+every start forgets itself.  mu^p fixes the same lambda and rho: its
+walks fix them, and forget their start too, as w padded to a length
+divisible by p still lands in K.  The period p and H = e*supp(eta)*e are read off the support
 cycle of mu^n on K, whose sets are the supports of the p cluster points.
 analyze_limit computes the whole picture and proof-checks every clause on
 the concrete instance, each once, from the structure it already holds.
 The cluster points are built as c_k = mu^k * eta until mu^p * eta = eta,
 so the cycle is closed under convolution once eta * c_j = c_j for each
-j > 0, which is p - 1 convolutions: by associativity c_i * c_j = mu^i *
-(eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  The same construction
-hands the factorization check mu^k * eta as c_(k mod p), with no further
-power.  nu and eta are idempotent by the fold lemma of the measure
-module, as R*L lies in G and, for eta, supp(rho)*supp(lambda) in H; no
-measure is squared.  H and the coset of gamma are read from the
+j > 0: by associativity c_i * c_j = mu^i * (eta * c_j) = mu^(i+j) * eta
+= c_((i+j) mod p).  And eta * c_j = c_j follows, with no convolution,
+from three recorded facts: c_j = lambda * omega_(gamma^j H) * rho
+(cluster_factorization); supp(rho)*supp(lambda) in H (eta_idempotent),
+so the fold absorbs rho * lambda into omega_H; and gamma^j H gamma^-j =
+H (subgroup_normal), so omega_H * omega_(gamma^j H) = omega_(gamma^j H).
+The same construction hands the factorization check mu^k * eta as
+c_(k mod p), with no further power.  nu and eta are idempotent by the
+fold lemma of the measure module, as R*L lies in G and, for eta,
+supp(rho)*supp(lambda) in H; no measure is squared.  H and the coset of gamma are read from the
 G-coordinates the split already verified; H is a closed subset of the
 verified group G, so a subgroup with G's identity and inverses.
 Normality conjugates H by gamma alone, and one marginal reading of eta
@@ -43,7 +50,7 @@ from math import lcm
 
 import numpy as np
 
-from ._rat import ONE, RAT, ZERO
+from ._rat import RAT
 from .core import (
     ElementSet,
     GroupStructure,
@@ -60,9 +67,9 @@ from .errors import (
     TheoremViolation,
     VerificationFailed,
 )
-from .linalg import solve
+from .linalg import integer_kernel_vector
 from .measure import Dist, convolve, haar_uniform, marginals, support, translate
-from .rees import ReesDecomposition, psi_inv, rees_decompose
+from .rees import ReesDecomposition, rees_decompose
 
 def power(mu, n):
     """Exact n-fold convolution of mu with itself, by repeated squaring."""
@@ -133,27 +140,40 @@ def _variation_numerator(mu, nu):
     return sum(map(abs, diff.values())), den
 
 
-def _fixed_law(mu, states, step):
-    """The only probability on the elements states that the walk
-    x -> step(s, x), with s drawn from mu, leaves fixed."""
+def _fixed_law(mu, dec, side):
+    """The only probability that the coordinate walk of mu leaves fixed:
+    lambda on L for side 0, the walk x -> L(s*x), or rho on R for side 2,
+    the walk y -> R(y*s), with s drawn from mu and each step's coordinate
+    read from the split.
+
+    The law spans the kernel of den(mu)*(P - I), P the walk's transition
+    matrix (column x the law of one step from x), whose entries are the
+    numerators of mu: one integer elimination and one division.
+    """
+    rows, coordinates = mu.parent.rows, dec.coordinates
+    states = (dec.left if side == 0 else dec.right).elements()
     pos = {x: i for i, x in enumerate(states)}
-    k = len(pos)
-    rows = [[ZERO] * k for _ in range(k)]  # (law moved one step)(x) - law(x)
+    k = len(states)
+    matrix = [[0] * k for _ in range(k)]  # den * ((law moved one step) - law)
     for i, x in enumerate(states):
-        rows[i][i] -= ONE
-        for s, p in mu.items():
-            rows[pos[step(s, x)]][i] += p
-    law = solve(rows + [[ONE] * k], [ZERO] * k + [ONE])
-    if law is None:
+        matrix[i][i] = -mu.den
+        row_x = rows[x]
+        for s, n in mu._nums:
+            z = rows[s][x] if side == 0 else row_x[s]
+            matrix[pos[coordinates[z][side]]][i] += n
+    law = integer_kernel_vector(matrix)
+    total = sum(law) if law else 0
+    if not total:
         raise SingularDecomposition("no probability is fixed by the coordinate walk")
-    return Dist._from_support(mu.parent, {x: v for x, v in zip(states, law) if v})
+    # The vector has a positive entry, so a negative total means mixed signs:
+    # no probability, which _from_numerators reports.
+    return Dist._from_numerators(mu.parent, total, {x: v for x, v in zip(states, law) if v})
 
 
 def _limit_factors(mu, dec):
     """nu, lambda and rho for the decomposition dec of the walk kernel."""
-    rows = mu.parent.rows
-    lam = _fixed_law(mu, dec.left, lambda s, x: psi_inv(dec, rows[s][x])[0])
-    rho = _fixed_law(mu, dec.right, lambda s, y: psi_inv(dec, rows[y][s])[2])
+    lam = _fixed_law(mu, dec, 0)
+    rho = _fixed_law(mu, dec, 2)
     nu = convolve(convolve(lam, haar_uniform(dec.group)), rho)
     # nu is idempotent by the fold lemma (see the measure module): lambda
     # lives on L, rho on R, and the split verified R*L in G.  The invariance
@@ -297,8 +317,10 @@ def analyze_limit(mu):
     (coset_powers_exhaust).  One marginal reading of eta against (lambda,
     omega_H, rho) proves nu_factorization, eta_factorization,
     marginal_readings_agree and the k = 0 term of cluster_factorization;
-    only the terms k = 1..p-1 are convolved.  cluster_closed_cyclic is
-    proven from the generator (see _cluster_closed).
+    only the terms k = 1..p-1 are convolved.  cluster_closed_cyclic
+    follows from those terms, eta_idempotent and subgroup_normal by the
+    fold, so it is recorded from them, in its place before
+    cluster_factorization: a term that fails stops the report there.
     """
     sg = mu.parent
     checks = {}
@@ -412,10 +434,26 @@ def analyze_limit(mu):
     )
     record("gamma_power_in_subgroup", gamma_pows[p] in h_set)
 
+    # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
+    # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
+    # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
+    # p, and k < p covers every k; k = 0 is eta = lambda * omega_H * rho,
+    # which holds by construction (at p = 1, H = G by
+    # period_matches_quotient) and which the reading below confirms.
+    factored = all(
+        convolve(convolve(lam, translate(haar_h, gamma_pows[k], "left")), rho) == cluster[k]
+        for k in range(1, p)
+    )
+
     # The loop stopped at the first return to eta: c_i = c_j with
     # 0 < i < j < p would return it earlier, at c_(i+p-j) = c_p = eta.
     record("cluster_distinct", True)
-    record("cluster_closed_cyclic", _cluster_closed(cluster))
+    # By the fold (see the measure module), with c_j = lambda *
+    # omega_(gamma^j H) * rho and rho * lambda a probability on H
+    # (eta_idempotent), eta * c_j = lambda * omega_H * omega_(gamma^j H) *
+    # rho, which is c_j because gamma^j H gamma^-j = H (subgroup_normal).
+    # So c_i * c_j = mu^i * (eta * c_j) = c_((i+j) mod p).
+    record("cluster_closed_cyclic", factored)
     # k = 0 is eta_support_product, as cosets[0] = e*H = H.
     record(
         "cluster_supports_cosets",
@@ -433,18 +471,7 @@ def analyze_limit(mu):
     # factorizations, and the k = 0 term eta = cluster[0] of the next.
     reading = (lam, haar_h, rho)
     read_back = marginals(eta, dec) == reading
-    # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
-    # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
-    # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
-    # p, and k < p covers every k.
-    record(
-        "cluster_factorization",
-        read_back
-        and all(
-            convolve(convolve(lam, translate(haar_h, gamma_pows[k], "left")), rho) == cluster[k]
-            for k in range(1, p)
-        ),
-    )
+    record("cluster_factorization", read_back and factored)
     record("nu_factorization", read_back)
     record("eta_factorization", read_back)
 
@@ -467,19 +494,6 @@ def analyze_limit(mu):
         gamma=gamma,
         checks=checks,
     )
-
-
-def _cluster_closed(cluster):
-    """Whether the cycle c_k = mu^k * eta (c_0 = eta, mu^p * eta = eta) is
-    closed under convolution, c_i * c_j = c_((i+j) mod p).
-
-    By associativity c_i * c_j = mu^i * (eta * c_j), and mu^i * c_j =
-    c_((i+j) mod p) by construction, so eta * c_j = c_j for each j is the
-    whole proof: p - 1 convolutions instead of the p^2 of a sweep, as
-    eta * eta = eta is the clause eta_idempotent.
-    """
-    eta = cluster[0]
-    return all(convolve(eta, c) == c for c in cluster[1:])
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ kernel (c.g = c), so e.g. full_transformation(2) has kernel {"00", "11"}.
 
 Tables are composed by array gathers: the transformation, cyclic,
 rectangular-band and direct-product builders form the whole table as numpy
-expressions over all pairs at once, and hand validate_cayley its rows as
-lists of Python ints.
+expressions over all pairs at once, and hand validate_cayley that integer
+array.
 
 Randomized kinds draw from xorshift64*, a fixed 64-bit shift-register
 generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D), so the
@@ -115,7 +115,7 @@ def _build_cyclic(spec):
     _check_order(n)
     labels = [str(i) for i in range(n)]
     r = np.arange(n)
-    return validate_cayley(labels, (np.add.outer(r, r) % n).tolist())
+    return validate_cayley(labels, np.add.outer(r, r) % n)
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -146,7 +146,7 @@ def _build_rectangular_band(spec):
     # (i,j)*(a,b) = (i,b), coded i*k + b; axes are (i, j, a, b)
     codes = np.arange(m).reshape(m, 1, 1, 1) * k + np.arange(k)
     n = m * k
-    return validate_cayley(labels, np.broadcast_to(codes, (m, k, m, k)).reshape(n, n).tolist())
+    return validate_cayley(labels, np.broadcast_to(codes, (m, k, m, k)).reshape(n, n))
 
 
 def _all_maps(degree):
@@ -167,7 +167,8 @@ def _map_label(images):
 
 
 def _transformation_table(maps):
-    """Labels and Cayley table of a composition-closed list of maps.
+    """Labels and Cayley table (an int16 array) of a composition-closed list
+    of maps.
 
     Every composite f.g is coded base degree, image of 0 first, one
     coordinate at a time: (f.g)(x) = m[f, m[g, x]] is one gather over all
@@ -182,7 +183,7 @@ def _transformation_table(maps):
         own = own * degree + m[:, x]
     index = np.full(degree**degree, -1, dtype=np.int16)
     index[own] = np.arange(n)
-    return [_map_label(f) for f in maps], index[code].tolist()
+    return [_map_label(f) for f in maps], index[code]
 
 
 def _build_full_transformation(spec):
@@ -249,7 +250,7 @@ def _build_direct_product(spec):
     # (a1,b1)*(a2,b2) = (a1*a2, b1*b2), coded a*nb + b; axes are (a1, b1, a2, b2)
     fa = first.table_array()[:, None, :, None]
     sb = second.table_array()[None, :, None, :]
-    return validate_cayley(labels, (fa * nb + sb).reshape(n, n).tolist())
+    return validate_cayley(labels, (fa * nb + sb).reshape(n, n))
 
 
 def _build_random_transformation_subsemigroup(spec):

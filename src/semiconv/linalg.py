@@ -1,9 +1,17 @@
-"""Exact rational Gaussian elimination: RREF, nullspace, linear solve.
+"""Exact Gaussian elimination: RREF, nullspace and linear solve over the
+rationals, and the kernel vector of an integer matrix without fractions.
 
-Plain list-of-list matrices over the rational backend.  Row updates skip
-zero entries, which is most of the work on the sparse elimination fronts
-these matrices produce.
+Plain list-of-list matrices.  Row updates skip zero entries, which is most
+of the work on the sparse elimination fronts these matrices produce.
+rref, nullspace and solve work in Fraction; verify reads nullspaces with
+them, and solve is the test oracle of integer_kernel_vector, which the
+fixed-law solves of dynamics use.  integer_kernel_vector runs Gauss-Jordan
+on Python ints: a row is cleared by an integer combination with the pivot
+row and divided by the gcd of its entries, so no entry is ever a fraction
+and the one division of a fixed law is left to its caller.
 """
+
+from math import gcd, lcm
 
 from ._rat import ONE, ZERO
 
@@ -70,3 +78,54 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][-1]
     return x
+
+
+def integer_kernel_vector(rows):
+    """The primitive integer vector spanning {x : rows @ x = 0} for a
+    matrix of ints with a one-dimensional kernel, or None when the kernel
+    is not one-dimensional.
+
+    Fraction-free Gauss-Jordan: a pivot p in row r clears column c from
+    each other row i with f = m[i][c] != 0 as m[i] = (p/g)*m[i] - (f/g)*m[r],
+    g = gcd(p, f), and the row is then divided by the gcd of its entries.
+    Afterwards each pivot row r reads a_r*x[c_r] + b_r*x[f] = 0 in the one
+    free column f, so x[f] = lcm(|a_r|) > 0 and x[c_r] = -b_r*x[f]/a_r, all
+    ints, then divided by their gcd.  The sign x[f] > 0 makes a kernel that
+    a non-negative vector spans come back non-negative, as the kernel of
+    den*(P - I) does for the transition matrix P of a walk with one fixed
+    law.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return None
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        mr = m[r]
+        p = mr[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y if y else a * x for x, y in zip(m[i], mr)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    x = [0] * ncols
+    x[free] = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+    for i, c in enumerate(pivots):
+        x[c] = -m[i][free] * x[free] // m[i][c]
+    g = gcd(*x)
+    return [v // g for v in x]

@@ -220,6 +220,47 @@ def test_validate_rejects_malformed():
         validate_cayley(["a", "b"], [[0, True], [1, 0]])
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8])
+def test_validate_takes_an_integer_array_as_the_list_table(dtype):
+    # A builder hands over the array it formed; the Semigroup is the one
+    # its rows as lists give, with rows of Python ints, and every check runs.
+    rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    labels = [str(i) for i in range(5)]
+    table = np.array(rows, dtype=dtype)
+    sg = validate_cayley(labels, table)
+    assert sg.rows == validate_cayley(labels, rows).rows == tuple(map(tuple, rows))
+    assert all(type(v) is int for row in sg.rows for v in row)
+    arr = sg.table_array()
+    assert arr.dtype == np.int32 and arr.flags.writeable is False
+    table[0, 0] = 4  # the caller's array is not the one kept
+    assert arr[0, 0] == 0 and sg.rows[0][0] == 0
+
+    broken = np.array(rows, dtype=dtype)
+    broken[1, 2] = broken[2, 0] = 0  # 1*2 = 0 breaks associativity
+    with pytest.raises(NonAssociative) as info:
+        validate_cayley(labels, broken)
+    assert info.value.witness == first_broken_triple(broken.tolist())
+
+    wide = np.array(rows, dtype=dtype)
+    wide[1, 3] = wide[4, 0] = 5
+    with pytest.raises(IndexOutOfRange) as info:
+        validate_cayley(labels, wide)
+    assert (info.value.row, info.value.col, info.value.value) == (1, 3, 5)
+    with pytest.raises(InvalidTable):
+        validate_cayley(labels, table[:4])
+    with pytest.raises(InvalidTable):
+        validate_cayley(labels, table[:, :4])
+    with pytest.raises(InvalidTable):
+        validate_cayley(labels, table.ravel())
+
+
+def test_validate_names_a_negative_array_entry():
+    table = np.array([[0, 1], [1, -1]], dtype=np.int64)
+    with pytest.raises(IndexOutOfRange) as info:
+        validate_cayley(["0", "1"], table)
+    assert (info.value.row, info.value.col, info.value.value) == (1, 1, -1)
+
+
 @pytest.mark.parametrize(
     "value",
     [2**63, 2**70, -(2**70), True, 1.0, np.int64(1), "1"],

@@ -5,8 +5,10 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 = f(g(x)), so constants absorb on the left.
 """
 
+import fractions
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -312,15 +314,88 @@ def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
     # does not fix: no report may come back.
     lz2 = build(CorpusSpec("left_zero", (2,)))
     mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
-    real_solve = dynamics.solve
+    real_solve = dynamics.integer_kernel_vector
 
-    def swapped(rows, rhs):
-        x = real_solve(rows, rhs)
+    def swapped(rows):
+        x = real_solve(rows)
         return x[::-1] if len(x) == 2 else x
 
-    monkeypatch.setattr(dynamics, "solve", swapped)
+    monkeypatch.setattr(dynamics, "integer_kernel_vector", swapped)
     with pytest.raises(VerificationFailed, match="limit invariance"):
         analyze_limit(mu)
+
+
+def fixed_law_by_fraction_solve(mu, states, step):
+    """Oracle for dynamics._fixed_law: the law on states fixed by x ->
+    step(s, x), s drawn from mu, as one Fraction solve of (P - I) law = 0
+    with the entries summing to one."""
+    pos = {x: i for i, x in enumerate(states)}
+    k = len(pos)
+    rows = [[ZERO] * k for _ in range(k)]
+    for i, x in enumerate(states):
+        rows[i][i] -= ONE
+        for s, p in mu.items():
+            rows[pos[step(s, x)]][i] += p
+    law = solve(rows + [[ONE] * k], [ZERO] * k + [ONE])
+    return Dist.from_mapping(mu.parent, {x: v for x, v in zip(states, law) if v})
+
+
+def extended_corpus_walks(seed):
+    return [
+        mu
+        for inst in verify.build_corpus("extended")
+        for mu in verify._seeded_dists(inst, seed, 9, 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "corpus, seed", [*(("default", seed) for seed in range(4)), ("extended", 0), ("extended", 1)]
+)
+def test_fixed_laws_match_the_fraction_solve(corpus, seed):
+    walks = default_corpus_walks(seed) if corpus == "default" else extended_corpus_walks(seed)
+    for mu in walks:
+        dec = rees_decompose(core.kernel(generated_subsemigroup(support(mu))))
+        rows, coordinates = mu.parent.rows, dec.coordinates
+        lam = fixed_law_by_fraction_solve(
+            mu, dec.left.elements(), lambda s, x: coordinates[rows[s][x]][0]
+        )
+        rho = fixed_law_by_fraction_solve(
+            mu, dec.right.elements(), lambda s, y: coordinates[rows[y][s]][2]
+        )
+        assert dynamics._fixed_law(mu, dec, 0) == lam, mu
+        assert dynamics._fixed_law(mu, dec, 2) == rho, mu
+
+
+def test_fixed_laws_make_no_fraction():
+    # Every Fraction is made, and computed with, by Python code in the
+    # fractions module, so a profile hook sees each one.
+    sg = build(product_spec(CorpusSpec("rectangular_band", (3, 4)), CorpusSpec("cyclic", (2,))))
+    mu = Dist.from_mapping(sg, {"((0,1),1)": RAT(1, 3), "((2,3),0)": RAT(2, 3)})
+    dec = rees_decompose(core.kernel(generated_subsemigroup(support(mu))))
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            seen.append(frame.f_code.co_name)
+
+    def watched(run):
+        seen.clear()
+        sys.setprofile(watch)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+
+    lam = watched(lambda: dynamics._fixed_law(mu, dec, 0))
+    assert seen == []
+    rho = watched(lambda: dynamics._fixed_law(mu, dec, 2))
+    assert seen == []
+    # the kernel is {0, 2} x {1, 3} x Z2, entered at mu's two rows and columns
+    assert lam == Dist.from_mapping(sg, {"((0,1),0)": RAT(1, 3), "((2,1),0)": RAT(2, 3)})
+    assert rho == Dist.from_mapping(sg, {"((0,1),0)": RAT(1, 3), "((0,3),0)": RAT(2, 3)})
+    # the hook does see one: mu's probabilities are made on first use
+    watched(mu.items)
+    assert seen
 
 
 def spectral_limit(mu):
@@ -521,10 +596,12 @@ def limit_clauses_by_brute(mu, report):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cluster_closure_from_the_generator_matches_the_pair_sweep(seed):
-    # and so does every other clause the report records
+    # cluster_closed_cyclic is recorded from the fold and the coset
+    # factorization of c_k = mu^k * eta; the p^2 sweep agrees, and so does
+    # every other clause the report records
     for mu in default_corpus_walks(seed):
         report = analyze_limit(mu)
-        assert dynamics._cluster_closed(report.cluster) is True
+        assert report.checks["cluster_closed_cyclic"] is True
         assert verify.cluster_closed_by_sweep(report.cluster) is True
         assert limit_clauses_by_brute(mu, report) == [True] * 21, mu.parent
 
@@ -534,28 +611,41 @@ def test_cluster_closure_on_point_masses_of_full_period(n):
     mu = dirac(cyclic(n), 1)
     rep = analyze_limit(mu)
     assert rep.p == n and rep.checks["cluster_closed_cyclic"]
-    assert dynamics._cluster_closed(rep.cluster) is True
     assert verify.cluster_closed_by_sweep(rep.cluster) is True
     assert limit_clauses_by_brute(mu, rep) == [True] * 21
 
 
-def test_an_open_cluster_list_fails_both_closure_tests():
-    # On cyclic(4) x left_zero(2), (g, u) * (h, v) = (g + h, u).  mu = delta
-    # of (1,a) cycles through c_k = delta of (k,a).  Putting (j,b) in place
-    # of c_j leaves the other points alone, but eta * c_j = (j,a) != c_j,
-    # and c_0 * c_j misses c_j in the sweep: each j on its own must be
-    # caught, so neither test may skip a point of the cycle.
-    sg = build(product_spec(CorpusSpec("cyclic", (4,)), CorpusSpec("left_zero", (2,))))
-    rep = analyze_limit(dirac(sg, sg.index("(1,a)")))
+def test_an_open_cluster_list_fails_both_closure_tests(monkeypatch):
+    # On left_zero(2) x Z4, (u, g) * (v, h) = (u, g + h), and mu = half
+    # (a,1), half (b,1) cycles through c_k = uniform on {(a,k), (b,k)}.
+    # Putting 1/3 (a,j) + 2/3 (b,j) in place of c_j keeps its support, so
+    # gamma and p are read as before, and mu sends it on to c_(j+1); but
+    # eta * c_j = c_j fails, and so does c_j = lambda * omega_(gamma^j H) *
+    # rho, the term the fold proof of closure rests on.  Each j on its own
+    # must be caught, so neither test may skip a point of the cycle.
+    sg = build(product_spec(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (4,))))
+    mu = Dist.from_mapping(sg, {"(a,1)": RAT(1, 2), "(b,1)": RAT(1, 2)})
+    rep = analyze_limit(mu)
     assert [c.support().labels() for c in rep.cluster] == [
-        ("(0,a)",), ("(1,a)",), ("(2,a)",), ("(3,a)",)
+        (f"(a,{k})", f"(b,{k})") for k in range(4)
     ]
-    assert dynamics._cluster_closed(rep.cluster) and verify.cluster_closed_by_sweep(rep.cluster)
+    assert rep.checks["cluster_closed_cyclic"] and verify.cluster_closed_by_sweep(rep.cluster)
+    real = dynamics.convolve
     for j in range(1, 4):
+        open_point = Dist.from_mapping(sg, {f"(a,{j})": RAT(1, 3), f"(b,{j})": RAT(2, 3)})
         open_list = list(rep.cluster)
-        open_list[j] = dirac(sg, sg.index(f"({j},b)"))
-        assert not dynamics._cluster_closed(open_list), j
+        open_list[j] = open_point
         assert not verify.cluster_closed_by_sweep(open_list), j
+
+        def opened(first, second, j=j, open_point=open_point):
+            # only the steps mu * c of the cluster cycle yield c_j
+            out = real(first, second)
+            return open_point if first is mu and out == rep.cluster[j] else out
+
+        monkeypatch.setattr(dynamics, "convolve", opened)
+        with pytest.raises(TheoremViolation) as exc:
+            analyze_limit(mu)
+        assert exc.value.clause == "cluster_closed_cyclic", j
 
 
 def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):

@@ -1,5 +1,10 @@
+from math import gcd, lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from semiconv._rat import ONE, RAT, ZERO
-from semiconv.linalg import nullspace, rref, solve
+from semiconv.linalg import integer_kernel_vector, nullspace, rref, solve
 
 
 def R(*vals):
@@ -48,3 +53,58 @@ def test_solve_underdetermined_and_inconsistent():
     x = solve([R(1, 1, 0)], R(7))
     assert x is not None and mat_vec([R(1, 1, 0)], x) == R(7)
     assert solve([R(1, 1), R(1, 1)], R(1, 2)) is None
+
+
+def primitive(v):
+    """The integer multiple of a rational vector with coprime entries, of
+    the same sign."""
+    scale = lcm(*(RAT(x).denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+@st.composite
+def walk_matrices(draw):
+    """den*(P - I) for a k-state walk whose transition matrix P has column
+    x the law of one step from x, numerators over den."""
+    k = draw(st.integers(1, 6))
+    den = draw(st.integers(1, 12))
+    matrix = [[0] * k for _ in range(k)]
+    for x in range(k):
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=k - 1, max_size=k - 1)))
+        for y, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, den])):
+            matrix[y][x] += hi - lo
+        matrix[x][x] -= den
+    return matrix
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(walk_matrices())
+def test_integer_kernel_vector_matches_the_fraction_nullspace(matrix):
+    basis = nullspace([[RAT(a) for a in row] for row in matrix])
+    v = integer_kernel_vector(matrix)
+    if len(basis) != 1:
+        assert v is None
+        return
+    # same line, same sign: the Fraction basis pins its free column to one
+    assert v == primitive(basis[0])
+    assert not any(mat_vec(matrix, v))
+    # a walk's kernel is spanned by its fixed law
+    assert min(v) >= 0 and sum(v) > 0
+
+
+def test_integer_kernel_vector_rejects_a_kernel_that_is_not_a_line():
+    # two closed classes {0, 1} and {2}: every mix of their laws is fixed
+    assert integer_kernel_vector([[-1, 1, 0], [1, -1, 0], [0, 0, 0]]) is None
+    assert nullspace([R(-1, 1, 0), R(1, -1, 0), R(0, 0, 0)]) == [R(1, 1, 0), R(0, 0, 1)]
+    # full rank: only zero is fixed
+    assert integer_kernel_vector([[2, 1], [1, 1]]) is None
+    assert integer_kernel_vector([]) is None
+
+
+def test_integer_kernel_vector_of_a_singular_integer_matrix():
+    # the kernel is spanned by (1, -2, 1); its free column is the last
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert integer_kernel_vector(rows) == [1, -2, 1]
+    assert primitive(nullspace([R(*r) for r in rows])[0]) == [1, -2, 1]
