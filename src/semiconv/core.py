@@ -531,43 +531,44 @@ def group_structure(subset):
     """Check that a subset is a group under the ambient product and extract
     its identity and inverse map.
 
-    A finite subsemigroup is a group exactly when x*A = A = A*x for every x;
-    that test is run first and its witness reported on failure: the least
-    x, its left translate before its right.  Closure puts x*A and A*x inside
-    A, so each is A exactly when row or column x hits |A| distinct elements
-    of it.  Each inverse is looked up in a row: any b with a*b = e gives the
-    inverse e*b*e, which is then checked.
+    A closed subset with a two-sided identity e in it, and a two-sided
+    inverse in it for every element, is a group; that is the whole test.
+    The identity is the first element fixing an anchor from the left, and
+    each inverse is looked up in a row: any b with a*b = e gives e*b*e,
+    which is a's inverse if A is a group, as a^-1*(a*b)*e = e*b*e.  So the
+    test passes on every group.  When it fails, the translation sweep
+    x*A = A = A*x runs to name the witness: the least x, its left
+    translate before its right.  Closure puts x*A and A*x inside A, so
+    each is A exactly when row or column x hits |A| distinct elements of
+    it.
     """
     _require_subsemigroup(subset)
     sg = subset.parent
     rows = sg.rows
     els = subset.elements()
+    anchor = els[0]
+    identity = next((e for e in els if rows[e][anchor] == anchor), None)
+    if identity is not None:
+        row_e = rows[identity]
+        inverses = {}
+        for a in els:
+            row_a = rows[a]
+            if row_e[a] != a or row_a[identity] != a or identity not in row_a:
+                break
+            inv = rows[row_e[row_a.index(identity)]][identity]
+            if inv not in subset or row_a[inv] != identity or rows[inv][a] != identity:
+                break
+            inverses[a] = inv
+        else:
+            return GroupStructure(carrier=subset, identity=identity, inverses=inverses)
     for a in els:
         if len({rows[a][b] for b in els}) != len(els):
             raise NotAGroup("left translation is not onto", sg.label(a))
         if len({rows[b][a] for b in els}) != len(els):
             raise NotAGroup("right translation is not onto", sg.label(a))
-    anchor = els[0]
-    identity = None
-    for e in els:
-        if rows[e][anchor] == anchor:
-            identity = e
-            break
-    if identity is None:
-        raise VerificationFailed("group identity", "no left identity on anchor element")
-    row_e = rows[identity]
-    for a in els:
-        if row_e[a] != a or rows[a][identity] != a:
-            raise VerificationFailed("group identity", f"not two-sided at {sg.label(a)}")
-    inverses = {}
-    for a in els:
-        # a*A = A holds e, so the row has a b with a*b = e; then e*b*e is in
-        # e*S*e and a*(e*b*e) = e, so it is a's inverse if A is a group.
-        inv = rows[row_e[rows[a].index(identity)]][identity]
-        if inv not in subset or rows[a][inv] != identity or rows[inv][a] != identity:
-            raise VerificationFailed("group inverses", f"no two-sided inverse for {sg.label(a)}")
-        inverses[a] = inv
-    return GroupStructure(carrier=subset, identity=identity, inverses=inverses)
+    # A closed subset on which every translation is onto is a group, and
+    # the test above passes on every group.
+    raise VerificationFailed("group", "translations are onto, yet no identity and inverses")
 
 
 @dataclass(frozen=True, eq=False)

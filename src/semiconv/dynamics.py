@@ -31,12 +31,17 @@ H (subgroup_normal), so omega_H * omega_(gamma^j H) = omega_(gamma^j H).
 The same construction hands the factorization check mu^k * eta as
 c_(k mod p), with no further power.  nu and eta are idempotent by the
 fold lemma of the measure module, as R*L lies in G and, for eta,
-supp(rho)*supp(lambda) in H; no measure is squared.  H and the coset of gamma are read from the
-G-coordinates the split already verified; H is a closed subset of the
-verified group G, so a subgroup with G's identity and inverses.
-Normality conjugates H by gamma alone, and one marginal reading of eta
-proves the factorizations of nu and eta; a clause that _limit_factors,
-the split, the fold or the cycle already proves is recorded from it.
+supp(rho)*supp(lambda) in H; no measure is squared.  nu, eta and the
+coset terms lambda * omega_(gamma^k H) * rho are built in the split's
+coordinates, lambda(x)*m(g)*rho(y) at x*g*y (the coordinate-product
+lemma of the measure module), with no convolution; as psi is a
+bijection, each reads back as the triple it was built from, and its
+support is L*C*R for the subset C of G its middle factor lives on.  H
+and the coset of gamma are read from the G-coordinates the split already
+verified; H is a closed subset of the verified group G, so a subgroup
+with G's identity and inverses.  Normality conjugates H by gamma alone;
+a clause that _limit_factors, the split, the fold, the construction or
+the cycle already proves is recorded from it.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -68,7 +73,7 @@ from .errors import (
     VerificationFailed,
 )
 from .linalg import integer_kernel_vector
-from .measure import Dist, convolve, haar_uniform, marginals, support, translate
+from .measure import Dist, convolve, coordinate_product, haar_uniform, support, uniform_on
 from .rees import ReesDecomposition, rees_decompose
 
 def power(mu, n):
@@ -174,7 +179,7 @@ def _limit_factors(mu, dec):
     """nu, lambda and rho for the decomposition dec of the walk kernel."""
     lam = _fixed_law(mu, dec, 0)
     rho = _fixed_law(mu, dec, 2)
-    nu = convolve(convolve(lam, haar_uniform(dec.group)), rho)
+    nu = coordinate_product(lam, haar_uniform(dec.group), rho)
     # nu is idempotent by the fold lemma (see the measure module): lambda
     # lives on L, rho on R, and the split verified R*L in G.  The invariance
     # is checked, as it is what verifies the two solves.
@@ -301,26 +306,28 @@ def analyze_limit(mu):
     structural clause exactly.  A failed clause raises TheoremViolation;
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
-    solves, its cost is set algebra and convolution over the walk's
-    supports.
+    solves, its cost is set algebra over the walk's supports, the
+    convolutions of the cluster cycle and coordinate products on K.
 
     Each clause is proven once.  A clause an earlier step already proves
     records that step's result: _limit_factors (mu * nu = nu = nu * mu,
-    and nu * nu = nu by the fold R*L in G; at p = 1, where eta is nu,
-    eta * mu^p = eta too), the verified split (L*G*R = K, every
-    G-coordinate in G), the fold supp(rho)*supp(lambda) in H (eta * eta =
-    eta, and a second split of supp(eta) would read eta as the first
-    does), the cluster loop (it stops at the first mu^p * eta = eta, so no
-    point repeats) or the subgroup H (gamma*h*H = gamma*H).  H is tested
-    only for closure, as it lies in the verified group G.  Normality
-    conjugates H by gamma alone, as H and gamma generate G
-    (coset_powers_exhaust).  One marginal reading of eta against (lambda,
-    omega_H, rho) proves nu_factorization, eta_factorization,
-    marginal_readings_agree and the k = 0 term of cluster_factorization;
-    only the terms k = 1..p-1 are convolved.  cluster_closed_cyclic
-    follows from those terms, eta_idempotent and subgroup_normal by the
-    fold, so it is recorded from them, in its place before
-    cluster_factorization: a term that fails stops the report there.
+    and nu * nu = nu by the fold R*L in G; where eta is nu, eta * mu^p =
+    eta too), the verified split (L*G*R = K, every G-coordinate in G), the
+    fold supp(rho)*supp(lambda) in H (eta * eta = eta, and a second split
+    of supp(eta) would read eta as the first does), the cluster loop (it
+    stops at the first mu^p * eta = eta, so no point repeats) or the
+    subgroup H (gamma*h*H = gamma*H).  H is tested only for closure, as it
+    lies in the verified group G.  Normality conjugates H by gamma alone,
+    as H and gamma generate G (coset_powers_exhaust).  nu, eta and the
+    coset terms c_k = lambda * omega_(gamma^k H) * rho for k = 1..p-1 are
+    coordinate products, so psi_inv o psi = id on the verified coordinates
+    gives nu_factorization, eta_factorization and marginal_readings_agree,
+    and supp(lambda) = L, supp(rho) = R (support_nu_is_kernel and the
+    bijection) give eta_support_product.  Comparing each c_k with mu^k *
+    eta is the one test left; cluster_supports_cosets and
+    cluster_factorization follow from it, and so does
+    cluster_closed_cyclic, with eta_idempotent and subgroup_normal by the
+    fold, so a term that fails stops the report at cluster_closed_cyclic.
     """
     sg = mu.parent
     checks = {}
@@ -378,19 +385,19 @@ def analyze_limit(mu):
         subgroup = GroupStructure(h_set, e, {h: dec.group.inv(h) for h in h_set})
     else:
         raise TheoremViolation("subgroup_structure", f"H={h_set.labels()} is not closed")
-    haar_h = haar_uniform(subgroup)
-    # At p = 1 eta is nu, which _limit_factors proved fixed by mu on both
-    # sides.
-    eta_is_nu = period == 1
-    eta = nu if eta_is_nu else convolve(convolve(lam, haar_h), rho)
+    # With H = G, as at p = 1 (period_matches_quotient), eta is nu, which
+    # _limit_factors proved fixed by mu on both sides.
+    eta_is_nu = subgroup is dec.group
+    eta = nu if eta_is_nu else coordinate_product(lam, haar_uniform(subgroup), rho)
     # eta = lambda * omega_H * rho is idempotent by the fold lemma (see the
     # measure module) exactly when supp(rho)*supp(lambda) lies in H.
     record("eta_idempotent", product_sets(support(rho), support(lam)).issubset(h_set))
     record("subgroup_in_group", True)  # the split verified every G-coordinate
-    record(
-        "eta_support_product",
-        support(eta) == product_sets(product_sets(dec.left, h_set), dec.right),
-    )
+    # supp(nu) = psi(supp(lambda) x G x supp(rho)) is K = psi(L x G x R)
+    # (support_nu_is_kernel), and psi is a bijection, so supp(lambda) = L and
+    # supp(rho) = R; a coordinate product over a subset C of G is then
+    # supported on psi(L x C x R) = L*C*R, here L*H*R.
+    record("eta_support_product", True)
 
     mu_eta = eta if eta_is_nu else convolve(mu, eta)
     gamma_set = sg.subset(coordinates[z][1] for z in support(mu_eta))
@@ -418,7 +425,7 @@ def analyze_limit(mu):
         p * subgroup.order == dec.group.order,
         f"p={p}, |G|={dec.group.order}, |H|={subgroup.order}",
     )
-    # The loop ended on mu^p * eta = eta; at p = 1, eta * mu = nu * mu = nu.
+    # The loop ended on mu^p * eta = eta; with eta = nu, eta * mu = nu.
     record("eta_power_invariant", eta_is_nu or convolve(eta, power(mu, p)) == eta)
 
     gamma_pows = [e]
@@ -437,12 +444,10 @@ def analyze_limit(mu):
     # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
     # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
     # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
-    # p, and k < p covers every k; k = 0 is eta = lambda * omega_H * rho,
-    # which holds by construction (at p = 1, H = G by
-    # period_matches_quotient) and which the reading below confirms.
+    # p, and k < p covers every k; k = 0 is eta = lambda * omega_H * rho by
+    # construction.  omega_(gamma^k H) is uniform on the coset.
     factored = all(
-        convolve(convolve(lam, translate(haar_h, gamma_pows[k], "left")), rho) == cluster[k]
-        for k in range(1, p)
+        coordinate_product(lam, uniform_on(cosets[k]), rho) == cluster[k] for k in range(1, p)
     )
 
     # The loop stopped at the first return to eta: c_i = c_j with
@@ -454,34 +459,22 @@ def analyze_limit(mu):
     # rho, which is c_j because gamma^j H gamma^-j = H (subgroup_normal).
     # So c_i * c_j = mu^i * (eta * c_j) = c_((i+j) mod p).
     record("cluster_closed_cyclic", factored)
-    # k = 0 is eta_support_product, as cosets[0] = e*H = H.
-    record(
-        "cluster_supports_cosets",
-        all(
-            support(cluster[k])
-            == product_sets(product_sets(dec.left, cosets[k]), dec.right)
-            for k in range(1, p)
-        ),
-    )
-
-    # psi is a verified bijection, so a product lambda * m * rho reads back
-    # as exactly (lambda, m, rho).  nu = lambda * omega_G * rho and eta =
-    # lambda * omega_H * rho by construction (at p = 1 the reading of nu
-    # matches omega_H only if H = G), so this one reading proves both
-    # factorizations, and the k = 0 term eta = cluster[0] of the next.
-    reading = (lam, haar_h, rho)
-    read_back = marginals(eta, dec) == reading
-    record("cluster_factorization", read_back and factored)
-    record("nu_factorization", read_back)
-    record("eta_factorization", read_back)
-
+    # Each cluster[k] is the coordinate product over gamma^k H (factored),
+    # so its support is L*gamma^k H*R, as for eta_support_product.
+    record("cluster_supports_cosets", factored)
+    record("cluster_factorization", factored)
+    # nu and eta are the coordinate products over G and H, and psi_inv o psi
+    # is the identity on the verified coordinates, so they read back as
+    # (lambda, omega_G, rho) and (lambda, omega_H, rho).
+    record("nu_factorization", True)
+    record("eta_factorization", True)
     # A second split of supp(eta) at e would read the same triple.  The fold
     # R*L in H (eta_idempotent; supp(eta) = L*H*R by eta_support_product)
     # makes supp(eta) completely simple with base e and group e*supp(eta)*e
     # = H.  Its psi_inv has the closed form (z*e*g^-1, g, g^-1*e*z) with
     # g = e*z*e, and g^-1 in H is g^-1 in G, so both splits give every
-    # point of supp(eta) the same coordinates.
-    record("marginal_readings_agree", read_back)
+    # point of supp(eta) the same coordinates, those eta was built from.
+    record("marginal_readings_agree", True)
 
     return LimitReport(
         nu=nu,

@@ -14,13 +14,14 @@ use and cached.  Every Dist is a probability, checked where it is made:
 * Dist.from_mapping makes the same checks over the entries it is given
   only, so reading a distribution costs its support, not the order.
 * Dist._from_numerators(parent, den, numerators) is the constructor for
-  results that are probabilities by construction (convolve, translate,
-  marginals, haar_uniform, uniform_on, dirac, generators.random_dist and
-  the Cesaro averages in dynamics); it checks only the given support: the
-  map is non-empty, every numerator is > 0 and they sum to exactly den.
-* Dist._from_support(parent, weights) takes rational weights (the fixed
-  laws in dynamics), puts them over the lcm of their denominators and
-  hands the numerators to _from_numerators.
+  results that are probabilities by construction (convolve,
+  coordinate_product, translate, marginals, haar_uniform, uniform_on,
+  dirac, generators.random_dist, and the fixed laws and Cesaro averages
+  in dynamics); it checks only the given support: the map is non-empty,
+  every numerator is > 0 and they sum to exactly den.
+* Dist._from_support(parent, weights) takes rational weights (only
+  from_mapping calls it), puts them over the lcm of their denominators
+  and hands the numerators to _from_numerators.
 
 Key facts implemented and verified here: an idempotent distribution
 (mu*mu = mu) is supported on a completely simple subsemigroup and factors
@@ -36,6 +37,17 @@ probability m on H; with m = rho * lambda,
                              = lambda * omega_H * rho.
 compose_idempotent checks the fold and squares nothing; dynamics proves
 its limit nu and cluster identity eta idempotent the same way.
+
+Beside the fold lemma sits the coordinate-product lemma.  When a split
+S = L*G*R makes psi(x, g, y) = x*g*y a bijection L x G x R -> S, and
+lambda, m, rho live on L, G and R, then
+  (lambda * m * rho)(psi(x, g, y)) = lambda(x) * m(g) * rho(y),
+because psi(x, g, y) has no other factorization x'*g'*y' with its three
+factors in those supports.  coordinate_product builds the measure that
+way, one product per triple and no sum, so it is exact whenever no two
+triples meet, whatever the ambient table; where two do meet, one
+overwrites the other, the numerators fall short of the denominator, and
+_from_numerators raises, so a collision is never a silent wrong answer.
 """
 
 from dataclasses import dataclass
@@ -223,6 +235,28 @@ def convolve(mu, nu):
     return Dist._from_numerators(mu.parent, mu.den * nu.den, out)
 
 
+def coordinate_product(lam, m, rho):
+    """lambda * m * rho built triple by triple: lambda(x)*m(g)*rho(y) at
+    x*g*y, over den(lambda)*den(m)*den(rho).  Exact for supports on the L,
+    G and R of a verified split (the coordinate-product lemma in the module
+    docstring); triples that meet lose mass, and the sum check raises
+    InvalidDistribution."""
+    sg = lam.parent
+    if m.parent is not sg or rho.parent is not sg:
+        raise MismatchedParent("distributions on different semigroups")
+    rows = sg.rows
+    out = {}
+    right = rho._nums
+    for x, a in lam._nums:
+        row_x = rows[x]
+        for g, b in m._nums:
+            row = rows[row_x[g]]
+            ab = a * b
+            for y, c in right:
+                out[row[y]] = ab * c
+    return Dist._from_numerators(sg, lam.den * m.den * rho.den, out)
+
+
 def convolve_many(first, *rest):
     acc = first
     for nxt in rest:
@@ -292,15 +326,16 @@ class IdempotentFactorization:
     right: Dist
 
     def recompose(self):
-        return convolve(convolve(self.left, self.haar), self.right)
+        return coordinate_product(self.left, self.haar, self.right)
 
 
 def factorize_idempotent(mu):
     """Split an idempotent distribution into its product form and verify it.
 
     The support must form a completely simple subsemigroup, the group
-    marginal must be uniform, and the three-factor convolution must
-    reproduce mu exactly; violations raise TheoremViolation.
+    marginal must be uniform, and the three-factor product, built in the
+    split's coordinates, must reproduce mu exactly; violations raise
+    TheoremViolation.
     """
     if not is_idempotent_measure(mu):
         raise PreconditionViolated("mu * mu = mu")
@@ -314,7 +349,7 @@ def factorize_idempotent(mu):
     left, mid, right = marginals(mu, dec)
     if mid != haar_uniform(dec.group):
         raise TheoremViolation("group marginal uniform")
-    rebuilt = convolve_many(left, mid, right)
+    rebuilt = coordinate_product(left, mid, right)
     if rebuilt != mu:
         raise TheoremViolation("product form", "left * haar * right != mu")
     return IdempotentFactorization(decomposition=dec, left=left, haar=mid, right=right)

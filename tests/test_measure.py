@@ -376,6 +376,38 @@ def test_composed_measures_square_to_themselves_on_the_extended_corpus():
             assert factorize_idempotent(built).recompose() == built, inst.name
 
 
+def test_coordinate_product_matches_two_convolutions_on_the_extended_corpus():
+    # seeded lambda on L and rho on R over the kernel of every extended-corpus
+    # table, with m Haar on G or uniform on a coset a*<g> in G
+    for n, inst in enumerate(build_corpus("extended")):
+        dec = inst.rees
+        sg = dec.parent
+        rng = XorShift64Star(9000 + n)
+        g_els = dec.group.carrier.elements()
+        for _ in range(3):
+            g, a = (g_els[rng.below(len(g_els))] for _ in range(2))
+            powers = [dec.base]
+            while sg.mul(powers[-1], g) != dec.base:
+                powers.append(sg.mul(powers[-1], g))
+            coset = sg.subset(sg.mul(a, h) for h in powers)
+            lam, rho = random_part(dec.left, rng), random_part(dec.right, rng)
+            for m in (haar_uniform(dec.group), uniform_on(coset)):
+                expected = convolve(convolve(lam, m), rho)
+                assert measure.coordinate_product(lam, m, rho) == expected, inst.name
+
+
+def test_coordinate_product_raises_where_triples_meet():
+    # on Z6, x*g*y = x + g + y: uniform lambda and m put six triples on each
+    # element, all but one overwritten, so the mass falls short of one
+    z6 = cyclic(6)
+    u = uniform_on(z6.carrier())
+    assert convolve(convolve(u, u), dirac(z6, 0)) == u
+    with pytest.raises(InvalidDistribution):
+        measure.coordinate_product(u, u, dirac(z6, 0))
+    with pytest.raises(MismatchedParent):
+        measure.coordinate_product(u, u, dirac(cyclic(6), 0))
+
+
 def test_compose_idempotent_rejects_escaping_fold():
     # in Z4 with the trivial group {0}, delta_1 * delta_1 folds to 2, not 0
     z4 = cyclic(4)
