@@ -20,16 +20,25 @@ divisible by p still lands in K.  The period p and H = e*supp(eta)*e are read of
 cycle of mu^n on K, whose sets are the supports of the p cluster points.
 analyze_limit computes the whole picture and proof-checks every clause on
 the concrete instance, each once, from the structure it already holds.
-The cluster points are built as c_k = mu^k * eta until mu^p * eta = eta,
-so the cycle is closed under convolution once eta * c_j = c_j for each
-j > 0: by associativity c_i * c_j = mu^i * (eta * c_j) = mu^(i+j) * eta
-= c_((i+j) mod p).  And eta * c_j = c_j follows, with no convolution,
-from three recorded facts: c_j = lambda * omega_(gamma^j H) * rho
-(cluster_factorization); supp(rho)*supp(lambda) in H (eta_idempotent),
-so the fold absorbs rho * lambda into omega_H; and gamma^j H gamma^-j =
-H (subgroup_normal), so omega_H * omega_(gamma^j H) = omega_(gamma^j H).
-The same construction hands the factorization check mu^k * eta as
-c_(k mod p), with no further power.  nu and eta are idempotent by the
+The cluster points are the coset terms c_k = lambda * omega_(gamma^k H)
+* rho for k < p, each built once, where p is the least k >= 1 with
+gamma^k in H.  They are the points mu^k * eta by the coset map, the
+corollary of the coordinate-walk lemma of the measure module: a step of
+mu moves the middle factor of a coordinate product by the G-coordinates
+G(s*x), s in supp(mu), x in L, read off the split.  Their products with
+H are the G-coordinates of supp(mu * eta), so the check that they form
+the one coset gamma*H (gamma_coset) is what the lemma needs: with H
+normal and lambda fixed by its walk, mu * c_k = c_(k+1), and c_p = eta.
+Mirrored, every G(y*s), y in R, in gamma*H gives c_k * mu = c_(k+1), so
+eta * mu^p = eta with no power of mu; and p must equal the period of the
+support cycle on K, an independent witness.  The cycle is closed under
+convolution once eta * c_j = c_j for each j > 0: by associativity c_i *
+c_j = mu^i * (eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  And
+eta * c_j = c_j follows, with no convolution, from supp(rho)*supp(lambda)
+in H (eta_idempotent), so the fold absorbs rho * lambda into omega_H, and
+gamma^j H gamma^-j = H (subgroup_normal), so omega_H * omega_(gamma^j H)
+= omega_(gamma^j H).  The only convolutions left are the two of the
+invariance check mu * nu = nu = nu * mu.  nu and eta are idempotent by the
 fold lemma of the measure module, as R*L lies in G and, for eta,
 supp(rho)*supp(lambda) in H; no measure is squared.  nu, eta and the
 coset terms lambda * omega_(gamma^k H) * rho are built in the split's
@@ -41,7 +50,7 @@ and the coset of gamma are read from the G-coordinates the split already
 verified; H is a closed subset of the verified group G, so a subgroup
 with G's identity and inverses.  Normality conjugates H by gamma alone;
 a clause that _limit_factors, the split, the fold, the construction or
-the cycle already proves is recorded from it.
+the coset map already proves is recorded from it.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -197,8 +206,11 @@ def cesaro_limit(mu):
     mu*nu = nu makes it a fixed law of the walk x -> L(s*x) on L, and it is
     the only one, because a word w in supp(mu) that lands in K sends every
     x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
-    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns, so
-    no bound on the order applies beyond the table's own DEFAULT_ORDER_CAP.
+    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns, a
+    dense fraction-free elimination whose cost grows as |L|^3 (|R|^3): the
+    uniform walk on rectangular_band(512,1) takes about 16.5 s on one core
+    of a shared 2-vCPU host, so the solve, not the table's
+    DEFAULT_ORDER_CAP, bounds how large a walk is practical.
     The result is idempotent by the fold lemma of the measure module, since
     the split verified R*L in G, and is verified mu-invariant before
     returning.
@@ -306,28 +318,33 @@ def analyze_limit(mu):
     structural clause exactly.  A failed clause raises TheoremViolation;
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
-    solves, its cost is set algebra over the walk's supports, the
-    convolutions of the cluster cycle and coordinate products on K.
+    solves and the invariance check's two convolutions, its cost is set
+    algebra over the walk's supports, the split's G-coordinates of
+    supp(mu)*L and R*supp(mu), and coordinate products on K.
 
     Each clause is proven once.  A clause an earlier step already proves
     records that step's result: _limit_factors (mu * nu = nu = nu * mu,
-    and nu * nu = nu by the fold R*L in G; where eta is nu, eta * mu^p =
-    eta too), the verified split (L*G*R = K, every G-coordinate in G), the
-    fold supp(rho)*supp(lambda) in H (eta * eta = eta, and a second split
-    of supp(eta) would read eta as the first does), the cluster loop (it
-    stops at the first mu^p * eta = eta, so no point repeats) or the
-    subgroup H (gamma*h*H = gamma*H).  H is tested only for closure, as it
-    lies in the verified group G.  Normality conjugates H by gamma alone,
-    as H and gamma generate G (coset_powers_exhaust).  nu, eta and the
-    coset terms c_k = lambda * omega_(gamma^k H) * rho for k = 1..p-1 are
-    coordinate products, so psi_inv o psi = id on the verified coordinates
-    gives nu_factorization, eta_factorization and marginal_readings_agree,
-    and supp(lambda) = L, supp(rho) = R (support_nu_is_kernel and the
-    bijection) give eta_support_product.  Comparing each c_k with mu^k *
-    eta is the one test left; cluster_supports_cosets and
-    cluster_factorization follow from it, and so does
-    cluster_closed_cyclic, with eta_idempotent and subgroup_normal by the
-    fold, so a term that fails stops the report at cluster_closed_cyclic.
+    and nu * nu = nu by the fold R*L in G), the verified split (L*G*R = K,
+    every G-coordinate in G), the fold supp(rho)*supp(lambda) in H (eta *
+    eta = eta, and a second split of supp(eta) would read eta as the first
+    does), the subgroup H (gamma*h*H = gamma*H) or the least p with
+    gamma^p in H (gamma_power_in_subgroup, and with period_matches_quotient
+    the p cosets gamma^k H are distinct and fill G).  H is tested only for
+    closure, as it lies in the verified group G.  Normality conjugates H by
+    gamma alone, as H and gamma generate G (coset_powers_exhaust).  nu, eta
+    and the coset terms c_k = lambda * omega_(gamma^k H) * rho for k =
+    1..p-1 are coordinate products, so psi_inv o psi = id on the verified
+    coordinates gives nu_factorization, eta_factorization and
+    marginal_readings_agree, and supp(lambda) = L, supp(rho) = R
+    (support_nu_is_kernel and the bijection) give eta_support_product and
+    cluster_supports_cosets.  The coset map (the coordinate-walk lemma of
+    the measure module) makes c_k = mu^k * eta once the left steps G(s*x)
+    lie in gamma*H (gamma_coset), and eta * mu^p = eta once the right steps
+    G(y*s) do too (eta_power_invariant); cluster_factorization,
+    cluster_distinct and, with eta_idempotent and subgroup_normal by the
+    fold, cluster_closed_cyclic follow.  So a G-coordinate that sends a
+    step off the coset stops the report at gamma_coset or
+    eta_power_invariant.
     """
     sg = mu.parent
     checks = {}
@@ -337,7 +354,8 @@ def analyze_limit(mu):
         if not ok:
             raise TheoremViolation(name, detail)
 
-    walk_kernel = kernel(generated_subsemigroup(support(mu)))
+    steps = support(mu)
+    walk_kernel = kernel(generated_subsemigroup(steps))
     try:
         dec = rees_decompose(walk_kernel)
     except NotSimple as exc:
@@ -385,10 +403,8 @@ def analyze_limit(mu):
         subgroup = GroupStructure(h_set, e, {h: dec.group.inv(h) for h in h_set})
     else:
         raise TheoremViolation("subgroup_structure", f"H={h_set.labels()} is not closed")
-    # With H = G, as at p = 1 (period_matches_quotient), eta is nu, which
-    # _limit_factors proved fixed by mu on both sides.
-    eta_is_nu = subgroup is dec.group
-    eta = nu if eta_is_nu else coordinate_product(lam, haar_uniform(subgroup), rho)
+    # With H = G, eta is nu, already built.
+    eta = nu if subgroup is dec.group else coordinate_product(lam, haar_uniform(subgroup), rho)
     # eta = lambda * omega_H * rho is idempotent by the fold lemma (see the
     # measure module) exactly when supp(rho)*supp(lambda) lies in H.
     record("eta_idempotent", product_sets(support(rho), support(lam)).issubset(h_set))
@@ -399,8 +415,14 @@ def analyze_limit(mu):
     # supported on psi(L x C x R) = L*C*R, here L*H*R.
     record("eta_support_product", True)
 
-    mu_eta = eta if eta_is_nu else convolve(mu, eta)
-    gamma_set = sg.subset(coordinates[z][1] for z in support(mu_eta))
+    # One step of mu moves a coordinate product's middle factor by the
+    # G-coordinates G(s*x), x in L, on the left and G(y*s), y in R, on the
+    # right (the coordinate-walk lemma of the measure module), read here
+    # from the split with no convolution.  As supp(lambda) = L, supp(mu *
+    # eta) has the G-coordinates left_steps * H.
+    left_steps = sg.subset(coordinates[rows[s][x]][1] for s in steps for x in dec.left)
+    right_steps = sg.subset(coordinates[rows[y][s]][1] for y in dec.right for s in steps)
+    gamma_set = product_sets(left_steps, h_set)
     gamma = gamma_set.least()
     gamma_coset = sg.subset(rows[gamma][h] for h in h_set)
     # H and gamma generate G (coset_powers_exhaust below, which a returned
@@ -411,58 +433,46 @@ def analyze_limit(mu):
     # Any z = gamma*h in gamma*H has z*H = gamma*(h*H) = gamma*H.
     record("gamma_representative_independent", True)
 
-    # Cluster cycle: iterate mu^k * eta until it returns to eta.
-    cluster = [eta]
-    cur = mu_eta
-    while cur != eta:
-        cluster.append(cur)
-        cur = convolve(mu, cur)
-        if len(cluster) > sg.order:
-            raise TheoremViolation("cluster_cycle", "mu^k * eta never returned to eta")
-    p = len(cluster)
+    # p is the order of gamma*H in G/H, the least k >= 1 with gamma^k in H;
+    # the support cycle on K gives it independently.
+    gamma_pows = [e, gamma]
+    while gamma_pows[-1] not in h_set:
+        gamma_pows.append(rows[gamma_pows[-1]][gamma])
+    p = len(gamma_pows) - 1
     record(
         "period_matches_quotient",
-        p * subgroup.order == dec.group.order,
-        f"p={p}, |G|={dec.group.order}, |H|={subgroup.order}",
+        p == period and p * subgroup.order == dec.group.order,
+        f"p={p}, support period={period}, |G|={dec.group.order}, |H|={subgroup.order}",
     )
-    # The loop ended on mu^p * eta = eta; with eta = nu, eta * mu = nu.
-    record("eta_power_invariant", eta_is_nu or convolve(eta, power(mu, p)) == eta)
+    # Put c_k = lambda * omega_(gamma^k H) * rho.  Every G(s*x) lies in
+    # gamma*H (gamma_coset), so by normality G(s*x)*gamma^k H = gamma^(k+1) H,
+    # and lambda is fixed by its walk (nu_invariant, read through the lemma
+    # with m = omega_G): mu * c_k = c_(k+1).  Mirrored, every G(y*s) in
+    # gamma*H = H*gamma and rho fixed give c_k * mu = c_(k+1).  With
+    # gamma^p in H, c_p = eta, so mu^p * eta = eta = eta * mu^p.
+    record("eta_power_invariant", right_steps.issubset(gamma_coset))
+    # The least p makes the cosets gamma^k H, k < p, distinct, hence
+    # disjoint, and p*|H| = |G| (period_matches_quotient) makes them fill G.
+    record("coset_powers_exhaust", True)
+    record("gamma_power_in_subgroup", True)  # p is defined by it
 
-    gamma_pows = [e]
-    for _ in range(p):
-        gamma_pows.append(sg.mul(gamma_pows[-1], gamma))
-    cosets = [sg.subset(rows[gamma_pows[k]][h] for h in h_set) for k in range(p)]
-    union = sg.empty()
-    for cos in cosets:
-        union = union | cos
-    record(
-        "coset_powers_exhaust",
-        len({cos.mask for cos in cosets}) == p and union == g_carrier,
-    )
-    record("gamma_power_in_subgroup", gamma_pows[p] in h_set)
-
-    # cluster[k] = mu^k * eta for k < p and mu^p * eta = eta, so
-    # mu^k * eta = cluster[k % p] for every k; and gamma^p is in H (recorded
-    # above), so gamma^k H = gamma^(k-p) H.  Both sides repeat with period
-    # p, and k < p covers every k; k = 0 is eta = lambda * omega_H * rho by
-    # construction.  omega_(gamma^k H) is uniform on the coset.
-    factored = all(
-        coordinate_product(lam, uniform_on(cosets[k]), rho) == cluster[k] for k in range(1, p)
-    )
-
-    # The loop stopped at the first return to eta: c_i = c_j with
-    # 0 < i < j < p would return it earlier, at c_(i+p-j) = c_p = eta.
+    # c_k for k < p, built in the split's coordinates; c_0 is eta.
+    cluster = [eta] + [
+        coordinate_product(lam, uniform_on(sg.subset(rows[g][h] for h in h_set)), rho)
+        for g in gamma_pows[1:p]
+    ]
+    # c_k lives on L*gamma^k H*R, as for eta_support_product, and those
+    # sets are distinct (coset_powers_exhaust), so the c_k are too.
     record("cluster_distinct", True)
-    # By the fold (see the measure module), with c_j = lambda *
-    # omega_(gamma^j H) * rho and rho * lambda a probability on H
-    # (eta_idempotent), eta * c_j = lambda * omega_H * omega_(gamma^j H) *
-    # rho, which is c_j because gamma^j H gamma^-j = H (subgroup_normal).
+    # By the fold (see the measure module), with rho * lambda a probability
+    # on H (eta_idempotent), eta * c_j = lambda * omega_H * omega_(gamma^j H)
+    # * rho, which is c_j because gamma^j H gamma^-j = H (subgroup_normal).
     # So c_i * c_j = mu^i * (eta * c_j) = c_((i+j) mod p).
-    record("cluster_closed_cyclic", factored)
-    # Each cluster[k] is the coordinate product over gamma^k H (factored),
-    # so its support is L*gamma^k H*R, as for eta_support_product.
-    record("cluster_supports_cosets", factored)
-    record("cluster_factorization", factored)
+    record("cluster_closed_cyclic", True)
+    # c_k = mu^k * eta (eta_power_invariant above), over gamma^k H by
+    # construction, so supported on L*gamma^k H*R.
+    record("cluster_supports_cosets", True)
+    record("cluster_factorization", True)
     # nu and eta are the coordinate products over G and H, and psi_inv o psi
     # is the identity on the verified coordinates, so they read back as
     # (lambda, omega_G, rho) and (lambda, omega_H, rho).

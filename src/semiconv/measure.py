@@ -48,13 +48,38 @@ way, one product per triple and no sum, so it is exact whenever no two
 triples meet, whatever the ambient table; where two do meet, one
 overwrites the other, the numerators fall short of the denominator, and
 _from_numerators raises, so a collision is never a silent wrong answer.
+
+Beside those sits the coordinate-walk lemma, for the split K = L*G*R of
+the kernel of a semigroup T at the idempotent e, with coordinates
+(L(z), G(z), R(z)) and s in T.  Take x in L, so x = x*e.  K is an ideal,
+so s*x = (s*x)*e lies in K*e, and a point z = z*e of K has R(z) =
+G(z)^-1*e*z = G(z)^-1*(e*z*e) = e, by the closed form of psi_inv in the
+rees module; so s*x = L(s*x)*G(s*x), and
+  s*(x*g*y) = L(s*x)*(G(s*x)*g)*y
+with G(s*x)*g in G, which are the coordinates of the left side.  Mirrored,
+for y in R, y*s lies in e*K, so L(y*s) = e and
+  (x*g*y)*s = x*(g*G(y*s))*R(y*s).
+For mu on T and lambda, m, rho on L, G, R, the coordinate-product lemma
+then gives
+  mu * (lambda * m * rho) = sum over s, x of mu(s)*lambda(x) *
+                            delta_L(s*x) * (delta_G(s*x) * m) * rho,
+so a step of mu moves the left factor by the walk x -> L(s*x) and the
+middle one by the G-coordinates G(s*x), with no convolution on T.  The
+coset map follows: let H be normal in G, gamma in G, and suppose every
+G(s*x), s in supp(mu), x in supp(lambda), lies in gamma*H.  Then
+G(s*x)*gamma^k*H = gamma^(k+1)*H, the uniform law on a coset moves to the
+uniform law on the next, and when lambda is fixed by its walk,
+  mu * (lambda * omega_(gamma^k H) * rho) = lambda * omega_(gamma^(k+1) H) * rho.
+The mirror, with every G(y*s) in gamma*H = H*gamma and rho fixed by
+y -> R(y*s), moves the coset the same way from the right.  dynamics
+builds the cluster cycle of mu^n this way.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import ElementSet, GroupStructure
+from .core import ElementSet, GroupStructure, product_sets
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -358,18 +383,17 @@ def factorize_idempotent(mu):
 def compose_idempotent(mu_left, mu_right, group):
     """Build the idempotent mu_left * (uniform on group) * mu_right.
 
-    Requires the support of mu_right * mu_left to fold into the group;
-    the first escaping element is reported as the precondition witness.
-    The fold makes the product idempotent (the fold lemma in the module
-    docstring), so the result is not squared.
+    Requires supp(mu_right) * supp(mu_left), the support of mu_right *
+    mu_left, to fold into the group; the least escaping element is reported
+    as the precondition witness.  The fold makes the product idempotent (the
+    fold lemma in the module docstring), so the result is not squared.
     """
-    fold = convolve(mu_right, mu_left)
-    for z, _ in fold.items():
-        if z not in group.carrier:
-            raise PreconditionViolated(
-                "support of mu_right * mu_left inside the group",
-                fold.parent.label(z),
-            )
+    escaping = product_sets(support(mu_right), support(mu_left)) - group.carrier
+    if escaping:
+        raise PreconditionViolated(
+            "support of mu_right * mu_left inside the group",
+            escaping.parent.label(escaping.least()),
+        )
     return convolve_many(mu_left, haar_uniform(group), mu_right)
 
 

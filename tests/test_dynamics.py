@@ -5,6 +5,7 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 = f(g(x)), so constants absorb on the left.
 """
 
+import dataclasses
 import fractions
 import math
 import re
@@ -615,14 +616,12 @@ def test_cluster_closure_on_point_masses_of_full_period(n):
     assert limit_clauses_by_brute(mu, rep) == [True] * 21
 
 
-def test_an_open_cluster_list_fails_both_closure_tests(monkeypatch):
+def test_an_open_cluster_list_fails_the_pair_sweep():
     # On left_zero(2) x Z4, (u, g) * (v, h) = (u, g + h), and mu = half
     # (a,1), half (b,1) cycles through c_k = uniform on {(a,k), (b,k)}.
-    # Putting 1/3 (a,j) + 2/3 (b,j) in place of c_j keeps its support, so
-    # gamma and p are read as before, and mu sends it on to c_(j+1); but
-    # eta * c_j = c_j fails, and so does c_j = lambda * omega_(gamma^j H) *
-    # rho, the term the fold proof of closure rests on.  Each j on its own
-    # must be caught, so neither test may skip a point of the cycle.
+    # Putting 1/3 (a,j) + 2/3 (b,j) in place of c_j keeps its support, but
+    # eta * c_j = c_j fails.  Each j on its own must be caught, so the sweep
+    # may not skip a point of the cycle.
     sg = build(product_spec(CorpusSpec("left_zero", (2,)), CorpusSpec("cyclic", (4,))))
     mu = Dist.from_mapping(sg, {"(a,1)": RAT(1, 2), "(b,1)": RAT(1, 2)})
     rep = analyze_limit(mu)
@@ -630,22 +629,38 @@ def test_an_open_cluster_list_fails_both_closure_tests(monkeypatch):
         (f"(a,{k})", f"(b,{k})") for k in range(4)
     ]
     assert rep.checks["cluster_closed_cyclic"] and verify.cluster_closed_by_sweep(rep.cluster)
-    real = dynamics.convolve
     for j in range(1, 4):
         open_point = Dist.from_mapping(sg, {f"(a,{j})": RAT(1, 3), f"(b,{j})": RAT(2, 3)})
         open_list = list(rep.cluster)
         open_list[j] = open_point
         assert not verify.cluster_closed_by_sweep(open_list), j
 
-        def opened(first, second, j=j, open_point=open_point):
-            # only the steps mu * c of the cluster cycle yield c_j
-            out = real(first, second)
-            return open_point if first is mu and out == rep.cluster[j] else out
 
-        monkeypatch.setattr(dynamics, "convolve", opened)
-        with pytest.raises(TheoremViolation) as exc:
-            analyze_limit(mu)
-        assert exc.value.clause == "cluster_closed_cyclic", j
+@pytest.mark.parametrize(
+    "first, clause", [("left_zero", "gamma_coset"), ("right_zero", "eta_power_invariant")]
+)
+def test_a_wrong_g_coordinate_stops_the_coset_map(monkeypatch, first, clause):
+    # mu = half (a,1), half (b,1) on left_zero(2) x Z4 or right_zero(2) x Z4
+    # steps every coset of H = {e} to the next, each G(s*x) and G(y*s) being
+    # (a,1).  Reading G((b,1)) as (a,2) instead splits the steps of one
+    # side over two cosets: on left_zero, (b,1)*x = (b,1) for x in L, so
+    # the gamma set is no coset; on right_zero, y*(b,1) = (b,1) for y in R,
+    # so eta * mu^p = eta no longer follows.
+    sg = build(product_spec(CorpusSpec(first, (2,)), CorpusSpec("cyclic", (4,))))
+    mu = Dist.from_mapping(sg, {"(a,1)": RAT(1, 2), "(b,1)": RAT(1, 2)})
+    assert analyze_limit(mu).p == 4
+    real = dynamics.rees_decompose
+    b1, a2 = sg.index("(b,1)"), sg.index("(a,2)")
+
+    def misread(carrier):
+        dec = real(carrier)
+        x, _, y = dec.coordinates[b1]
+        return dataclasses.replace(dec, coordinates={**dec.coordinates, b1: (x, a2, y)})
+
+    monkeypatch.setattr(dynamics, "rees_decompose", misread)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == clause
 
 
 def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
@@ -660,9 +675,17 @@ def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
 def test_analyze_limit_reads_nothing_back():
     # nu, eta and the cluster terms are coordinate products, so their
     # factorizations and supports hold by construction: no measure is read
-    # back with marginals and no Haar measure is translated onto a coset, at
-    # any period.  A profile hook sees every call, however it is bound.
-    watched = {measure.marginals.__code__, measure.translate.__code__}
+    # back with marginals, no Haar measure is translated onto a coset and no
+    # power of mu is taken, at any period.  The cluster cycle comes from the
+    # coset map, so the only convolutions are the two of the invariance
+    # check mu * nu = nu = nu * mu.  A profile hook sees every call, however
+    # it is bound.
+    watched = {
+        measure.marginals.__code__,
+        measure.translate.__code__,
+        dynamics.power.__code__,
+        measure.convolve.__code__,
+    }
     seen = []
 
     def watch(frame, event, arg):
@@ -670,13 +693,14 @@ def test_analyze_limit_reads_nothing_back():
             seen.append(frame.f_code.co_name)
 
     for mu, period in ((t2_walk(), 1), (dirac(cyclic(3), 1), 3), (dirac(cyclic(600), 1), 600)):
+        seen.clear()
         sys.setprofile(watch)
         try:
             rep = analyze_limit(mu)
         finally:
             sys.setprofile(None)
         assert rep.p == period and rep.checks["marginal_readings_agree"]
-        assert seen == [], period
+        assert seen == ["convolve", "convolve"], period
 
 
 def test_analyze_limit_builds_the_kernel_once(monkeypatch):
@@ -710,9 +734,8 @@ def test_analyze_limit_builds_the_kernel_once(monkeypatch):
 
 
 def test_no_limit_measure_is_squared(monkeypatch):
-    # nu and eta are idempotent by the fold lemma, so neither is convolved
-    # with itself, in cesaro_limit or in analyze_limit; power(mu, p) still
-    # squares powers of mu
+    # nu and eta are idempotent by the fold lemma, so no measure is
+    # convolved with itself, in cesaro_limit or in analyze_limit
     squared = []
     real = dynamics.convolve
 
@@ -726,7 +749,7 @@ def test_no_limit_measure_is_squared(monkeypatch):
         nu = cesaro_limit(mu)
         rep = analyze_limit(mu)
         assert rep.nu == nu
-        assert nu not in squared and rep.eta not in squared, mu.parent
+        assert squared == [], mu.parent
         # the squares the oracle makes
         assert convolve(nu, nu) == nu and convolve(rep.eta, rep.eta) == rep.eta
 

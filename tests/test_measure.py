@@ -409,12 +409,21 @@ def test_coordinate_product_raises_where_triples_meet():
 
 
 def test_compose_idempotent_rejects_escaping_fold():
-    # in Z4 with the trivial group {0}, delta_1 * delta_1 folds to 2, not 0
+    # in Z4 with the trivial group {0}, delta_1 * delta_1 folds to 2, not 0;
+    # supp(mu_right) * supp(mu_left) = {1,2} + {2,3} = {3,0,1} escapes at 1
+    # and 3, and the least of them is the witness
     z4 = cyclic(4)
     grp = group_structure(z4.subset_of_labels(["0"]))
     mu = dirac(z4, 1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as exc:
         compose_idempotent(mu, mu, grp)
+    assert exc.value.witness == "2"
+    mu_left = Dist.from_mapping(z4, {"2": RAT(1, 2), "3": RAT(1, 2)})
+    mu_right = Dist.from_mapping(z4, {"1": RAT(1, 3), "2": RAT(2, 3)})
+    with pytest.raises(PreconditionViolated) as exc:
+        compose_idempotent(mu_left, mu_right, grp)
+    assert exc.value.condition == "support of mu_right * mu_left inside the group"
+    assert exc.value.witness == "1"
 
 
 def test_check_convolution_invariance():
