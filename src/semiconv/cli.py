@@ -148,8 +148,6 @@ def cmd_conv(args):
 
 def cmd_power(args):
     sg, mu = _load_pair(args)
-    if args.n < 1:
-        raise MalformedInput(f"power must be >= 1, got {args.n}")
     res = power(mu, args.n)
     _emit(args, serialize.dist_to_json(res), _dist_lines(res))
     return EXIT_OK

@@ -16,8 +16,11 @@ one division.  Each law is unique: some word w in supp(mu) lands in K,
 and from there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so
 every start forgets itself.  mu^p fixes the same lambda and rho: its
 walks fix them, and forget their start too, as w padded to a length
-divisible by p still lands in K.  The period p and H = e*supp(eta)*e are read off the support
-cycle of mu^n on K, whose sets are the supports of the p cluster points.
+divisible by p still lands in K.  One walk of the supports supp(mu^n) =
+supp(mu)^n gives the rest: the subsemigroup T that supp(mu) generates is
+the union of the supports it visits, and on K its cycle runs through the
+p sets L*gamma^k H*R that support the cluster points.  They partition K,
+and H = e*supp(eta)*e is read off the one that holds e, L*H*R.
 analyze_limit computes the whole picture and proof-checks every clause on
 the concrete instance, each once, from the structure it already holds.
 The cluster points are the coset terms c_k = lambda * omega_(gamma^k H)
@@ -30,8 +33,8 @@ H are the G-coordinates of supp(mu * eta), so the check that they form
 the one coset gamma*H (gamma_coset) is what the lemma needs: with H
 normal and lambda fixed by its walk, mu * c_k = c_(k+1), and c_p = eta.
 Mirrored, every G(y*s), y in R, in gamma*H gives c_k * mu = c_(k+1), so
-eta * mu^p = eta with no power of mu; and p must equal the period of the
-support cycle on K, an independent witness.  The cycle is closed under
+eta * mu^p = eta with no power of mu; and p must be the least period of
+the support cycle on K, an independent witness.  The cycle is closed under
 convolution once eta * c_j = c_j for each j > 0: by associativity c_i *
 c_j = mu^i * (eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  And
 eta * c_j = c_j follows, with no convolution, from supp(rho)*supp(lambda)
@@ -104,12 +107,21 @@ def cesaro_average(mu, n):
     """(1/n) * (mu + mu^2 + ... + mu^n), exact."""
     if n < 1:
         raise MalformedInput(f"average length must be >= 1, got {n}")
+    for acc, den in _running_sums(mu, n):
+        pass
+    return Dist._from_numerators(mu.parent, den * n, acc)
+
+
+def _running_sums(mu, n):
+    """Yield, for k = 1..n, the numerators of mu + mu^2 + ... + mu^k, one
+    dict updated in place, and the denominator they are over."""
     acc, den = dict(mu._nums), mu.den
     cur = mu
+    yield acc, den
     for _ in range(n - 1):
         cur = convolve(cur, mu)
         den = _accumulate(acc, den, cur)
-    return Dist._from_numerators(mu.parent, den * n, acc)
+        yield acc, den
 
 
 def _accumulate(acc, den, dist):
@@ -219,28 +231,33 @@ def cesaro_limit(mu):
 
 
 def _support_cycle(mu):
-    """q and the masks of supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s)
-    least such that supp(mu^(q+p_s)) = supp(mu^q).
+    """q, the masks of supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s)
+    least such that supp(mu^(q+p_s)) = supp(mu^q), and the mask of the
+    subsemigroup T that supp(mu) generates.
 
     Exact cycle detection with a first-occurrence map over the bitmask
     sequence A_(n+1) = A_n * A_1; the first repeat of a deterministic
-    sequence lands exactly at the preperiod.
+    sequence lands exactly at the preperiod.  T is the union of the A_n,
+    and every A_n past the walk repeats one it visited, so T is the union
+    of the visited masks.
     """
     base = support(mu)
     seen = {}
     masks = []
+    reached = 0
     cur = base
     while cur.mask not in seen:
         seen[cur.mask] = len(masks)
         masks.append(cur.mask)
+        reached |= cur.mask
         cur = product_sets(cur, base)
     start = seen[cur.mask]
-    return start + 1, masks[start:]
+    return start + 1, masks[start:], reached
 
 
 def support_period(mu):
     """Least (q, p) with supp(mu^(q+p)) = supp(mu^q)."""
-    q, cycle = _support_cycle(mu)
+    q, cycle, _ = _support_cycle(mu)
     return q, len(cycle)
 
 
@@ -275,8 +292,6 @@ def element_power_cluster(sg, a):
     p = step - q
     cluster = sg.subset(powers[q : q + p])
     r = -(-q // p)  # ceil(q / p): unique r with q <= rp <= q + p - 1
-    if not q <= r * p <= q + p - 1:
-        raise VerificationFailed("power cycle", f"no valid r for q={q}, p={p}")
     e = powers[r * p]
     if sg.mul(e, e) != e:
         raise VerificationFailed("power cycle", "a^(rp) is not idempotent")
@@ -355,7 +370,8 @@ def analyze_limit(mu):
             raise TheoremViolation(name, detail)
 
     steps = support(mu)
-    walk_kernel = kernel(generated_subsemigroup(steps))
+    q, cycle, reached = _support_cycle(mu)
+    walk_kernel = kernel(ElementSet(sg, reached))
     try:
         dec = rees_decompose(walk_kernel)
     except NotSimple as exc:
@@ -378,21 +394,17 @@ def analyze_limit(mu):
     # The split stored e*z*e, verified to lie in G, as the G-coordinate of z.
     coordinates = dec.coordinates
 
-    # The cluster period, read off the support cycle on the kernel K.  Every
-    # element of K is recurrent for the walk z -> z*s, because each minimal
-    # right ideal is a closed communicating class.  So on the cycle
-    # supp(mu^n) & K = supp(mu^(n mod p) * eta), the set L gamma^k H R of
-    # the factorization theorem, and those p sets are distinct: p is the
-    # least period of the cycle's masks on K, and it divides p_s.  At the
-    # least n >= q divisible by p the set is supp(eta), so H = e*supp(eta)*e
-    # and eta = lambda * omega_H * rho.
-    q, cycle = _support_cycle(mu)
+    # H, read off the support cycle on the kernel K.  Every element of K is
+    # recurrent for the walk z -> z*s, because each minimal right ideal is a
+    # closed communicating class.  So on the cycle supp(mu^n) & K =
+    # supp(mu^(n mod p) * eta), the set L gamma^k H R of the factorization
+    # theorem, and those p sets partition K.  Exactly one holds e = e*e*e:
+    # L*H*R = supp(eta), whose G-coordinates are H, so eta = lambda *
+    # omega_H * rho.
     on_kernel = [mask & walk_kernel.mask for mask in cycle]
-    period = next(
-        t for t in range(1, len(on_kernel) + 1) if on_kernel[t:] + on_kernel[:t] == on_kernel
-    )
     rows = sg.rows
-    h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, on_kernel[-q % period]))
+    eta_mask = next(mask for mask in on_kernel if mask >> e & 1)
+    h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, eta_mask))
     # H lies in the group G the split verified, so H is a subgroup once it
     # is non-empty and closed: each h in H has h^n = e for some n >= 1, which
     # puts e and h^-1 = h^(n-1) in H.  Its identity is e and its inverses
@@ -433,16 +445,20 @@ def analyze_limit(mu):
     # Any z = gamma*h in gamma*H has z*H = gamma*(h*H) = gamma*H.
     record("gamma_representative_independent", True)
 
-    # p is the order of gamma*H in G/H, the least k >= 1 with gamma^k in H;
-    # the support cycle on K gives it independently.
+    # p is the order of gamma*H in G/H, the least k >= 1 with gamma^k in H.
+    # The support cycle on K witnesses it independently: rotating the cycle
+    # by p leaves it unchanged and its first p sets are distinct, so p is
+    # its least period, and p*|H| = |G|.
     gamma_pows = [e, gamma]
     while gamma_pows[-1] not in h_set:
         gamma_pows.append(rows[gamma_pows[-1]][gamma])
     p = len(gamma_pows) - 1
     record(
         "period_matches_quotient",
-        p == period and p * subgroup.order == dec.group.order,
-        f"p={p}, support period={period}, |G|={dec.group.order}, |H|={subgroup.order}",
+        on_kernel[p:] + on_kernel[:p] == on_kernel
+        and len(set(on_kernel[:p])) == p
+        and p * subgroup.order == dec.group.order,
+        f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
     )
     # Put c_k = lambda * omega_(gamma^k H) * rho.  Every G(s*x) lies in
     # gamma*H (gamma_coset), so by normality G(s*x)*gamma^k H = gamma^(k+1) H,
@@ -518,12 +534,7 @@ def cesaro_diagnostic(mu, n_max, nu):
         raise MalformedInput(f"n_max must be >= 1, got {n_max}")
     deviations = []
     gaps = []
-    acc, den = dict(mu._nums), mu.den
-    cur = mu
-    for n in range(1, n_max + 1):
-        if n > 1:
-            cur = convolve(cur, mu)
-            den = _accumulate(acc, den, cur)
+    for n, (acc, den) in enumerate(_running_sums(mu, n_max), 1):
         avg = Dist._from_numerators(mu.parent, den * n, acc)
         dev, dev_den = _variation_numerator(avg, convolve(mu, avg))
         if dev * n > 2 * dev_den:

@@ -754,23 +754,75 @@ def test_no_limit_measure_is_squared(monkeypatch):
         assert convolve(nu, nu) == nu and convolve(rep.eta, rep.eta) == rep.eta
 
 
-def test_a_subset_of_g_that_is_not_closed_fails_subgroup_structure(monkeypatch):
+def z6_walk_with_cycle(monkeypatch, sets):
     # On Z6 with support {2,5} the support cycle is {2,5}, {4,1}, {0,3}
-    # from q = 1.  Rotating it by one without moving q reads H off {2,5},
-    # the coset gamma*H, which is not closed ({2,5}*{2,5} = {4,1}): the
-    # closure test is what stops it.
+    # from q = 1, and T = K = Z6 with e = 0.  The walk is patched to report
+    # the given sets in place of that cycle, with the true q and T.
     z6 = cyclic(6)
-    mu = Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
     real = dynamics._support_cycle
 
-    def shifted(walk):
-        q, cycle = real(walk)
-        return q, cycle[1:] + cycle[:1]
+    def patched(walk):
+        q, _, reached = real(walk)
+        return q, [z6.subset_of_labels(labels).mask for labels in sets], reached
 
-    monkeypatch.setattr(dynamics, "_support_cycle", shifted)
+    monkeypatch.setattr(dynamics, "_support_cycle", patched)
+    return Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
+
+
+def test_a_subset_of_g_that_is_not_closed_fails_subgroup_structure(monkeypatch):
+    # The set holding e is {0,2}, read as H; {0,2}*{0,2} holds 4, so the
+    # closure test is what stops it.
+    mu = z6_walk_with_cycle(monkeypatch, [("2", "5"), ("4", "1"), ("0", "2")])
     with pytest.raises(TheoremViolation) as exc:
         analyze_limit(mu)
     assert exc.value.clause == "subgroup_structure"
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param([("2", "5"), ("4", "1"), ("0", "3"), ("4", "1")], id="rotation moves it"),
+        pytest.param([("2", "5"), ("2", "5"), ("0", "3")], id="a set repeats within p"),
+    ],
+)
+def test_a_cycle_whose_least_period_is_not_p_fails_period_matches_quotient(monkeypatch, sets):
+    # H = {0,3} is read right and gamma = 2 gives p = 3, but the cycle's
+    # least period is not 3: rotating four sets by 3 moves them, and three
+    # sets with a repeat have no 3 distinct ones.
+    mu = z6_walk_with_cycle(monkeypatch, sets)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "period_matches_quotient"
+
+
+def test_analyze_limit_reads_the_walk_subsemigroup_off_the_support_walk(monkeypatch):
+    # T, the subsemigroup supp(mu) generates, is the union of the supports
+    # the walk visits, so analyze_limit runs no closure
+    closures = []
+    real = dynamics.generated_subsemigroup
+
+    def counting(gens):
+        closures.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(dynamics, "generated_subsemigroup", counting)
+    for mu in (t2_walk(), fold_walk(), dirac(cyclic(600), 1)):
+        analyze_limit(mu)
+    assert closures == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_walk_reaches_the_generated_subsemigroup(seed):
+    walks = [
+        mu
+        for inst in verify.build_corpus("extended")
+        if inst.semigroup.order <= 300
+        for mu in verify._seeded_dists(inst, seed, 9, 2)
+    ]
+    assert len(walks) >= 70
+    for mu in walks:
+        reached = dynamics._support_cycle(mu)[2]
+        assert reached == generated_subsemigroup(support(mu)).mask, mu
 
 
 WALK_TABLES = [
@@ -803,6 +855,13 @@ def fraction_averages(mu, n_max):
             acc[z] += p
         out.append(Dist(mu.parent, [a / n for a in acc]))
     return out
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_walks())
+def test_the_walk_reaches_the_generated_subsemigroup_on_small_walks(mu):
+    reached = dynamics._support_cycle(mu)[2]
+    assert reached == generated_subsemigroup(support(mu)).mask
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
