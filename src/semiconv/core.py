@@ -1,20 +1,25 @@
 """Finite semigroup structure: Cayley tables, ideals, kernel, embedded groups.
 
 Elements are indices 0..n-1 into a label list.  Element subsets are bitmasks
-wrapped in ElementSet.  All operations are exact table lookups; the only
-numeric library involved is numpy, used for table validation and for bulk
-product enumeration on large sets.  Validation decides associativity by
-Light's test: it sweeps (a*b)*c = a*(b*c) over all b and c only for the
-rows a of a greedy generating set.  Two such sets are used.  The one that
-decides is taken in descending order of row image size |a*S|, which keeps
-it small; only when its sweep finds a broken row is a second set, taken in
-index order, swept to name the lexicographically first broken triple.  The
-validated table is kept as a read-only int32 array.  The kernel is
-computed from one of its elements, as K = (S*z)*S, and checked to be an
-ideal.  S is simple exactly when it is its own kernel.  The minimal left
-(right) ideals are read off the verified Rees split of K, L*G*y (x*G*R),
-and S is left (right) simple exactly when it is its own only minimal left
-(right) ideal.
+wrapped in ElementSet, and that format is this module's alone: every other
+module builds sets through Semigroup.subset and its kin and reads them
+through ElementSet's operations, never through the mask.  So the set
+algebra that needs the mask lives here, down to the power walk A, A*A, ...
+up to its first repeat (_power_cycle), which dynamics runs on supp(mu) to
+read off the support cycle of mu^n.  All operations are exact table lookups;
+the only numeric library involved is numpy, used for table validation and
+for bulk product enumeration on large sets.  Validation decides
+associativity by Light's test: it sweeps (a*b)*c = a*(b*c) over all b and
+c only for the rows a of a greedy generating set.  Two such sets are used.
+The one that decides is taken in descending order of row image size
+|a*S|, which keeps it small; only when its sweep finds a broken row is a
+second set, taken in index order, swept to name the lexicographically
+first broken triple.  The validated table is kept as a read-only int32
+array.  The kernel is computed from one of its elements, as K = (S*z)*S,
+and checked to be an ideal.  S is simple exactly when it is its own
+kernel.  The minimal left (right) ideals are read off the verified Rees
+split of K, L*G*y (x*G*R), and S is left (right) simple exactly when it
+is its own only minimal left (right) ideal.
 """
 
 from dataclasses import dataclass, field
@@ -352,11 +357,10 @@ def product_sets(first, second):
     if not aa or not bb:
         return sg.empty()
     if len(aa) * len(bb) > 4096:
-        t = sg.table_array()
-        mask = 0
-        for z in np.unique(t[np.ix_(aa, bb)]).tolist():
-            mask |= 1 << z
-        return ElementSet(sg, mask)
+        hit = np.zeros(sg.order, dtype=bool)
+        hit[sg.table_array()[np.ix_(aa, bb)]] = True
+        bits = np.packbits(hit, bitorder="little").tobytes()
+        return ElementSet(sg, int.from_bytes(bits, "little"))
     rows = sg.rows
     mask = 0
     for a in aa:
@@ -401,6 +405,29 @@ def generated_subsemigroup(gens):
                     nxt.append(w)
         frontier = nxt
     return ElementSet(gens.parent, mask)
+
+
+def _power_cycle(base):
+    """q, the sets A_q, ..., A_(q+p-1) and T, for the powers A_1 = base,
+    A_(n+1) = A_n * A_1, with (q, p) least such that A_(q+p) = A_q, and T
+    the subsemigroup base generates.
+
+    Exact cycle detection with a first-occurrence map over the bitmask
+    sequence; the first repeat of a deterministic sequence lands exactly at
+    the preperiod.  T is the union of the A_n, and every A_n past the walk
+    repeats one it visited, so T is the union of the visited sets.
+    """
+    seen = {}
+    sets = []
+    reached = 0
+    cur = base
+    while cur.mask not in seen:
+        seen[cur.mask] = len(sets)
+        sets.append(cur)
+        reached |= cur.mask
+        cur = product_sets(cur, base)
+    start = seen[cur.mask]
+    return start + 1, sets[start:], ElementSet(base.parent, reached)
 
 
 def is_left_ideal(ideal, within=None):

@@ -17,9 +17,10 @@ and from there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so
 every start forgets itself.  mu^p fixes the same lambda and rho: its
 walks fix them, and forget their start too, as w padded to a length
 divisible by p still lands in K.  One walk of the supports supp(mu^n) =
-supp(mu)^n gives the rest: the subsemigroup T that supp(mu) generates is
-the union of the supports it visits, and on K its cycle runs through the
-p sets L*gamma^k H*R that support the cluster points.  They partition K,
+supp(mu)^n, set algebra on supp(mu) that the core module runs, gives the
+rest: the subsemigroup T that supp(mu) generates is the union of the
+supports it visits, and on K its cycle runs through the p sets
+L*gamma^k H*R that support the cluster points.  They partition K,
 and H = e*supp(eta)*e is read off the one that holds e, L*H*R.
 analyze_limit computes the whole picture and proof-checks every clause on
 the concrete instance, each once, from the structure it already holds.
@@ -71,6 +72,7 @@ from ._rat import RAT
 from .core import (
     ElementSet,
     GroupStructure,
+    _power_cycle,
     generated_subsemigroup,
     group_structure,
     kernel,
@@ -231,28 +233,15 @@ def cesaro_limit(mu):
 
 
 def _support_cycle(mu):
-    """q, the masks of supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s)
-    least such that supp(mu^(q+p_s)) = supp(mu^q), and the mask of the
-    subsemigroup T that supp(mu) generates.
+    """q, the sets supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s) least
+    such that supp(mu^(q+p_s)) = supp(mu^q), and the subsemigroup T that
+    supp(mu) generates.
 
-    Exact cycle detection with a first-occurrence map over the bitmask
-    sequence A_(n+1) = A_n * A_1; the first repeat of a deterministic
-    sequence lands exactly at the preperiod.  T is the union of the A_n,
-    and every A_n past the walk repeats one it visited, so T is the union
-    of the visited masks.
+    As supp(mu^n) = supp(mu)^n, this is set algebra on supp(mu) alone: the
+    power walk of core._power_cycle, which also collects T as the union of
+    the supports it visits.
     """
-    base = support(mu)
-    seen = {}
-    masks = []
-    reached = 0
-    cur = base
-    while cur.mask not in seen:
-        seen[cur.mask] = len(masks)
-        masks.append(cur.mask)
-        reached |= cur.mask
-        cur = product_sets(cur, base)
-    start = seen[cur.mask]
-    return start + 1, masks[start:], reached
+    return _power_cycle(support(mu))
 
 
 def support_period(mu):
@@ -371,7 +360,7 @@ def analyze_limit(mu):
 
     steps = support(mu)
     q, cycle, reached = _support_cycle(mu)
-    walk_kernel = kernel(ElementSet(sg, reached))
+    walk_kernel = kernel(reached)
     try:
         dec = rees_decompose(walk_kernel)
     except NotSimple as exc:
@@ -401,10 +390,9 @@ def analyze_limit(mu):
     # theorem, and those p sets partition K.  Exactly one holds e = e*e*e:
     # L*H*R = supp(eta), whose G-coordinates are H, so eta = lambda *
     # omega_H * rho.
-    on_kernel = [mask & walk_kernel.mask for mask in cycle]
+    on_kernel = [c & walk_kernel for c in cycle]
     rows = sg.rows
-    eta_mask = next(mask for mask in on_kernel if mask >> e & 1)
-    h_set = sg.subset(coordinates[z][1] for z in ElementSet(sg, eta_mask))
+    h_set = sg.subset(coordinates[z][1] for z in next(c for c in on_kernel if e in c))
     # H lies in the group G the split verified, so H is a subgroup once it
     # is non-empty and closed: each h in H has h^n = e for some n >= 1, which
     # puts e and h^-1 = h^(n-1) in H.  Its identity is e and its inverses

@@ -266,10 +266,11 @@ def _build_random_transformation_subsemigroup(spec):
         if len(gens) == degree**degree:
             break
     # Every composite is a shorter one composed with one generator on the
-    # right, so a breadth-first search under f -> f.g reaches them all.
+    # right, so a breadth-first search under f -> f.g reaches them all; it
+    # stops once it holds every map.
     closed = set(gens)
     frontier = list(gens)
-    while frontier:
+    while frontier and len(closed) < degree**degree:
         nxt = []
         for f in frontier:
             for g in gens:

@@ -9,19 +9,19 @@ product of the two denominators and reduces once at the end.  items(),
 probs, prob() and repr hand out fractions.Fraction values, built on first
 use and cached.  Every Dist is a probability, checked where it is made:
 
-* Dist(parent, probs) checks a dense vector in full: one entry per
-  element, none negative, exact sum 1.
-* Dist.from_mapping makes the same checks over the entries it is given
-  only, so reading a distribution costs its support, not the order.
+* Dist.from_mapping checks rational weights over the entries it is
+  given only, none negative and exact sum 1, so reading a distribution
+  costs its support, not the order; it puts the non-zero weights over
+  the lcm of their denominators and hands the numerators to
+  _from_numerators.
+* Dist(parent, probs) takes a dense vector, one entry per element, and
+  checks it through from_mapping; it keeps the vector as its probs.
 * Dist._from_numerators(parent, den, numerators) is the constructor for
   results that are probabilities by construction (convolve,
   coordinate_product, translate, marginals, haar_uniform, uniform_on,
   dirac, generators.random_dist, and the fixed laws and Cesaro averages
   in dynamics); it checks only the given support: the map is non-empty,
   every numerator is > 0 and they sum to exactly den.
-* Dist._from_support(parent, weights) takes rational weights (only
-  from_mapping calls it), puts them over the lcm of their denominators
-  and hands the numerators to _from_numerators.
 
 Key facts implemented and verified here: an idempotent distribution
 (mu*mu = mu) is supported on a completely simple subsemigroup and factors
@@ -76,10 +76,11 @@ builds the cluster cycle of mu^n this way.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import ElementSet, GroupStructure, product_sets
+from .core import GroupStructure, product_sets
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -103,17 +104,8 @@ class Dist:
         probs = tuple(as_rat(p) for p in probs)
         if len(probs) != parent.order:
             raise InvalidDistribution(f"{len(probs)} probabilities for {parent.order} elements")
-        total = ZERO
-        for i, p in enumerate(probs):
-            if p < 0:
-                raise InvalidDistribution(f"negative probability at {parent.label(i)}")
-            total += p
-        if total != ONE:
-            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        # over the lcm of the denominators the numerators share no factor
-        den = lcm(*(p.denominator for p in probs))
-        nums = tuple((i, p.numerator * (den // p.denominator)) for i, p in enumerate(probs) if p)
-        self._set(parent, den, nums, probs)
+        dist = Dist.from_mapping(parent, dict(enumerate(probs)))
+        self._set(parent, dist.den, dist._nums, probs)
 
     @classmethod
     def _from_numerators(cls, parent, den, numerators):
@@ -139,15 +131,6 @@ class Dist:
         dist = object.__new__(cls)
         dist._set(parent, den, nums, None)
         return dist
-
-    @classmethod
-    def _from_support(cls, parent, weights):
-        """The Dist with rational weights {index: probability}, checked as
-        _from_numerators checks."""
-        den = lcm(*(p.denominator for p in weights.values()))
-        return cls._from_numerators(
-            parent, den, {i: p.numerator * (den // p.denominator) for i, p in weights.items()}
-        )
 
     def _set(self, parent, den, nums, probs):
         object.__setattr__(self, "parent", parent)
@@ -181,10 +164,7 @@ class Dist:
         return list(self._items)
 
     def support(self):
-        mask = 0
-        for i, _ in self._nums:
-            mask |= 1 << i
-        return ElementSet(self.parent, mask)
+        return self.parent.subset(i for i, _ in self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, Dist):
@@ -202,7 +182,7 @@ class Dist:
     def from_mapping(cls, sg, mapping):
         """The Dist with the given {label or index: probability}; a label and
         an index naming one element add up, and zero entries are dropped.
-        Checked as Dist() checks a dense vector, at the mapping's size."""
+        Checked at the mapping's size: no weight negative, exact sum 1."""
         weights = {}
         for key, value in mapping.items():
             i = sg.index(key) if isinstance(key, str) else key
@@ -214,7 +194,11 @@ class Dist:
         total = sum(weights.values(), ZERO)
         if total != ONE:
             raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        return cls._from_support(sg, {i: p for i, p in weights.items() if p})
+        weights = {i: p for i, p in weights.items() if p}
+        den = lcm(*(p.denominator for p in weights.values()))
+        return cls._from_numerators(
+            sg, den, {i: p.numerator * (den // p.denominator) for i, p in weights.items()}
+        )
 
 
 def _check_index(sg, a):
@@ -449,17 +433,18 @@ def check_convolution_invariance(mu, nu):
     if convolve(nu, mu) != nu:
         raise HypothesisViolated("nu = nu * mu")
     sg = mu.parent
+    # nu * delta_b and delta_b * nu, each built once per element b
+    right = cache(lambda b: translate(nu, b, "right"))
+    left = cache(lambda b: translate(nu, b, "left"))
     pairs = 0
     for x in support(mu):
         for a in support(nu):
-            xa = sg.mul(x, a)
-            ax = sg.mul(a, x)
-            if translate(nu, xa, "right") != translate(nu, a, "right"):
+            if right(sg.mul(x, a)) != right(a):
                 raise TheoremViolation(
                     "right translation identity",
                     f"x={sg.label(x)}, a={sg.label(a)}",
                 )
-            if translate(nu, ax, "left") != translate(nu, a, "left"):
+            if left(sg.mul(a, x)) != left(a):
                 raise TheoremViolation(
                     "left translation identity",
                     f"x={sg.label(x)}, a={sg.label(a)}",

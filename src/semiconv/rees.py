@@ -223,10 +223,10 @@ def minimal_one_sided_ideals(dec):
     L-coordinate, x*G*R (see the module docstring)."""
     lefts, rights = {}, {}
     for z, (x, _, y) in dec.coordinates.items():
-        lefts[y] = lefts.get(y, 0) | 1 << z
-        rights[x] = rights.get(x, 0) | 1 << z
+        lefts.setdefault(y, []).append(z)
+        rights.setdefault(x, []).append(z)
     return tuple(
-        sorted((ElementSet(dec.parent, mask) for mask in parts.values()), key=ElementSet.least)
+        sorted(map(dec.parent.subset, parts.values()), key=ElementSet.least)
         for parts in (lefts, rights)
     )
 

@@ -262,7 +262,7 @@ def _all_subset_ideals(sg, side):
 
 
 def _inclusion_minimal(sets):
-    return [a for a in sets if not any(b.mask != a.mask and b.mask & ~a.mask == 0 for b in sets)]
+    return [a for a in sets if not any(b != a and b.issubset(a) for b in sets)]
 
 
 def principal_minimal_ideals(car, side):
@@ -270,11 +270,8 @@ def principal_minimal_ideals(car, side):
     (or a*S + {a}), compared pairwise, keeping the inclusion-minimal ones,
     sorted by least member.  Quadratic in the number of distinct ideals."""
     principal = principal_left_ideal if side == "left" else principal_right_ideal
-    found = {}
-    for a in car:
-        ideal = principal(car, a)
-        found[ideal.mask] = ideal
-    return sorted(_inclusion_minimal(list(found.values())), key=lambda i: i.least())
+    found = dict.fromkeys(principal(car, a) for a in car)
+    return sorted(_inclusion_minimal(list(found)), key=lambda i: i.least())
 
 
 def simple_by_sweep(a, side):
@@ -290,7 +287,7 @@ def simple_by_sweep(a, side):
             moved = product_sets(single, a)
         else:
             moved = product_sets(product_sets(a, single), a)
-        if moved.mask != a.mask:
+        if moved != a:
             return False
     return True
 
@@ -378,7 +375,7 @@ def _minimal_ideal_criterion(inst, seed):
     sg, car = inst.semigroup, inst.carrier
     _, lefts, rights = inst.ideals
     for side, mins in (("left", lefts), ("right", rights)):
-        if [a.mask for a in mins] != [a.mask for a in principal_minimal_ideals(car, side)]:
+        if mins != principal_minimal_ideals(car, side):
             return f"minimal {side} ideals differ from the principal-ideal enumeration"
         for a in mins:
             for x in a:
@@ -387,11 +384,11 @@ def _minimal_ideal_criterion(inst, seed):
                     if side == "left"
                     else product_sets(sg.singleton(x), car)
                 )
-                if trans.mask != a.mask:
+                if trans != a:
                     return f"{side} ideal {_labels(a)} fails translation criterion at {sg.label(x)}"
         if sg.order <= 5:
             brute = _inclusion_minimal(_all_subset_ideals(sg, side))
-            if {a.mask for a in brute} != {a.mask for a in mins}:
+            if set(brute) != set(mins):
                 return f"subset sweep found different minimal {side} ideals than the kernel translates"
     return None
 
@@ -404,10 +401,10 @@ def _kernel_least_ideal(inst, seed):
         k = inst.kernel
     except SemiconvError as exc:
         return f"kernel computation failed: {exc}"
-    union = 0
+    union = sg.empty()
     for part in principal_minimal_ideals(car, "left"):
-        union |= part.mask
-    if k.mask != union:
+        union |= part
+    if k != union:
         return f"kernel {_labels(k)} is not the union of the minimal principal left ideals"
     if not is_ideal(k):
         return f"kernel {_labels(k)} is not an ideal"
@@ -431,7 +428,7 @@ def _one_sided_simplicity(inst, seed):
         if claimed != simple_by_sweep(car, side):
             return f"{side} simplicity flag disagrees with translation sweep"
         if sg.order <= 5:
-            brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, side))
+            brute = all(a == car for a in _all_subset_ideals(sg, side))
             if claimed != brute:
                 return f"{side} simplicity flag disagrees with subset sweep"
     return None
@@ -445,7 +442,7 @@ def _simplicity(inst, seed):
     if claimed != simple_by_sweep(car, "two-sided"):
         return "simplicity flag disagrees with SaS sweep"
     if sg.order <= 5:
-        brute = all(a.mask == car.mask for a in _all_subset_ideals(sg, "two-sided"))
+        brute = all(a == car for a in _all_subset_ideals(sg, "two-sided"))
         if claimed != brute:
             return "simplicity flag disagrees with subset sweep"
     return None
@@ -516,11 +513,11 @@ def _rees_ideal_translates(inst, seed):
     _, lefts, rights = inst.ideals
     lg = product_sets(dec.left, dec.group.carrier)
     gr = product_sets(dec.group.carrier, dec.right)
-    expect_left = {product_sets(lg, sg.singleton(y)).mask for y in dec.right}
-    expect_right = {product_sets(sg.singleton(x), gr).mask for x in dec.left}
-    if {a.mask for a in lefts} != expect_left:
+    expect_left = {product_sets(lg, sg.singleton(y)) for y in dec.right}
+    expect_right = {product_sets(sg.singleton(x), gr) for x in dec.left}
+    if set(lefts) != expect_left:
         return "minimal left ideals are not the (LG)y translates"
-    if {a.mask for a in rights} != expect_right:
+    if set(rights) != expect_right:
         return "minimal right ideals are not the x(GR) translates"
     return None
 

@@ -1,3 +1,7 @@
+import random
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -378,11 +382,24 @@ def test_product_sets_matches_nested_loop():
 
 
 def test_product_sets_large_path():
-    # trip the array fast path (> 4096 index pairs) and recheck by loop
+    # Above 4096 index pairs the product marks a boolean array; seeded
+    # subsets on both sides of the cut, and whole carriers, against the loop.
     sg = t_full(3)
     car = sg.carrier()
     got = product_sets(car, car)
     assert set(got.elements()) == brute_products(sg, range(27), range(27))
+    rng = random.Random(7)
+    for spec in (
+        CorpusSpec("cyclic", (1000,)),
+        CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25),
+    ):
+        sg = build(spec)
+        sizes = [(64, 64), (64, 65), (1, sg.order), (sg.order, sg.order)]
+        sizes += [(rng.randint(1, sg.order), rng.randint(1, sg.order)) for _ in range(12)]
+        for size_a, size_b in sizes:
+            a, b = (sg.subset(rng.sample(range(sg.order), k)) for k in (size_a, size_b))
+            want = sg.subset(brute_products(sg, a, b))
+            assert product_sets(a, b) == want, (spec.describe(), size_a, size_b)
 
 
 # ---- idempotents, closure ----
@@ -683,3 +700,17 @@ def test_group_structure_reads_rows_not_set_products(monkeypatch):
     for n in (8, 70):
         grp = group_structure(cyclic(n).carrier())
         assert grp.identity == 0 and all(grp.inv(a) == -a % n for a in range(n))
+
+
+def test_only_core_reads_the_element_set_mask():
+    # The bitmask is core's representation: other modules build and read
+    # element sets through ElementSet's operations alone.
+    source = Path(core.__file__).parent
+    offending = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(source.glob("*.py"))
+        if path.name != "core.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\.mask\b|\bElementSet\(", line)
+    ]
+    assert offending == []

@@ -763,7 +763,7 @@ def z6_walk_with_cycle(monkeypatch, sets):
 
     def patched(walk):
         q, _, reached = real(walk)
-        return q, [z6.subset_of_labels(labels).mask for labels in sets], reached
+        return q, [z6.subset_of_labels(labels) for labels in sets], reached
 
     monkeypatch.setattr(dynamics, "_support_cycle", patched)
     return Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
@@ -822,7 +822,7 @@ def test_the_walk_reaches_the_generated_subsemigroup(seed):
     assert len(walks) >= 70
     for mu in walks:
         reached = dynamics._support_cycle(mu)[2]
-        assert reached == generated_subsemigroup(support(mu)).mask, mu
+        assert reached == generated_subsemigroup(support(mu)), mu
 
 
 WALK_TABLES = [
@@ -861,7 +861,7 @@ def fraction_averages(mu, n_max):
 @given(small_walks())
 def test_the_walk_reaches_the_generated_subsemigroup_on_small_walks(mu):
     reached = dynamics._support_cycle(mu)[2]
-    assert reached == generated_subsemigroup(support(mu)).mask
+    assert reached == generated_subsemigroup(support(mu))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

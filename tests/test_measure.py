@@ -116,17 +116,16 @@ def test_dirac_rejects_an_index_out_of_range(a):
 
 def test_support_constructor_checks_the_support():
     z3 = cyclic(3)
-    assert Dist._from_support(z3, {2: RAT(1, 3), 0: RAT(2, 3)}) == Dist(
+    assert Dist.from_mapping(z3, {2: RAT(1, 3), 0: RAT(2, 3)}) == Dist(
         z3, (RAT(2, 3), RAT(0), RAT(1, 3))
     )
     with pytest.raises(InvalidDistribution, match="sum to 2/3"):
-        Dist._from_support(z3, {0: RAT(1, 3), 1: RAT(1, 3)})
-    with pytest.raises(InvalidDistribution, match="non-positive"):
-        Dist._from_support(z3, {0: RAT(1), 1: RAT(0)})
-    with pytest.raises(InvalidDistribution, match="non-positive"):
-        Dist._from_support(z3, {0: RAT(3, 2), 1: RAT(-1, 2)})
-    with pytest.raises(InvalidDistribution):
-        Dist._from_support(z3, {})
+        Dist.from_mapping(z3, {0: RAT(1, 3), 1: RAT(1, 3)})
+    assert Dist.from_mapping(z3, {0: RAT(1), 1: RAT(0)}) == dirac(z3, 0)  # zero dropped
+    with pytest.raises(InvalidDistribution, match="negative probability at 1"):
+        Dist.from_mapping(z3, {0: RAT(3, 2), 1: RAT(-1, 2)})
+    with pytest.raises(InvalidDistribution, match="sum to 0, not 1"):
+        Dist.from_mapping(z3, {})
     # the integer constructor behind it: numerators over one denominator
     with pytest.raises(InvalidDistribution, match="non-positive"):
         Dist._from_numerators(z3, 2, {0: 2, 1: 0})
