@@ -6,9 +6,10 @@ module builds sets through Semigroup.subset and its kin and reads them
 through ElementSet's operations, never through the mask.  So the set
 algebra that needs the mask lives here, down to the power walk A, A*A, ...
 up to its first repeat (_power_cycle), which dynamics runs on supp(mu) to
-read off the support cycle of mu^n.  All operations are exact table lookups;
-the only numeric library involved is numpy, used for table validation and
-for bulk product enumeration on large sets.  Validation decides
+read off the support cycle of mu^n, and on a singleton {a} to read off the
+power cycle of an element a for its cluster.  All operations are exact
+table lookups; the only numeric library involved is numpy, used for table
+validation and for bulk product enumeration on large sets.  Validation decides
 associativity by Light's test: it sweeps (a*b)*c = a*(b*c) over all b and
 c only for the rows a of a greedy generating set.  Two such sets are used.
 The one that decides is taken in descending order of row image size

@@ -55,6 +55,9 @@ verified; H is a closed subset of the verified group G, so a subgroup
 with G's identity and inverses.  Normality conjugates H by gamma alone;
 a clause that _limit_factors, the split, the fold, the construction or
 the coset map already proves is recorded from it.
+The powers of a single element, and of a*e for element_power_cluster's
+check that a*e generates the cycle C, are read off that same walk of
+core._power_cycle, run on a singleton.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -232,21 +235,9 @@ def cesaro_limit(mu):
     return _limit_factors(mu, rees_decompose(kernel(generated_subsemigroup(support(mu)))))[0]
 
 
-def _support_cycle(mu):
-    """q, the sets supp(mu^q), ..., supp(mu^(q+p_s-1)), with (q, p_s) least
-    such that supp(mu^(q+p_s)) = supp(mu^q), and the subsemigroup T that
-    supp(mu) generates.
-
-    As supp(mu^n) = supp(mu)^n, this is set algebra on supp(mu) alone: the
-    power walk of core._power_cycle, which also collects T as the union of
-    the supports it visits.
-    """
-    return _power_cycle(support(mu))
-
-
 def support_period(mu):
     """Least (q, p) with supp(mu^(q+p)) = supp(mu^q)."""
-    q, cycle, _ = _support_cycle(mu)
+    q, cycle, _ = _power_cycle(support(mu))
     return q, len(cycle)
 
 
@@ -265,35 +256,23 @@ def element_power_cluster(sg, a):
 
     Verifies that C is a cyclic group with identity e = a^(rp) for the
     unique r with q <= rp <= q+p-1, and that C = {e, ae, ..., a^(p-1)e}.
+    Both cycles, of the powers of a and of a*e, are read off
+    core._power_cycle run on a singleton, the walk the support cycle uses.
     """
-    if not 0 <= a < sg.order:
-        raise MalformedInput(f"element index out of range: {a}")
-    seen = {}
-    powers = [None]
-    cur = a
-    step = 1
-    while cur not in seen:
-        seen[cur] = step
-        powers.append(cur)
-        cur = sg.mul(cur, a)
-        step += 1
-    q = seen[cur]
-    p = step - q
-    cluster = sg.subset(powers[q : q + p])
-    r = -(-q // p)  # ceil(q / p): unique r with q <= rp <= q + p - 1
-    e = powers[r * p]
+    q, cycle, _ = _power_cycle(sg.singleton(a))
+    p = len(cycle)
+    cluster = sg.subset(c.least() for c in cycle)
+    # cycle[k] = {a^(q+k)}, and rp is the one multiple of p in q..q+p-1
+    e = cycle[-q % p].least()
     if sg.mul(e, e) != e:
         raise VerificationFailed("power cycle", "a^(rp) is not idempotent")
     grp = group_structure(cluster)
     if grp.identity != e:
         raise VerificationFailed("power cycle", "group identity differs from a^(rp)")
-    b = sg.mul(a, e)
-    orbit = [e]
-    x = b
-    while x != e:
-        orbit.append(x)
-        x = sg.mul(x, b)
-    if sg.subset(orbit) != cluster or len(orbit) != p:
+    # a*e generates C exactly when its powers return to a*e after p steps
+    # and visit all of C on the way.
+    q_b, cycle_b, orbit = _power_cycle(sg.singleton(sg.mul(a, e)))
+    if q_b != 1 or len(cycle_b) != p or orbit != cluster:
         raise VerificationFailed("power cycle", "cycle is not generated by a*e")
     return PowerCluster(q=q, p=p, cluster=cluster, idempotent=e)
 
@@ -359,7 +338,7 @@ def analyze_limit(mu):
             raise TheoremViolation(name, detail)
 
     steps = support(mu)
-    q, cycle, reached = _support_cycle(mu)
+    q, cycle, reached = _power_cycle(steps)
     walk_kernel = kernel(reached)
     try:
         dec = rees_decompose(walk_kernel)

@@ -5,9 +5,9 @@ factor acts first.  Under this convention constant maps form a LEFT-zero
 kernel (c.g = c), so e.g. full_transformation(2) has kernel {"00", "11"}.
 
 Tables are composed by array gathers: the transformation, cyclic,
-rectangular-band and direct-product builders form the whole table as numpy
-expressions over all pairs at once, and hand validate_cayley that integer
-array.
+rectangular-band, direct-product and Rees-matrix builders form the whole
+table as numpy expressions over all pairs at once, and hand validate_cayley
+that integer array.
 
 Randomized kinds draw from xorshift64*, a fixed 64-bit shift-register
 generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D), so the
@@ -21,6 +21,7 @@ import numpy as np
 from .core import _check_order, validate_cayley
 from .errors import EmptySupport, ParameterOutOfRange
 from .measure import Dist
+from .rees import rees_matrix_semigroup
 
 _MASK64 = (1 << 64) - 1
 _SEED_FILL = 0x9E3779B97F4A7C15  # used when the caller passes seed 0
@@ -224,8 +225,6 @@ def _build_boolean_matrices(spec):
 
 
 def _build_rees_matrix(spec):
-    from .rees import rees_matrix_semigroup
-
     g_order, rows, cols = _expect_params(spec, 3)
     _check_order(g_order * rows * cols)
     group = _build_cyclic(CorpusSpec("cyclic", (g_order,)))

@@ -54,6 +54,8 @@ product (i, g, k)(j, h, l) = (i, g*P[k][j]*h, l) for a sandwich matrix P.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     ElementSet,
     GroupStructure,
@@ -312,9 +314,6 @@ def rees_matrix_semigroup(group_table, rows, cols, sandwich):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_g:
                 raise InvalidSandwichEntry(k, j, v)
 
-    def enc(i, g, k):
-        return (i * n_g + g) * cols + k
-
     labels = [
         f"({i},{group_table.label(g)},{k})"
         for i in range(rows)
@@ -322,15 +321,12 @@ def rees_matrix_semigroup(group_table, rows, cols, sandwich):
         for k in range(cols)
     ]
     order = rows * n_g * cols
-    table = [[0] * order for _ in range(order)]
-    for i in range(rows):
-        for g in range(n_g):
-            for k in range(cols):
-                row = table[enc(i, g, k)]
-                for j in range(rows):
-                    gp = group_table.mul(g, sandwich[k][j])
-                    for h in range(n_g):
-                        v = group_table.mul(gp, h)
-                        for l in range(cols):
-                            row[enc(j, h, l)] = enc(i, v, l)
+    # (i, g, k) is coded (i * n_g + g) * cols + k.  The product's middle
+    # factor middle[g, k, j, h] = g * P[k][j] * h is one gather over the
+    # group table; the product is coded over the axes (i, g, k, j, h, l).
+    gt = group_table.table_array()
+    middle = gt[gt[:, np.array(sandwich, dtype=np.intp)]]
+    i = np.arange(rows)[:, None, None, None, None, None]
+    l = np.arange(cols)
+    table = ((i * n_g + middle[None, :, :, :, :, None]) * cols + l).reshape(order, order)
     return validate_cayley(labels, table)

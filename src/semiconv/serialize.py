@@ -141,7 +141,15 @@ def corpus_spec_to_json(spec):
     return obj
 
 
-def corpus_spec_from_json(obj):
+# Factor specs nest at most this deep.  A product of factors of order >= 2
+# passes the order cap past 10 levels, so deeper specs only add order-1
+# factors, and unbounded nesting would exhaust the interpreter's stack.
+_MAX_SPEC_DEPTH = 32
+
+
+def corpus_spec_from_json(obj, _depth=0):
+    if _depth > _MAX_SPEC_DEPTH:
+        raise MalformedInput(f"corpus spec factors nest deeper than {_MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput('corpus spec needs a "kind"')
     if not isinstance(obj["kind"], str):
@@ -157,7 +165,7 @@ def corpus_spec_from_json(obj):
     factors = obj.get("factors", [])
     if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
         raise MalformedInput('"factors" must be an array of objects')
-    factors = tuple(corpus_spec_from_json(f) for f in factors)
+    factors = tuple(corpus_spec_from_json(f, _depth + 1) for f in factors)
     return CorpusSpec(kind=obj["kind"], params=tuple(params), seed=seed, factors=factors)
 
 

@@ -299,6 +299,24 @@ def test_gen_rejects_json_booleans_as_integers(spec, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+def nested_products(levels):
+    """A direct_product spec nested `levels` deep, every leaf cyclic(1)."""
+    spec = {"kind": "cyclic", "params": [1]}
+    for _ in range(levels):
+        spec = {"kind": "direct_product", "factors": [spec, {"kind": "cyclic", "params": [1]}]}
+    return spec
+
+
+def test_gen_refuses_a_spec_nested_too_deep_as_malformed_input(tmp_path, capsys):
+    # 400 levels once overflowed the stack and exited 3 as an internal error.
+    assert main(["gen", write(tmp_path / "deep.json", nested_products(400))]) == 1
+    err = capsys.readouterr().err
+    assert "nest deeper than 32 levels" in err
+    assert "internal error" not in err
+    assert main(["gen", write(tmp_path / "shallow.json", nested_products(3))]) == 0
+    assert capsys.readouterr().out.endswith(": order 1\n")
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -190,6 +190,37 @@ def test_element_power_cluster_brute_force():
         assert sorted(pc.cluster.elements()) == sorted(set(powers[q:]))
 
 
+def patch_power_cycle_call(monkeypatch, which, change):
+    # The walk's answer on call number `which` (0: the powers of a, 1: the
+    # powers of a*e) is passed through `change`; other calls are left alone.
+    real = dynamics._power_cycle
+    calls = []
+
+    def patched(base):
+        q, cycle, reached = real(base)
+        calls.append(base)
+        if len(calls) - 1 == which:
+            cycle = change(cycle)
+        return q, cycle, reached
+
+    monkeypatch.setattr(dynamics, "_power_cycle", patched)
+
+
+def test_an_orbit_of_a_times_e_one_set_short_fails_the_generator_check(monkeypatch):
+    # On Z6 the powers of 1 run 1, 2, ..., 5, 0 with e = 0, and a*e = 1 has
+    # six powers; a walk that reports five of them does not generate C.
+    patch_power_cycle_call(monkeypatch, 1, lambda cycle: cycle[:-1])
+    with pytest.raises(VerificationFailed, match="cycle is not generated by a\\*e"):
+        element_power_cluster(cyclic(6), 1)
+
+
+def test_a_rotated_power_cycle_fails_the_idempotent_check(monkeypatch):
+    # Rotating the cycle of 1 in Z6 by one puts 1, not 0, at index -q % p.
+    patch_power_cycle_call(monkeypatch, 0, lambda cycle: cycle[1:] + cycle[:1])
+    with pytest.raises(VerificationFailed, match="a\\^\\(rp\\) is not idempotent"):
+        element_power_cluster(cyclic(6), 1)
+
+
 def test_analyze_limit_alternating_walk():
     z2 = cyclic(2)
     rep = analyze_limit(dirac(z2, 1))
@@ -759,13 +790,13 @@ def z6_walk_with_cycle(monkeypatch, sets):
     # from q = 1, and T = K = Z6 with e = 0.  The walk is patched to report
     # the given sets in place of that cycle, with the true q and T.
     z6 = cyclic(6)
-    real = dynamics._support_cycle
+    real = dynamics._power_cycle
 
-    def patched(walk):
-        q, _, reached = real(walk)
+    def patched(steps):
+        q, _, reached = real(steps)
         return q, [z6.subset_of_labels(labels) for labels in sets], reached
 
-    monkeypatch.setattr(dynamics, "_support_cycle", patched)
+    monkeypatch.setattr(dynamics, "_power_cycle", patched)
     return Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
 
 
@@ -821,7 +852,7 @@ def test_the_walk_reaches_the_generated_subsemigroup(seed):
     ]
     assert len(walks) >= 70
     for mu in walks:
-        reached = dynamics._support_cycle(mu)[2]
+        reached = dynamics._power_cycle(support(mu))[2]
         assert reached == generated_subsemigroup(support(mu)), mu
 
 
@@ -860,7 +891,7 @@ def fraction_averages(mu, n_max):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(small_walks())
 def test_the_walk_reaches_the_generated_subsemigroup_on_small_walks(mu):
-    reached = dynamics._support_cycle(mu)[2]
+    reached = dynamics._power_cycle(support(mu))[2]
     assert reached == generated_subsemigroup(support(mu))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from semiconv import core, rees
+from semiconv import core, generators, rees, verify
 from semiconv.core import group_structure, idempotents, kernel, product_sets, validate_cayley
 from semiconv.errors import (
     InvalidSandwichEntry,
@@ -211,6 +211,51 @@ def test_rees_matrix_construction():
     assert sg.label(sg.mul(c, d)) == "(0,0,0)"  # 0 + P[1][0] + 1 = 0 + 2 + 1 = 0 mod 3
     dec = rees_decompose(sg.carrier())
     assert factor_sizes(dec) == (2, 3, 2)
+
+
+def loop_rees_matrix_table(group, rows, cols, sandwich):
+    """The Rees matrix table by the product rule, one entry at a time."""
+    n_g = group.order
+
+    def enc(i, g, k):
+        return (i * n_g + g) * cols + k
+
+    order = rows * n_g * cols
+    table = [[0] * order for _ in range(order)]
+    for i in range(rows):
+        for g in range(n_g):
+            for k in range(cols):
+                row = table[enc(i, g, k)]
+                for j in range(rows):
+                    gp = group.mul(g, sandwich[k][j])
+                    for h in range(n_g):
+                        v = group.mul(gp, h)
+                        for l in range(cols):
+                            row[enc(j, h, l)] = enc(i, v, l)
+    return table
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec
+        for spec in (
+            *verify._specs_extended(),
+            CorpusSpec("rees_matrix", (16, 8, 8), seed=3),
+        )
+        if spec.kind == "rees_matrix"
+    ],
+    ids=CorpusSpec.describe,
+)
+def test_rees_matrix_table_matches_the_product_rule_loop(spec):
+    # The sandwich is drawn as the corpus builder draws it.
+    g_order, rows, cols = spec.params
+    group = build(CorpusSpec("cyclic", (g_order,)))
+    rng = generators.XorShift64Star(spec.seed)
+    sandwich = [[rng.below(g_order) for _ in range(rows)] for _ in range(cols)]
+    want = loop_rees_matrix_table(group, rows, cols, sandwich)
+    assert [list(r) for r in build(spec).rows] == want
+    assert [list(r) for r in rees_matrix_semigroup(group, rows, cols, sandwich).rows] == want
 
 
 def test_rees_matrix_sandwich_validation():

@@ -187,6 +187,13 @@ def test_corpus_spec_rejections(tmp_path):
     for kind in ([], {"a": 1}, None):
         with pytest.raises(MalformedInput, match='"kind" must be a string'):
             corpus_spec_from_json({"kind": kind})
+    # factors nest at most 32 levels deep
+    spec = {"kind": "cyclic", "params": [1]}
+    for _ in range(32):
+        spec = {"kind": "direct_product", "factors": [spec]}
+    assert corpus_spec_from_json(spec).kind == "direct_product"
+    with pytest.raises(MalformedInput, match="nest deeper than 32 levels"):
+        corpus_spec_from_json({"kind": "direct_product", "factors": [spec]})
     path = tmp_path / "spec.json"
     path.write_text(dumps_canonical({"kind": "cyclic", "params": [3], "seed": 0}), encoding="utf-8")
     assert load_corpus_spec(str(path)) == CorpusSpec("cyclic", (3,))
