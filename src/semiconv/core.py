@@ -17,7 +17,9 @@ The one that decides is taken in descending order of row image size
 second set, taken in index order, swept to name the lexicographically
 first broken triple.  The validated table is kept as a read-only int32
 array.  The kernel is computed from one of its elements, as K = (S*z)*S,
-and checked to be an ideal.  S is simple exactly when it is its own
+and checked to be an ideal, against a generating set of S when the caller
+holds one: each generator mapping K into K on both sides makes every
+product of them do so.  S is simple exactly when it is its own
 kernel.  The minimal left (right) ideals are read off the verified Rees
 split of K, L*G*y (x*G*R), and S is left (right) simple exactly when it
 is its own only minimal left (right) ideal.
@@ -530,7 +532,7 @@ def minimal_ideals(x):
     return (k, *minimal_one_sided_ideals(rees_decompose(k)))
 
 
-def kernel(x):
+def kernel(x, *, generators=None):
     """The least two-sided ideal K, computed as S*z*S and checked to be an
     ideal.
 
@@ -539,6 +541,11 @@ def kernel(x):
     taken from I puts the partial product ending in a in I, and each later
     factor on the right keeps it there.  So S*z*S lies inside every ideal,
     and once the check shows it is an ideal, it is the least one.
+
+    generators, a set that generates S, narrows the check to g*K and K*g
+    inside K for each g in it (default: every g in S).  That is enough:
+    a product s = g_1*...*g_n of generators gives s*K = g_1*(...(g_n*K))
+    inside K, and K*s likewise.
     """
     s = _as_set(x)
     if not s:
@@ -550,7 +557,7 @@ def kernel(x):
     for a in els[1:]:
         z = rows[z][a]
     k = product_sets(product_sets(s, sg.singleton(z)), s)
-    if not is_ideal(k, s):
+    if not is_ideal(k, s if generators is None else generators):
         raise VerificationFailed("kernel ideal", f"S*z*S is not an ideal for z = {sg.label(z)}")
     return k
 

@@ -7,16 +7,20 @@ generated by supp(mu), and nu = lambda * omega_G * rho with Haar measure
 omega_G on G.  The power sequence mu^n itself clusters to a finite cyclic
 group of measures {eta, mu*eta, ..., mu^(p-1)*eta} with eta = lambda *
 omega_H * rho for a normal subgroup H of G, with the same lambda and rho.
-So the only exact solves are two small ones: lambda is the stationary law
-of the walk x -> L(s*x) on L and rho that of y -> R(y*s) on R, s drawn
-from mu.  Each is solved on integers: the rows den(mu)*(P - I), P the
-walk's transition matrix, hold numerators of mu, a fraction-free
-elimination gives their kernel vector v, and the law is v / sum(v), the
-one division.  Each law is unique: some word w in supp(mu) lands in K,
-and from there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so
-every start forgets itself.  mu^p fixes the same lambda and rho: its
-walks fix them, and forget their start too, as w padded to a length
-divisible by p still lands in K.  One walk of the supports supp(mu^n) =
+lambda is the stationary law of the walk x -> L(s*x) on L and rho that of
+y -> R(y*s) on R, s drawn from mu.  When supp(mu) lies in K there is no
+exact solve at all.  For s in K and x in L, s*x = L(s)*(G(s)*R(s)*x), and
+the split verified R*L in G, so L(s*x) = L(s); mirrored, R(y*s) = R(s).
+One step forgets its start: every column of the walk's transition matrix
+P is mu's L-coordinate marginal, so lambda is that marginal and rho the
+R-coordinate one, read off supp(mu) in one pass.  Otherwise each law is
+one exact solve on integers: the rows den(mu)*(P - I) hold numerators of
+mu, a fraction-free elimination gives their kernel vector v, and the law
+is v / sum(v), the one division.  Each law is unique: some word w in
+supp(mu) lands in K, and from there L(w*x) = L(w) whatever x is (and
+R(y*w) = R(w)), so every start forgets itself.  mu^p fixes the same
+lambda and rho: its walks fix them, and forget their start too, as w
+padded to a length divisible by p still lands in K.  One walk of the supports supp(mu^n) =
 supp(mu)^n, set algebra on supp(mu) that the core module runs, gives the
 rest: the subsemigroup T that supp(mu) generates is the union of the
 supports it visits, and on K its cycle runs through the p sets
@@ -201,14 +205,37 @@ def _fixed_law(mu, dec, side):
     return Dist._from_numerators(mu.parent, total, {x: v for x, v in zip(states, law) if v})
 
 
+def _marginal_laws(mu, dec):
+    """lambda and rho for a walk with supp(mu) in K: mu's L- and
+    R-coordinate marginals, read off the split in one pass over supp(mu).
+
+    One step from s in K lands on L(s*x) = L(s) whatever x in L is, and
+    on R(y*s) = R(s) (see the module docstring), so each marginal is the
+    law of one step from any start, and the only law the walk fixes.
+    """
+    coordinates = dec.coordinates
+    lam, rho = {}, {}
+    for s, n in mu._nums:
+        x, _, y = coordinates[s]
+        lam[x] = lam.get(x, 0) + n
+        rho[y] = rho.get(y, 0) + n
+    return (
+        Dist._from_numerators(mu.parent, mu.den, lam),
+        Dist._from_numerators(mu.parent, mu.den, rho),
+    )
+
+
 def _limit_factors(mu, dec):
-    """nu, lambda and rho for the decomposition dec of the walk kernel."""
-    lam = _fixed_law(mu, dec, 0)
-    rho = _fixed_law(mu, dec, 2)
+    """nu, lambda and rho for the decomposition dec of the walk kernel:
+    the marginals when supp(mu) lies in K, the two solves otherwise."""
+    if support(mu).issubset(dec.carrier):
+        lam, rho = _marginal_laws(mu, dec)
+    else:
+        lam, rho = _fixed_law(mu, dec, 0), _fixed_law(mu, dec, 2)
     nu = coordinate_product(lam, haar_uniform(dec.group), rho)
     # nu is idempotent by the fold lemma (see the measure module): lambda
     # lives on L, rho on R, and the split verified R*L in G.  The invariance
-    # is checked, as it is what verifies the two solves.
+    # is checked, as it is what verifies the two laws, marginals or solves.
     if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
         raise VerificationFailed("limit invariance", "mu * nu != nu or nu * mu != nu")
     return nu, lam, rho
@@ -223,16 +250,22 @@ def cesaro_limit(mu):
     mu*nu = nu makes it a fixed law of the walk x -> L(s*x) on L, and it is
     the only one, because a word w in supp(mu) that lands in K sends every
     x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
-    y -> R(y*s).  Each is one exact solve over |L| or |R| unknowns, a
-    dense fraction-free elimination whose cost grows as |L|^3 (|R|^3): the
-    uniform walk on rectangular_band(512,1) takes about 16.5 s on one core
-    of a shared 2-vCPU host, so the solve, not the table's
-    DEFAULT_ORDER_CAP, bounds how large a walk is practical.
-    The result is idempotent by the fold lemma of the measure module, since
-    the split verified R*L in G, and is verified mu-invariant before
-    returning.
+    y -> R(y*s).  When supp(mu) lies in K, one step already forgets its
+    start, and each is mu's coordinate marginal, with no solve.  Otherwise
+    each is one exact solve over |L| or |R| unknowns, a dense fraction-free
+    elimination whose cost grows as |L|^3 (|R|^3): the uniform walk on
+    full_transformation(2) x rectangular_band(256,1), half of whose mass
+    lies off its kernel (|L| = 512, |G| = |R| = 1), takes about 19 s on one
+    core of a shared 2-vCPU host, so for walks off K the solve, not the
+    table's DEFAULT_ORDER_CAP, bounds how large a walk is practical.
+    The kernel's ideal check runs over supp(mu) alone, which generates the
+    subsemigroup.  The result is idempotent by the fold lemma of the
+    measure module, since the split verified R*L in G, and is verified
+    mu-invariant before returning.
     """
-    return _limit_factors(mu, rees_decompose(kernel(generated_subsemigroup(support(mu)))))[0]
+    steps = support(mu)
+    dec = rees_decompose(kernel(generated_subsemigroup(steps), generators=steps))
+    return _limit_factors(mu, dec)[0]
 
 
 def support_period(mu):
@@ -301,9 +334,10 @@ def analyze_limit(mu):
     structural clause exactly.  A failed clause raises TheoremViolation;
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
-    solves and the invariance check's two convolutions, its cost is set
-    algebra over the walk's supports, the split's G-coordinates of
-    supp(mu)*L and R*supp(mu), and coordinate products on K.
+    fixed laws (marginals when supp(mu) lies in K, solves otherwise) and
+    the invariance check's two convolutions, its cost is set algebra over
+    the walk's supports, the split's G-coordinates of supp(mu)*L and
+    R*supp(mu), and coordinate products on K.
 
     Each clause is proven once.  A clause an earlier step already proves
     records that step's result: _limit_factors (mu * nu = nu = nu * mu,
@@ -332,14 +366,16 @@ def analyze_limit(mu):
     sg = mu.parent
     checks = {}
 
-    def record(name, ok, detail=""):
+    def record(name, ok, detail=lambda: ""):
+        # detail builds the failure text, only when the clause fails.
         checks[name] = bool(ok)
         if not ok:
-            raise TheoremViolation(name, detail)
+            raise TheoremViolation(name, detail())
 
     steps = support(mu)
     q, cycle, reached = _power_cycle(steps)
-    walk_kernel = kernel(reached)
+    # supp(mu) generates T = reached, so the ideal check needs only its steps.
+    walk_kernel = kernel(reached, generators=steps)
     try:
         dec = rees_decompose(walk_kernel)
     except NotSimple as exc:
@@ -353,7 +389,7 @@ def analyze_limit(mu):
     record(
         "support_nu_is_kernel",
         nu_support == walk_kernel,
-        f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}",
+        lambda: f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}",
     )
     # The split verified L*G*R = dec.carrier.
     record("support_nu_product", nu_support == dec.carrier)
@@ -425,7 +461,7 @@ def analyze_limit(mu):
         on_kernel[p:] + on_kernel[:p] == on_kernel
         and len(set(on_kernel[:p])) == p
         and p * subgroup.order == dec.group.order,
-        f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
+        lambda: f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
     )
     # Put c_k = lambda * omega_(gamma^k H) * rho.  Every G(s*x) lies in
     # gamma*H (gamma_coset), so by normality G(s*x)*gamma^k H = gamma^(k+1) H,

@@ -339,13 +339,11 @@ def test_cluster_period_on_walks_of_known_period(make_walk, period):
 
 
 def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
-    # On a left zero semigroup every distribution is idempotent, and mu is
-    # the only one that mu fixes on the left.  The kernel is L = {a, b}
-    # with a one-element G and R, so lambda is nu, solved over two states.
-    # Swapping the two entries of that solve gives an idempotent nu that mu
-    # does not fix: no report may come back.
-    lz2 = build(CorpusSpec("left_zero", (2,)))
-    mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
+    # The swap 10 lies off the kernel L = {00, 11} of full_transformation(2)
+    # (G and R are one element), so lambda is solved over two states: nu =
+    # 2/3 at 00, 1/3 at 11.  Swapping the two entries of that solve gives an
+    # idempotent nu that mu does not fix: no report may come back.
+    mu = t2_walk()
     real_solve = dynamics.integer_kernel_vector
 
     def swapped(rows):
@@ -355,6 +353,71 @@ def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
     monkeypatch.setattr(dynamics, "integer_kernel_vector", swapped)
     with pytest.raises(VerificationFailed, match="limit invariance"):
         analyze_limit(mu)
+
+
+def test_analyze_limit_rejects_a_wrong_marginal(monkeypatch):
+    # On a left zero semigroup every distribution is idempotent, and mu is
+    # the only one that mu fixes on the left.  The kernel is L = {a, b}
+    # with a one-element G and R, and supp(mu) lies in it, so lambda is
+    # mu's L-marginal, mu itself.  Swapping its two entries gives an
+    # idempotent nu that mu does not fix: no report may come back.
+    lz2 = build(CorpusSpec("left_zero", (2,)))
+    mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
+    real_marginals = dynamics._marginal_laws
+
+    def swapped(mu, dec):
+        lam, rho = real_marginals(mu, dec)
+        (a, p), (b, r) = lam.items()
+        return Dist.from_mapping(mu.parent, {a: r, b: p}), rho
+
+    monkeypatch.setattr(dynamics, "_marginal_laws", swapped)
+    with pytest.raises(VerificationFailed, match="limit invariance"):
+        analyze_limit(mu)
+
+
+IN_KERNEL_WALKS = [
+    pytest.param(
+        lambda: Dist.from_mapping(cyclic(6), {"1": RAT(1, 3), "2": RAT(2, 3)}), id="cyclic(6)"
+    ),
+    pytest.param(
+        lambda: Dist.from_mapping(
+            build(CorpusSpec("rectangular_band", (3, 4))),
+            {"(0,1)": RAT(1, 4), "(2,3)": RAT(1, 4), "(1,1)": RAT(1, 2)},
+        ),
+        id="rectangular_band(3,4)",
+    ),
+    pytest.param(
+        lambda: point_mass(CorpusSpec("rees_matrix", (2, 2, 2), seed=11), "(1,1,1)"),
+        id="rees_matrix(2,2,2)",
+    ),
+]
+
+
+class SolveCalled(Exception):
+    pass
+
+
+def refuse_to_solve(rows):
+    raise SolveCalled
+
+
+@pytest.mark.parametrize("make_walk", IN_KERNEL_WALKS)
+def test_walks_inside_the_kernel_take_no_solve(monkeypatch, make_walk):
+    # supp(mu) in K: lambda and rho are mu's coordinate marginals, and no
+    # elimination runs, for the report or for the Cesaro limit alone.
+    mu = make_walk()
+    assert support(mu).issubset(analyze_limit(mu).rees.carrier)
+    monkeypatch.setattr(dynamics, "integer_kernel_vector", refuse_to_solve)
+    rep = analyze_limit(mu)
+    assert all(rep.checks.values())
+    assert cesaro_limit(mu) == rep.nu
+
+
+def test_walks_off_the_kernel_still_solve(monkeypatch):
+    monkeypatch.setattr(dynamics, "integer_kernel_vector", refuse_to_solve)
+    for run in (analyze_limit, cesaro_limit):
+        with pytest.raises(SolveCalled):
+            run(t2_walk())
 
 
 def fixed_law_by_fraction_solve(mu, states, step):
@@ -396,6 +459,22 @@ def test_fixed_laws_match_the_fraction_solve(corpus, seed):
         )
         assert dynamics._fixed_law(mu, dec, 0) == lam, mu
         assert dynamics._fixed_law(mu, dec, 2) == rho, mu
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_marginal_laws_match_the_solve_inside_the_kernel(seed):
+    # The solve stays the oracle of the marginals on every in-K walk.
+    in_kernel = 0
+    for mu in extended_corpus_walks(seed):
+        dec = rees_decompose(core.kernel(generated_subsemigroup(support(mu))))
+        if not support(mu).issubset(dec.carrier):
+            continue
+        in_kernel += 1
+        assert dynamics._marginal_laws(mu, dec) == (
+            dynamics._fixed_law(mu, dec, 0),
+            dynamics._fixed_law(mu, dec, 2),
+        ), mu
+    assert in_kernel >= 40
 
 
 def test_fixed_laws_make_no_fraction():
