@@ -25,7 +25,7 @@ split of K, L*G*y (x*G*R), and S is left (right) simple exactly when it
 is its own only minimal left (right) ideal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -92,14 +92,15 @@ class Semigroup:
         return ElementSet(self, 0)
 
     def singleton(self, a):
-        if not 0 <= a < self.order:
+        if not 0 <= a < len(self.labels):
             raise MalformedInput(f"element index out of range: {a}")
         return ElementSet(self, 1 << a)
 
     def subset(self, indices):
+        n = len(self.labels)
         mask = 0
         for a in indices:
-            if not 0 <= a < self.order:
+            if not 0 <= a < n:
                 raise MalformedInput(f"element index out of range: {a}")
             mask |= 1 << a
         return ElementSet(self, mask)
@@ -114,18 +115,37 @@ class Semigroup:
         return f"Semigroup(order={self.order}, labels=[{shown}])"
 
 
-@dataclass(frozen=True, eq=False)
 class ElementSet:
-    """Subset of a semigroup's carrier, stored as a bitmask over indices."""
+    """Subset of a semigroup's carrier, stored as a bitmask over indices.
 
-    parent: Semigroup
-    mask: int
+    Immutable, as its instances are dict keys: assigning or deleting an
+    attribute raises FrozenInstanceError.  The constructor and the elements
+    cache write through the slots' own descriptors.
+    """
+
+    __slots__ = ("parent", "mask", "_elements")
+
+    def __init__(self, parent, mask):
+        _set_parent(self, parent)
+        _set_mask(self, mask)
+        _set_elements(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as no slot can be set.
+        return ElementSet, (self.parent, self.mask)
 
     def elements(self):
-        # Cached beside the fields, so equality and hashing stay on (parent,
-        # mask).  functools.cached_property stores it the same way, but its
-        # lock made walks_corpus passes 6% slower.
-        els = self.__dict__.get("_elements")
+        # Cached in a slot beside the fields, so equality and hashing stay on
+        # (parent, mask).  Slots leave each set without an instance __dict__,
+        # which would cost more to make than the set itself, and one
+        # analysis makes dozens of sets.
+        els = self._elements
         if els is None:
             out = []
             m = self.mask
@@ -133,7 +153,8 @@ class ElementSet:
                 low = m & -m
                 out.append(low.bit_length() - 1)
                 m ^= low
-            els = self.__dict__["_elements"] = tuple(out)
+            els = tuple(out)
+            _set_elements(self, els)
         return els
 
     def labels(self):
@@ -186,6 +207,11 @@ class ElementSet:
 
     def __repr__(self):
         return f"ElementSet({{{','.join(self.labels())}}})"
+
+
+_set_parent = ElementSet.parent.__set__
+_set_mask = ElementSet.mask.__set__
+_set_elements = ElementSet._elements.__set__
 
 
 def _check_parent(first, second):

@@ -225,10 +225,10 @@ def _marginal_laws(mu, dec):
     )
 
 
-def _limit_factors(mu, dec):
+def _limit_factors(mu, steps, dec):
     """nu, lambda and rho for the decomposition dec of the walk kernel:
-    the marginals when supp(mu) lies in K, the two solves otherwise."""
-    if support(mu).issubset(dec.carrier):
+    the marginals when steps = supp(mu) lies in K, the two solves otherwise."""
+    if steps.issubset(dec.carrier):
         lam, rho = _marginal_laws(mu, dec)
     else:
         lam, rho = _fixed_law(mu, dec, 0), _fixed_law(mu, dec, 2)
@@ -265,7 +265,7 @@ def cesaro_limit(mu):
     """
     steps = support(mu)
     dec = rees_decompose(kernel(generated_subsemigroup(steps), generators=steps))
-    return _limit_factors(mu, dec)[0]
+    return _limit_factors(mu, steps, dec)[0]
 
 
 def support_period(mu):
@@ -342,11 +342,12 @@ def analyze_limit(mu):
     Each clause is proven once.  A clause an earlier step already proves
     records that step's result: _limit_factors (mu * nu = nu = nu * mu,
     and nu * nu = nu by the fold R*L in G), the verified split (L*G*R = K,
-    every G-coordinate in G), the fold supp(rho)*supp(lambda) in H (eta *
-    eta = eta, and a second split of supp(eta) would read eta as the first
-    does), the subgroup H (gamma*h*H = gamma*H) or the least p with
-    gamma^p in H (gamma_power_in_subgroup, and with period_matches_quotient
-    the p cosets gamma^k H are distinct and fill G).  H is tested only for
+    every G-coordinate in G, and R*L in G, which is eta_idempotent when H
+    = G), the fold supp(rho)*supp(lambda) in H (eta * eta = eta, and a
+    second split of supp(eta) would read eta as the first does), the
+    subgroup H (gamma*h*H = gamma*H) or the least p with gamma^p in H
+    (gamma_power_in_subgroup, and with period_matches_quotient the p
+    cosets gamma^k H are distinct and fill G).  H is tested only for
     closure, as it lies in the verified group G.  Normality conjugates H by
     gamma alone, as H and gamma generate G (coset_powers_exhaust).  nu, eta
     and the coset terms c_k = lambda * omega_(gamma^k H) * rho for k =
@@ -382,7 +383,7 @@ def analyze_limit(mu):
         raise TheoremViolation("kernel completely simple", str(exc)) from exc
     # _limit_factors raises unless mu * nu = nu = nu * mu, and nu * nu = nu
     # by the fold R*L in G.
-    nu, lam, rho = _limit_factors(mu, dec)
+    nu, lam, rho = _limit_factors(mu, steps, dec)
     record("nu_idempotent", True)
     record("nu_invariant", True)
     nu_support = support(nu)
@@ -421,8 +422,14 @@ def analyze_limit(mu):
     # With H = G, eta is nu, already built.
     eta = nu if subgroup is dec.group else coordinate_product(lam, haar_uniform(subgroup), rho)
     # eta = lambda * omega_H * rho is idempotent by the fold lemma (see the
-    # measure module) exactly when supp(rho)*supp(lambda) lies in H.
-    record("eta_idempotent", product_sets(support(rho), support(lam)).issubset(h_set))
+    # measure module) exactly when supp(rho)*supp(lambda) lies in H, and
+    # supp(rho) = R, supp(lambda) = L (support_nu_is_kernel; see
+    # eta_support_product below).  With H = G that is R*L in G, which the
+    # split verified.
+    record(
+        "eta_idempotent",
+        subgroup is dec.group or product_sets(dec.right, dec.left).issubset(h_set),
+    )
     record("subgroup_in_group", True)  # the split verified every G-coordinate
     # supp(nu) = psi(supp(lambda) x G x supp(rho)) is K = psi(L x G x R)
     # (support_nu_is_kernel), and psi is a bijection, so supp(lambda) = L and

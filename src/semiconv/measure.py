@@ -133,14 +133,18 @@ class Dist:
         return dist
 
     def _set(self, parent, den, nums, probs):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_items", None)
-        object.__setattr__(self, "_probs", probs)
+        # Through the slots' descriptors, past the guard below.
+        _set_parent(self, parent)
+        _set_den(self, den)
+        _set_nums(self, nums)
+        _set_items(self, None)
+        _set_probs(self, probs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dist is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Dist is immutable; cannot delete {name!r}")
 
     @property
     def probs(self):
@@ -149,7 +153,7 @@ class Dist:
             probs = [ZERO] * self.parent.order
             for i, p in self.items():
                 probs[i] = p
-            object.__setattr__(self, "_probs", tuple(probs))
+            _set_probs(self, tuple(probs))
         return self._probs
 
     def prob(self, a):
@@ -160,7 +164,7 @@ class Dist:
         """(element, probability) pairs over the support, in index order."""
         if self._items is None:
             den = self.den
-            object.__setattr__(self, "_items", tuple((i, RAT(n, den)) for i, n in self._nums))
+            _set_items(self, tuple((i, RAT(n, den)) for i, n in self._nums))
         return list(self._items)
 
     def support(self):
@@ -199,6 +203,13 @@ class Dist:
         return cls._from_numerators(
             sg, den, {i: p.numerator * (den // p.denominator) for i, p in weights.items()}
         )
+
+
+_set_parent = Dist.parent.__set__
+_set_den = Dist.den.__set__
+_set_nums = Dist._nums.__set__
+_set_items = Dist._items.__set__
+_set_probs = Dist._probs.__set__
 
 
 def _check_index(sg, a):

@@ -1,5 +1,7 @@
+import copy
 import random
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +335,34 @@ def test_element_set_caches_its_elements_but_compares_by_mask():
     b = sg.subset([1, 4])
     assert a == b and hash(a) == hash(b)
     assert a != sg.subset([1])
+
+
+def test_element_set_is_immutable_and_has_no_instance_dict():
+    sg = cyclic(5)
+    a = sg.subset([1, 4])
+    els = a.elements()
+    for name in ("parent", "mask", "_elements"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")
+    assert a.parent is sg and a.mask == 0b10010 and a.elements() is els
+
+
+def test_equal_element_sets_are_one_dict_key():
+    sg = cyclic(5)
+    keys = {sg.subset([1, 4]): "a", sg.subset([2]): "b"}
+    assert keys[sg.subset([4, 1])] == "a"
+    assert keys[sg.singleton(2)] == "b"
+    assert sg.subset([4, 1]) in keys and sg.subset([1]) not in keys
+    assert len({sg.subset([1, 4]), sg.subset([4, 1]), sg.singleton(1) | sg.singleton(4)}) == 1
+
+
+def test_element_set_copies_rebuild_an_equal_set():
+    a = cyclic(5).subset([0, 3])
+    for b in (copy.copy(a), copy.deepcopy(a, {id(a.parent): a.parent})):
+        assert b == a and hash(b) == hash(a) and b.elements() == (0, 3)
 
 
 def first_unclosed_pair(sg, els):

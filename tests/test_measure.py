@@ -99,6 +99,18 @@ def test_dist_equality_and_mapping():
         Dist.from_mapping(z3, {"9": RAT(1)})
 
 
+def test_dist_rejects_attribute_assignment_and_deletion():
+    mu = Dist(cyclic(3), (RAT(1, 2), RAT(1, 2), RAT(0)))
+    probs, items = mu.probs, mu.items()  # fill both caches first
+    for name in ("parent", "den", "_nums", "_items", "_probs", "other"):
+        with pytest.raises(AttributeError, match="Dist is immutable"):
+            setattr(mu, name, None)
+        with pytest.raises(AttributeError, match="Dist is immutable"):
+            delattr(mu, name)
+    assert mu.probs is probs and mu.items() == items
+    assert mu == Dist(mu.parent, probs)
+
+
 def test_dirac_and_support():
     z4 = cyclic(4)
     d = dirac(z4, 2)
