@@ -52,15 +52,30 @@ class Semigroup:
 
     table[a][b] is the index of the product a*b.  Construct through
     validate_cayley, which is the only path that checks associativity.
+    Immutable, as every ElementSet and Dist keys on it and the table is
+    read both as rows and as table_array(): assigning or deleting an
+    attribute raises FrozenInstanceError.  The constructor, validate_cayley
+    and the table_array cache write through the slots' own descriptors.
     """
 
     __slots__ = ("labels", "rows", "_index", "_np")
 
     def __init__(self, labels, rows):
-        self.labels = tuple(labels)
-        self.rows = tuple(tuple(r) for r in rows)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._np = None
+        labels = tuple(labels)
+        _set_labels(self, labels)
+        _set_rows(self, tuple(tuple(r) for r in rows))
+        _set_index(self, {lab: i for i, lab in enumerate(labels)})
+        _set_np(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as no slot can be set.
+        return Semigroup, (self.labels, self.rows)
 
     @property
     def order(self):
@@ -81,8 +96,9 @@ class Semigroup:
     def table_array(self):
         """The table as a read-only int32 array, built once."""
         if self._np is None:
-            self._np = np.array(self.rows, dtype=np.int32)
-            self._np.flags.writeable = False
+            t = np.array(self.rows, dtype=np.int32)
+            t.flags.writeable = False
+            _set_np(self, t)
         return self._np
 
     def carrier(self):
@@ -113,6 +129,12 @@ class Semigroup:
         if self.order > 6:
             shown += ",..."
         return f"Semigroup(order={self.order}, labels=[{shown}])"
+
+
+_set_labels = Semigroup.labels.__set__
+_set_rows = Semigroup.rows.__set__
+_set_index = Semigroup._index.__set__
+_set_np = Semigroup._np.__set__
 
 
 class ElementSet:
@@ -285,7 +307,7 @@ def validate_cayley(labels, table):
     if _first_broken_triple(t, _greedy_generators(t, _by_image_size(t))) is not None:
         raise NonAssociative(*_first_broken_triple(t, _greedy_generators(t)))
     sg = Semigroup(labels, table)
-    sg._np = t
+    _set_np(sg, t)
     return sg
 
 

@@ -8,23 +8,39 @@ omega_G on G.  The power sequence mu^n itself clusters to a finite cyclic
 group of measures {eta, mu*eta, ..., mu^(p-1)*eta} with eta = lambda *
 omega_H * rho for a normal subgroup H of G, with the same lambda and rho.
 lambda is the stationary law of the walk x -> L(s*x) on L and rho that of
-y -> R(y*s) on R, s drawn from mu.  When supp(mu) lies in K there is no
-exact solve at all.  For s in K and x in L, s*x = L(s)*(G(s)*R(s)*x), and
-the split verified R*L in G, so L(s*x) = L(s); mirrored, R(y*s) = R(s).
-One step forgets its start: every column of the walk's transition matrix
-P is mu's L-coordinate marginal, so lambda is that marginal and rho the
-R-coordinate one, read off supp(mu) in one pass.  Otherwise each law is
-one exact solve on integers: the rows den(mu)*(P - I) hold numerators of
-mu, a fraction-free elimination gives their kernel vector v, and the law
-is v / sum(v), the one division.  Each law is unique: some word w in
-supp(mu) lands in K, and from there L(w*x) = L(w) whatever x is (and
-R(y*w) = R(w)), so every start forgets itself.  mu^p fixes the same
-lambda and rho: its walks fix them, and forget their start too, as w
-padded to a length divisible by p still lands in K.  One walk of the supports supp(mu^n) =
-supp(mu)^n, set algebra on supp(mu) that the core module runs, gives the
-rest: the subsemigroup T that supp(mu) generates is the union of the
-supports it visits, and on K its cycle runs through the p sets
-L*gamma^k H*R that support the cluster points.  They partition K,
+y -> R(y*s) on R, s drawn from mu.  Column x of N = den(mu)*P, P the
+walk's transition matrix, holds the numerators of the law of one step
+from x.  For s in K and x in L, s*x = L(s)*(G(s)*R(s)*x), and the split
+verified R*L in G, so L(s*x) = L(s); mirrored, R(y*s) = R(s).  So the
+steps in K add one shared column to every column of N, read off supp(mu)
+once, and only the steps off K tell the states apart.
+Lumping lemma (strong lumpability; Kemeny and Snell, Finite Markov
+Chains, ch. VI).  Group the states into classes c of equal columns M_c,
+and put Nl[c'][c] = sum of M_c(x) over x in c'.  (1) If lambda = P*lambda
+and u_c is lambda's mass on c, then lambda = sum_c u_c*M_c / den, as
+column x of P is M_c / den for x in c; taking the mass on c' gives
+den*u_c' = sum_c Nl[c'][c]*u_c, so Nl*u = den*u.  (2) If Nl*u = den*u,
+put lambda = sum_c u_c*M_c / den.  Its mass on c' is sum_c Nl[c'][c]*u_c
+/ den = u_c', so P*lambda = sum_c u_c*M_c / den = lambda.  By (2) the
+map u -> lambda has a left inverse, the class masses, on the fixed
+vectors of Nl, so it is injective there, and by (1) every fixed lambda is
+its image.  So the fixed vectors of Nl and of P correspond one to one:
+the lumped law is unique exactly when lambda is, and, as each column
+sums to den, lambda(x) = sum_c u_c*M_c(x) / (den * sum(u)).  Each law is
+therefore one exact solve on integers over the classes: a fraction-free
+elimination gives the kernel vector u of Nl - den*I, and the one
+division is by den * sum(u).  When supp(mu) lies in K there is one class,
+whose column is the shared one, and no solve at all: lambda is that
+column over den, mu's L-coordinate marginal, and rho the R-coordinate
+one.  Each law is unique: some word w in supp(mu) lands in K, and from
+there L(w*x) = L(w) whatever x is (and R(y*w) = R(w)), so every start
+forgets itself.  mu^p fixes the same lambda and rho: its walks fix
+them, and forget their start too, as w padded to a length divisible by
+p still lands in K.  One walk of the supports supp(mu^n) = supp(mu)^n,
+set algebra on supp(mu) that the core module runs, gives the rest: the
+subsemigroup T that supp(mu) generates is the union of the supports it
+visits, and on K its cycle runs through the p sets L*gamma^k H*R that
+support the cluster points.  They partition K,
 and H = e*supp(eta)*e is read off the one that holds e, L*H*R.
 analyze_limit computes the whole picture and proof-checks every clause on
 the concrete instance, each once, from the structure it already holds.
@@ -181,61 +197,56 @@ def _fixed_law(mu, dec, side):
     the walk y -> R(y*s), with s drawn from mu and each step's coordinate
     read from the split.
 
-    The law spans the kernel of den(mu)*(P - I), P the walk's transition
-    matrix (column x the law of one step from x), whose entries are the
-    numerators of mu: one integer elimination and one division.
+    Column x of N = den(mu)*P, P the walk's transition matrix, holds the
+    numerators of the law of one step from x.  A step s in K adds the same
+    numerators to every column, at L(s) (R(s)), so those are collected
+    once; when every step lies in K that shared column is the law, with no
+    pass over the states and no solve.  Otherwise the states are grouped by
+    their column, and the lumped system (the lumping lemma of the module
+    docstring) is one integer elimination over the classes and one
+    division.
     """
-    rows, coordinates = mu.parent.rows, dec.coordinates
+    rows, coordinates, carrier = mu.parent.rows, dec.coordinates, dec.carrier
+    shared, moves = {}, []
+    for s, n in mu._nums:
+        if s in carrier:
+            z = coordinates[s][side]
+            shared[z] = shared.get(z, 0) + n
+        else:
+            moves.append((s, n))
+    if not moves:
+        return Dist._from_numerators(mu.parent, mu.den, shared)
     states = (dec.left if side == 0 else dec.right).elements()
-    pos = {x: i for i, x in enumerate(states)}
-    k = len(states)
-    matrix = [[0] * k for _ in range(k)]  # den * ((law moved one step) - law)
-    for i, x in enumerate(states):
-        matrix[i][i] = -mu.den
-        row_x = rows[x]
-        for s, n in mu._nums:
-            z = rows[s][x] if side == 0 else row_x[s]
-            matrix[pos[coordinates[z][side]]][i] += n
-    law = integer_kernel_vector(matrix)
-    total = sum(law) if law else 0
+    classes = {}  # each distinct column of N, as (z, numerator) pairs -> its states
+    for x in states:
+        column = dict(shared)
+        for s, n in moves:
+            z = coordinates[rows[s][x] if side == 0 else rows[x][s]][side]
+            column[z] = column.get(z, 0) + n
+        classes.setdefault(frozenset(column.items()), []).append(x)
+    columns = [dict(column) for column in classes]
+    # den * (lumped P - I): entry (c', c) sums column c over the states of c'.
+    lumped = [[sum(column.get(x, 0) for x in xs) for column in columns] for xs in classes.values()]
+    for c, row in enumerate(lumped):
+        row[c] -= mu.den
+    weights = integer_kernel_vector(lumped)
+    total = mu.den * sum(weights) if weights else 0
     if not total:
         raise SingularDecomposition("no probability is fixed by the coordinate walk")
-    # The vector has a positive entry, so a negative total means mixed signs:
-    # no probability, which _from_numerators reports.
-    return Dist._from_numerators(mu.parent, total, {x: v for x, v in zip(states, law) if v})
+    law = {x: sum(u * column.get(x, 0) for u, column in zip(weights, columns)) for x in states}
+    # The weights have a positive entry, so a negative total means mixed
+    # signs: no probability, which _from_numerators reports.
+    return Dist._from_numerators(mu.parent, total, {x: v for x, v in law.items() if v})
 
 
-def _marginal_laws(mu, dec):
-    """lambda and rho for a walk with supp(mu) in K: mu's L- and
-    R-coordinate marginals, read off the split in one pass over supp(mu).
-
-    One step from s in K lands on L(s*x) = L(s) whatever x in L is, and
-    on R(y*s) = R(s) (see the module docstring), so each marginal is the
-    law of one step from any start, and the only law the walk fixes.
-    """
-    coordinates = dec.coordinates
-    lam, rho = {}, {}
-    for s, n in mu._nums:
-        x, _, y = coordinates[s]
-        lam[x] = lam.get(x, 0) + n
-        rho[y] = rho.get(y, 0) + n
-    return (
-        Dist._from_numerators(mu.parent, mu.den, lam),
-        Dist._from_numerators(mu.parent, mu.den, rho),
-    )
-
-
-def _limit_factors(mu, steps, dec):
-    """nu, lambda and rho for the decomposition dec of the walk kernel:
-    the marginals when steps = supp(mu) lies in K, the two solves otherwise."""
-    if steps.issubset(dec.carrier):
-        lam, rho = _marginal_laws(mu, dec)
-    else:
-        lam, rho = _fixed_law(mu, dec, 0), _fixed_law(mu, dec, 2)
+def _limit_factors(mu, dec):
+    """nu, lambda and rho for the decomposition dec of the walk kernel,
+    each law from _fixed_law."""
+    lam, rho = _fixed_law(mu, dec, 0), _fixed_law(mu, dec, 2)
     nu = coordinate_product(lam, haar_uniform(dec.group), rho)
     # nu is idempotent by the fold lemma (see the measure module): lambda
     # lives on L, rho on R, and the split verified R*L in G.  The invariance
-    # is checked, as it is what verifies the two laws, marginals or solves.
+    # is checked, as it is what verifies the two laws.
     if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
         raise VerificationFailed("limit invariance", "mu * nu != nu or nu * mu != nu")
     return nu, lam, rho
@@ -250,14 +261,15 @@ def cesaro_limit(mu):
     mu*nu = nu makes it a fixed law of the walk x -> L(s*x) on L, and it is
     the only one, because a word w in supp(mu) that lands in K sends every
     x to L(w*x) = L(w).  Likewise rho is the only law on R fixed by
-    y -> R(y*s).  When supp(mu) lies in K, one step already forgets its
-    start, and each is mu's coordinate marginal, with no solve.  Otherwise
-    each is one exact solve over |L| or |R| unknowns, a dense fraction-free
-    elimination whose cost grows as |L|^3 (|R|^3): the uniform walk on
-    full_transformation(2) x rectangular_band(256,1), half of whose mass
-    lies off its kernel (|L| = 512, |G| = |R| = 1), takes about 19 s on one
-    core of a shared 2-vCPU host, so for walks off K the solve, not the
-    table's DEFAULT_ORDER_CAP, bounds how large a walk is practical.
+    y -> R(y*s).  Each is one exact solve over the classes of states whose
+    columns of the walk's transition matrix agree (the lumping lemma of
+    the module docstring), and no solve when supp(mu) lies in K, where
+    one step forgets its start and the law is mu's coordinate marginal.
+    The elimination is dense, so its cost grows as the cube of the number
+    of classes: the uniform walk on full_transformation(2) x
+    rectangular_band(256,1), half of whose mass lies off its kernel (|L| =
+    512, |G| = |R| = 1), lumps to one class per side, and a walk whose
+    steps off K tell every state apart solves over all of L.
     The kernel's ideal check runs over supp(mu) alone, which generates the
     subsemigroup.  The result is idempotent by the fold lemma of the
     measure module, since the split verified R*L in G, and is verified
@@ -265,7 +277,7 @@ def cesaro_limit(mu):
     """
     steps = support(mu)
     dec = rees_decompose(kernel(generated_subsemigroup(steps), generators=steps))
-    return _limit_factors(mu, steps, dec)[0]
+    return _limit_factors(mu, dec)[0]
 
 
 def support_period(mu):
@@ -334,7 +346,7 @@ def analyze_limit(mu):
     structural clause exactly.  A failed clause raises TheoremViolation;
     the returned report's check map is therefore all-True.  Like
     cesaro_limit it takes every table the package accepts; past the two
-    fixed laws (marginals when supp(mu) lies in K, solves otherwise) and
+    fixed laws (one lumped solve each, none when supp(mu) lies in K) and
     the invariance check's two convolutions, its cost is set algebra over
     the walk's supports, the split's G-coordinates of supp(mu)*L and
     R*supp(mu), and coordinate products on K.
@@ -383,7 +395,7 @@ def analyze_limit(mu):
         raise TheoremViolation("kernel completely simple", str(exc)) from exc
     # _limit_factors raises unless mu * nu = nu = nu * mu, and nu * nu = nu
     # by the fold R*L in G.
-    nu, lam, rho = _limit_factors(mu, steps, dec)
+    nu, lam, rho = _limit_factors(mu, dec)
     record("nu_idempotent", True)
     record("nu_invariant", True)
     nu_support = support(nu)

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -348,6 +349,24 @@ def test_element_set_is_immutable_and_has_no_instance_dict():
             delattr(a, name)
     assert not hasattr(a, "__dict__")
     assert a.parent is sg and a.mask == 0b10010 and a.elements() is els
+
+
+def test_semigroup_is_immutable():
+    # Rebinding rows would let mul and table_array() answer from two tables.
+    sg = cyclic(3)
+    with pytest.raises(FrozenInstanceError):
+        sg.rows = ((0, 0, 0), (0, 0, 0), (1, 2, 0))
+    for name in ("labels", "rows", "_index", "_np"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sg, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(sg, name)
+    assert not hasattr(sg, "__dict__")
+    assert sg.mul(2, 1) == sg.table_array()[2, 1] == 0
+    assert sg.table_array() is sg.table_array()
+    for other in (copy.copy(sg), pickle.loads(pickle.dumps(sg))):
+        assert other.labels == sg.labels and other.rows == sg.rows
+        assert other.index("2") == 2 and other.table_array()[2, 1] == 0
 
 
 def test_equal_element_sets_are_one_dict_key():

@@ -358,19 +358,22 @@ def test_analyze_limit_rejects_a_wrong_solve(monkeypatch):
 def test_analyze_limit_rejects_a_wrong_marginal(monkeypatch):
     # On a left zero semigroup every distribution is idempotent, and mu is
     # the only one that mu fixes on the left.  The kernel is L = {a, b}
-    # with a one-element G and R, and supp(mu) lies in it, so lambda is
-    # mu's L-marginal, mu itself.  Swapping its two entries gives an
-    # idempotent nu that mu does not fix: no report may come back.
+    # with a one-element G and R, and supp(mu) lies in it, so lambda is the
+    # walk's shared column, mu's L-marginal, mu itself.  Swapping its two
+    # entries gives an idempotent nu that mu does not fix: no report may
+    # come back.
     lz2 = build(CorpusSpec("left_zero", (2,)))
     mu = Dist(lz2, (RAT(1, 3), RAT(2, 3)))
-    real_marginals = dynamics._marginal_laws
+    real_law = dynamics._fixed_law
 
-    def swapped(mu, dec):
-        lam, rho = real_marginals(mu, dec)
-        (a, p), (b, r) = lam.items()
-        return Dist.from_mapping(mu.parent, {a: r, b: p}), rho
+    def swapped(mu, dec, side):
+        law = real_law(mu, dec, side)
+        if side:
+            return law
+        (a, p), (b, r) = law.items()
+        return Dist.from_mapping(mu.parent, {a: r, b: p})
 
-    monkeypatch.setattr(dynamics, "_marginal_laws", swapped)
+    monkeypatch.setattr(dynamics, "_fixed_law", swapped)
     with pytest.raises(VerificationFailed, match="limit invariance"):
         analyze_limit(mu)
 
@@ -435,6 +438,18 @@ def fixed_law_by_fraction_solve(mu, states, step):
     return Dist.from_mapping(mu.parent, {x: v for x, v in zip(states, law) if v})
 
 
+def laws_by_fraction_solve(mu, dec):
+    """lambda and rho for the split dec, each by fixed_law_by_fraction_solve."""
+    rows, coordinates = mu.parent.rows, dec.coordinates
+    lam = fixed_law_by_fraction_solve(
+        mu, dec.left.elements(), lambda s, x: coordinates[rows[s][x]][0]
+    )
+    rho = fixed_law_by_fraction_solve(
+        mu, dec.right.elements(), lambda s, y: coordinates[rows[y][s]][2]
+    )
+    return lam, rho
+
+
 def extended_corpus_walks(seed):
     return [
         mu
@@ -443,37 +458,53 @@ def extended_corpus_walks(seed):
     ]
 
 
+def t2_by_band_walks(n):
+    # The uniform walk on full_transformation(2) x rectangular_band(n,1):
+    # half its mass lies off K, and all |L| = 2n states step by one law, so
+    # each side lumps to a single class, at sizes the corpora lack.
+    t2 = CorpusSpec("full_transformation", (2,))
+    sg = build(product_spec(t2, CorpusSpec("rectangular_band", (n, 1))))
+    return [uniform_on(sg.carrier())]
+
+
 @pytest.mark.parametrize(
-    "corpus, seed", [*(("default", seed) for seed in range(4)), ("extended", 0), ("extended", 1)]
+    "corpus, seed",
+    [
+        *(("default", seed) for seed in range(4)),
+        ("extended", 0),
+        ("extended", 1),
+        # for t2xrb the second entry is n
+        ("t2xrb", 8),
+        ("t2xrb", 16),
+    ],
 )
 def test_fixed_laws_match_the_fraction_solve(corpus, seed):
-    walks = default_corpus_walks(seed) if corpus == "default" else extended_corpus_walks(seed)
+    walks = {
+        "default": default_corpus_walks,
+        "extended": extended_corpus_walks,
+        "t2xrb": t2_by_band_walks,
+    }[corpus](seed)
     for mu in walks:
         dec = rees_decompose(core.kernel(generated_subsemigroup(support(mu))))
-        rows, coordinates = mu.parent.rows, dec.coordinates
-        lam = fixed_law_by_fraction_solve(
-            mu, dec.left.elements(), lambda s, x: coordinates[rows[s][x]][0]
-        )
-        rho = fixed_law_by_fraction_solve(
-            mu, dec.right.elements(), lambda s, y: coordinates[rows[y][s]][2]
-        )
+        lam, rho = laws_by_fraction_solve(mu, dec)
         assert dynamics._fixed_law(mu, dec, 0) == lam, mu
         assert dynamics._fixed_law(mu, dec, 2) == rho, mu
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_marginal_laws_match_the_solve_inside_the_kernel(seed):
-    # The solve stays the oracle of the marginals on every in-K walk.
+    # On every in-K walk the fixed laws are the shared column, mu's L- and
+    # R-coordinate marginals, and the Fraction solve stays their oracle.
     in_kernel = 0
     for mu in extended_corpus_walks(seed):
         dec = rees_decompose(core.kernel(generated_subsemigroup(support(mu))))
         if not support(mu).issubset(dec.carrier):
             continue
         in_kernel += 1
-        assert dynamics._marginal_laws(mu, dec) == (
-            dynamics._fixed_law(mu, dec, 0),
-            dynamics._fixed_law(mu, dec, 2),
-        ), mu
+        lam, _, rho = marginals(mu, dec)
+        assert dynamics._fixed_law(mu, dec, 0) == lam, mu
+        assert dynamics._fixed_law(mu, dec, 2) == rho, mu
+        assert laws_by_fraction_solve(mu, dec) == (lam, rho), mu
     assert in_kernel >= 40
 
 
