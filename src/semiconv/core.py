@@ -47,15 +47,34 @@ from .errors import (
 DEFAULT_ORDER_CAP = 1024
 
 
-class Semigroup:
+class _Frozen:
+    """Base of the value types Semigroup, ElementSet and measure.Dist:
+    assigning or deleting any attribute raises FrozenInstanceError.  Each
+    subclass writes its slots through their own descriptors, and rebuilds
+    through __reduce__ for copy and pickle, as no slot can be set."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(
+            f"{type(self).__name__} is immutable; cannot assign to field {name!r}"
+        )
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(
+            f"{type(self).__name__} is immutable; cannot delete field {name!r}"
+        )
+
+
+class Semigroup(_Frozen):
     """A finite semigroup presented by a full Cayley table.
 
     table[a][b] is the index of the product a*b.  Construct through
     validate_cayley, which is the only path that checks associativity.
-    Immutable, as every ElementSet and Dist keys on it and the table is
-    read both as rows and as table_array(): assigning or deleting an
-    attribute raises FrozenInstanceError.  The constructor, validate_cayley
-    and the table_array cache write through the slots' own descriptors.
+    Immutable through _Frozen, as every ElementSet and Dist keys on it and
+    the table is read both as rows and as table_array().  The constructor,
+    validate_cayley and the table_array cache write through the slots' own
+    descriptors.
     """
 
     __slots__ = ("labels", "rows", "_index", "_np")
@@ -67,14 +86,7 @@ class Semigroup:
         _set_index(self, {lab: i for i, lab in enumerate(labels)})
         _set_np(self, None)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, as no slot can be set.
         return Semigroup, (self.labels, self.rows)
 
     @property
@@ -137,12 +149,12 @@ _set_index = Semigroup._index.__set__
 _set_np = Semigroup._np.__set__
 
 
-class ElementSet:
+class ElementSet(_Frozen):
     """Subset of a semigroup's carrier, stored as a bitmask over indices.
 
-    Immutable, as its instances are dict keys: assigning or deleting an
-    attribute raises FrozenInstanceError.  The constructor and the elements
-    cache write through the slots' own descriptors.
+    Immutable through _Frozen, as its instances are dict keys.  The
+    constructor and the elements cache write through the slots' own
+    descriptors.
     """
 
     __slots__ = ("parent", "mask", "_elements")
@@ -152,14 +164,7 @@ class ElementSet:
         _set_mask(self, mask)
         _set_elements(self, None)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, as no slot can be set.
         return ElementSet, (self.parent, self.mask)
 
     def elements(self):
@@ -237,8 +242,9 @@ _set_elements = ElementSet._elements.__set__
 
 
 def _check_parent(first, second):
+    """MismatchedParent unless two sets or distributions share one Semigroup."""
     if first.parent is not second.parent:
-        raise MismatchedParent("element sets belong to different semigroups")
+        raise MismatchedParent("operands belong to different semigroups")
 
 
 def _as_set(x):
@@ -598,6 +604,8 @@ def kernel(x, *, generators=None):
     s = _as_set(x)
     if not s:
         raise EmptySet("the empty set has no kernel")
+    if generators is not None and not generators:
+        raise EmptyGenerators("cannot check the kernel against no generators")
     sg = s.parent
     rows = sg.rows
     els = s.elements()

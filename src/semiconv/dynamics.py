@@ -95,6 +95,7 @@ from ._rat import RAT
 from .core import (
     ElementSet,
     GroupStructure,
+    _check_parent,
     _power_cycle,
     generated_subsemigroup,
     group_structure,
@@ -103,7 +104,6 @@ from .core import (
 )
 from .errors import (
     MalformedInput,
-    MismatchedParent,
     NotSimple,
     SingularDecomposition,
     TheoremViolation,
@@ -168,15 +168,12 @@ def _accumulate(acc, den, dist):
 
 def tv_distance(mu, nu):
     """Half the l1 distance between the probability vectors."""
-    if mu.parent is not nu.parent:
-        raise MismatchedParent("distributions on different semigroups")
     return variation_norm(mu, nu) / 2
 
 
 def variation_norm(mu, nu):
     """Unhalved l1 distance; the norm in which the 2j/n bound is tight."""
-    if mu.parent is not nu.parent:
-        raise MismatchedParent("distributions on different semigroups")
+    _check_parent(mu, nu)
     return RAT(*_variation_numerator(mu, nu))
 
 
@@ -593,6 +590,9 @@ def float_shadow(mu, eta, step):
     the first iterate below _SHADOW_TOLERANCE, within
     _SHADOW_MAX_ITERATIONS steps.  Exact checks remain authoritative.
     """
+    _check_parent(mu, eta)
+    if step < 1:
+        raise MalformedInput(f"shadow step must be >= 1, got {step}")
     rows = mu.parent.rows
     n = mu.parent.order
     m = np.zeros((n, n))

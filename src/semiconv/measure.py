@@ -6,8 +6,9 @@ numerators and den have no common factor.  That form is canonical, so
 equality and hashing compare ints in O(|supp|), and convolve, translate and
 marginals work on ints: a convolution multiplies numerators over the
 product of the two denominators and reduces once at the end.  items(),
-probs, prob() and repr hand out fractions.Fraction values, built on first
-use and cached.  Every Dist is a probability, checked where it is made:
+probs, prob() and repr hand out fractions.Fraction values; only probs is
+cached, built on first use.  Every Dist is a probability, checked where it
+is made:
 
 * Dist.from_mapping checks rational weights over the entries it is
   given only, none negative and exact sum 1, so reading a distribution
@@ -80,13 +81,12 @@ from functools import cache
 from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import GroupStructure, product_sets
+from .core import GroupStructure, _Frozen, _check_parent, product_sets
 from .errors import (
     EmptySet,
     HypothesisViolated,
     InvalidDistribution,
     MalformedInput,
-    MismatchedParent,
     NotSimple,
     PreconditionViolated,
     SupportOutsideDecomposition,
@@ -95,10 +95,12 @@ from .errors import (
 from .rees import ReesDecomposition, psi_inv, rees_decompose
 
 
-class Dist:
-    """Probability distribution over the elements of a semigroup."""
+class Dist(_Frozen):
+    """Probability distribution over the elements of a semigroup; immutable
+    through core._Frozen, and rebuilt through _from_numerators by copy and
+    pickle."""
 
-    __slots__ = ("parent", "den", "_nums", "_items", "_probs")
+    __slots__ = ("parent", "den", "_nums", "_probs")
 
     def __init__(self, parent, probs):
         probs = tuple(as_rat(p) for p in probs)
@@ -133,18 +135,14 @@ class Dist:
         return dist
 
     def _set(self, parent, den, nums, probs):
-        # Through the slots' descriptors, past the guard below.
+        # Through the slots' descriptors, past _Frozen's guard.
         _set_parent(self, parent)
         _set_den(self, den)
         _set_nums(self, nums)
-        _set_items(self, None)
         _set_probs(self, probs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Dist is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Dist is immutable; cannot delete {name!r}")
+    def __reduce__(self):
+        return Dist._from_numerators, (self.parent, self.den, dict(self._nums))
 
     @property
     def probs(self):
@@ -162,10 +160,8 @@ class Dist:
 
     def items(self):
         """(element, probability) pairs over the support, in index order."""
-        if self._items is None:
-            den = self.den
-            _set_items(self, tuple((i, RAT(n, den)) for i, n in self._nums))
-        return list(self._items)
+        den = self.den
+        return [(i, RAT(n, den)) for i, n in self._nums]
 
     def support(self):
         return self.parent.subset(i for i, _ in self._nums)
@@ -208,7 +204,6 @@ class Dist:
 _set_parent = Dist.parent.__set__
 _set_den = Dist.den.__set__
 _set_nums = Dist._nums.__set__
-_set_items = Dist._items.__set__
 _set_probs = Dist._probs.__set__
 
 
@@ -239,8 +234,7 @@ def support(mu):
 
 def convolve(mu, nu):
     """(mu*nu)(z) = sum of mu(x)nu(y) over factorizations z = x*y."""
-    if mu.parent is not nu.parent:
-        raise MismatchedParent("distributions on different semigroups")
+    _check_parent(mu, nu)
     rows = mu.parent.rows
     out = {}
     right = nu._nums
@@ -261,9 +255,9 @@ def coordinate_product(lam, m, rho):
     G and R of a verified split (the coordinate-product lemma in the module
     docstring); triples that meet lose mass, and the sum check raises
     InvalidDistribution."""
+    _check_parent(lam, m)
+    _check_parent(lam, rho)
     sg = lam.parent
-    if m.parent is not sg or rho.parent is not sg:
-        raise MismatchedParent("distributions on different semigroups")
     rows = sg.rows
     out = {}
     right = rho._nums

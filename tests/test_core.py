@@ -32,6 +32,7 @@ from semiconv.core import (
     validate_cayley,
 )
 from semiconv.errors import (
+    EmptyGenerators,
     EmptySet,
     IndexOutOfRange,
     InvalidTable,
@@ -45,6 +46,7 @@ from semiconv.errors import (
     VerificationFailed,
 )
 from semiconv.generators import CorpusSpec, XorShift64Star, build
+from semiconv.measure import uniform_on
 from semiconv.rees import rees_decompose
 from semiconv.verify import (
     _corrupted_instance,
@@ -379,9 +381,16 @@ def test_equal_element_sets_are_one_dict_key():
 
 
 def test_element_set_copies_rebuild_an_equal_set():
-    a = cyclic(5).subset([0, 3])
-    for b in (copy.copy(a), copy.deepcopy(a, {id(a.parent): a.parent})):
-        assert b == a and hash(b) == hash(a) and b.elements() == (0, 3)
+    # A Dist copies the same way.  Pickle rebuilds the Semigroup too, so the
+    # unpickled value equals the one made the same way on that copy.
+    sg = cyclic(5)
+    for make in (lambda s: s.subset([0, 3]), lambda s: uniform_on(s.subset([0, 3]))):
+        a = make(sg)
+        for b in (copy.copy(a), copy.deepcopy(a, {id(sg): sg})):
+            assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        sg2, b = pickle.loads(pickle.dumps((sg, a)))
+        assert b.parent is sg2 and sg2.rows == sg.rows
+        assert b == make(sg2) and b != a and repr(b) == repr(a)
 
 
 def first_unclosed_pair(sg, els):
@@ -583,6 +592,13 @@ def test_kernel_checks_the_ideal_against_the_generators_it_is_given():
     assert kernel(zero) == zero
     with pytest.raises(VerificationFailed, match="S\\*z\\*S is not an ideal for z = 0"):
         kernel(zero, generators=z3.singleton(1))
+
+
+def test_kernel_rejects_an_empty_generating_set():
+    # An ideal check over no generators would pass without checking anything.
+    z3 = cyclic(3)
+    with pytest.raises(EmptyGenerators):
+        kernel(z3.carrier(), generators=z3.empty())
 
 
 def test_kernel_and_minimal_ideals_match_the_principal_ideal_enumeration():

@@ -655,6 +655,18 @@ def test_float_shadow_periodic_step():
     assert rep.converged and rep.iterations_to_tolerance == 0
 
 
+def test_float_shadow_rejects_a_foreign_eta_and_a_step_below_one():
+    # Each of these once ran: the foreign eta has the same probabilities, so
+    # it "converged", and step 0 or -1 iterated the identity or an inverse.
+    z3 = cyclic(3)
+    lz3 = build(CorpusSpec("left_zero", (3,)))
+    with pytest.raises(MismatchedParent, match="different semigroups"):
+        float_shadow(uniform_on(z3.carrier()), uniform_on(lz3.carrier()), 1)
+    for step in (0, -1):
+        with pytest.raises(MalformedInput, match="step must be >= 1"):
+            float_shadow(dirac(z3, 1), dirac(z3, 1), step)
+
+
 def default_corpus_walks(seed):
     return [
         mu

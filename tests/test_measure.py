@@ -101,7 +101,7 @@ def test_dist_equality_and_mapping():
 
 def test_dist_rejects_attribute_assignment_and_deletion():
     mu = Dist(cyclic(3), (RAT(1, 2), RAT(1, 2), RAT(0)))
-    probs, items = mu.probs, mu.items()  # fill both caches first
+    probs, items = mu.probs, mu.items()  # fill the probs cache first
     for name in ("parent", "den", "_nums", "_items", "_probs", "other"):
         with pytest.raises(AttributeError, match="Dist is immutable"):
             setattr(mu, name, None)

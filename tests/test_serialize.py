@@ -1,6 +1,8 @@
 """JSON wire formats: round trips, canonical dumps, malformed rejections."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -146,6 +148,16 @@ def test_limit_report_to_json():
     assert set(obj["checks"].values()) == {True} and len(obj["checks"]) == 21
     # serializable as-is
     json.dumps(obj)
+
+
+def test_limit_report_copies_and_pickles_to_the_same_json():
+    # The report holds Dists, ElementSets and its Semigroup; each rebuilds.
+    sg = build(CorpusSpec("full_transformation", (2,)))
+    rep = analyze_limit(Dist.from_mapping(sg, {"10": RAT(1, 2), "00": RAT(1, 2)}))
+    want = dumps_canonical(limit_report_to_json(rep))
+    for other in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert other.nu.parent is not sg
+        assert dumps_canonical(limit_report_to_json(other)) == want
 
 
 def test_power_cluster_to_json():
