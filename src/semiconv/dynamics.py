@@ -75,9 +75,13 @@ verified; H is a closed subset of the verified group G, so a subgroup
 with G's identity and inverses.  Normality conjugates H by gamma alone;
 a clause that _limit_factors, the split, the fold, the construction or
 the coset map already proves is recorded from it.
+supp(nu) = L*G*R (support_nu_product) is recorded from
+support_nu_is_kernel, as the split's carrier is the walk kernel itself.
 The powers of a single element, and of a*e for element_power_cluster's
 check that a*e generates the cycle C, are read off that same walk of
-core._power_cycle, run on a singleton.
+core._power_cycle, run on a singleton.  e = a^(rp) is not compared with
+the identity of C: it is an idempotent in C, once C is verified a group,
+and a group's only idempotent is its identity.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -308,9 +312,7 @@ def element_power_cluster(sg, a):
     e = cycle[-q % p].least()
     if sg.mul(e, e) != e:
         raise VerificationFailed("power cycle", "a^(rp) is not idempotent")
-    grp = group_structure(cluster)
-    if grp.identity != e:
-        raise VerificationFailed("power cycle", "group identity differs from a^(rp)")
+    group_structure(cluster)  # and e, idempotent in C, is its identity
     # a*e generates C exactly when its powers return to a*e after p steps
     # and visit all of C on the way.
     q_b, cycle_b, orbit = _power_cycle(sg.singleton(sg.mul(a, e)))
@@ -401,11 +403,12 @@ def analyze_limit(mu):
         nu_support == walk_kernel,
         lambda: f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}",
     )
-    # The split verified L*G*R = dec.carrier.
-    record("support_nu_product", nu_support == dec.carrier)
+    # dec.carrier is walk_kernel, and the split verified L*G*R = dec.carrier.
+    record("support_nu_product", True)
     e = dec.base
     g_carrier = dec.group.carrier
-    # The split stored e*z*e, verified to lie in G, as the G-coordinate of z.
+    # The split stored e*z*e, which lies in e*(K*e) = G, as the G-coordinate
+    # of z.
     coordinates = dec.coordinates
 
     # H, read off the support cycle on the kernel K.  Every element of K is
@@ -439,7 +442,7 @@ def analyze_limit(mu):
         "eta_idempotent",
         subgroup is dec.group or product_sets(dec.right, dec.left).issubset(h_set),
     )
-    record("subgroup_in_group", True)  # the split verified every G-coordinate
+    record("subgroup_in_group", True)  # every G-coordinate lies in e*(K*e) = G
     # supp(nu) = psi(supp(lambda) x G x supp(rho)) is K = psi(L x G x R)
     # (support_nu_is_kernel), and psi is a bijection, so supp(lambda) = L and
     # supp(rho) = R; a coordinate product over a subset C of G is then

@@ -5,9 +5,9 @@ factor acts first.  Under this convention constant maps form a LEFT-zero
 kernel (c.g = c), so e.g. full_transformation(2) has kernel {"00", "11"}.
 
 Tables are composed by array gathers: the transformation, cyclic,
-rectangular-band, direct-product and Rees-matrix builders form the whole
-table as numpy expressions over all pairs at once, and hand validate_cayley
-that integer array.
+rectangular-band, boolean-matrix, direct-product and Rees-matrix builders
+form the whole table as numpy expressions over all pairs at once, and hand
+validate_cayley that integer array.
 
 Randomized kinds draw from xorshift64*, a fixed 64-bit shift-register
 generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D), so the
@@ -200,28 +200,20 @@ def _build_boolean_matrices(spec):
     if dim > 3:
         raise ParameterOutOfRange("boolean_matrices dimension capped at 3")
     # A matrix is its row-major bit string read as an int, which is also its
-    # element index; each row is a dim-bit mask, the first row highest.
+    # element index: entry (r, j) is bit dim*dim-1 - (r*dim + j), and row r
+    # is a dim-bit mask, the first row highest.
     count = 1 << (dim * dim)
-    width = 1 << dim
-    rows = [
-        [(code >> (dim * (dim - 1 - r))) & (width - 1) for r in range(dim)] for code in range(count)
-    ]
-    # picked[sel][b]: the OR of the rows of b that the dim-bit mask sel picks,
-    # the first row by the highest bit; row r of a*b is picked[row r of a][b].
-    picked = [[0] * count]
-    for sel in range(1, width):
-        top = sel.bit_length() - 1
-        picked.append(
-            [u | b_rows[dim - 1 - top] for u, b_rows in zip(picked[sel ^ (1 << top)], rows)]
-        )
-    table = []
-    for a_rows in rows:
-        product = picked[a_rows[0]]
-        for a_row in a_rows[1:]:
-            product = [(p << dim) | u for p, u in zip(product, picked[a_row])]
-        table.append(product)
+    codes = np.arange(count, dtype=np.int16)[:, None]
+    entries = (codes >> np.arange(dim * dim - 1, -1, -1, dtype=np.int16)) & 1
+    row_shifts = dim * np.arange(dim - 1, -1, -1, dtype=np.int16)
+    rows = (codes >> row_shifts) & ((1 << dim) - 1)
+    # Row r of a*b is the OR of the rows j of b with entry (r, j) of a set;
+    # axes are (a, b, r, j).
+    product = np.bitwise_or.reduce(
+        entries.reshape(count, 1, dim, dim) * rows[None, :, None, :], axis=3
+    )
     labels = [format(code, f"0{dim * dim}b") for code in range(count)]
-    return validate_cayley(labels, table)
+    return validate_cayley(labels, (product << row_shifts).sum(axis=2))
 
 
 def _build_rees_matrix(spec):

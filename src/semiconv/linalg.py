@@ -1,11 +1,11 @@
-"""Exact Gaussian elimination: RREF, nullspace and linear solve over the
-rationals, and the kernel vector of an integer matrix without fractions.
+"""Exact Gaussian elimination: RREF and nullspace over the rationals, and
+the kernel vector of an integer matrix without fractions.
 
 Plain list-of-list matrices.  Row updates skip zero entries, which is most
 of the work on the sparse elimination fronts these matrices produce.
-rref, nullspace and solve work in Fraction; verify reads nullspaces with
-them, and solve is the test oracle of integer_kernel_vector, which the
-fixed-law solves of dynamics use.  integer_kernel_vector runs Gauss-Jordan
+rref and nullspace work in Fraction; verify reads nullspaces with them.
+The fixed-law solves of dynamics use integer_kernel_vector, whose Fraction
+oracle, a solve built on rref, lives with the tests.  It runs Gauss-Jordan
 on Python ints: a row is cleared by an integer combination with the pivot
 row and divided by the gcd of its entries, so no entry is ever a fraction
 and the one division of a fixed law is left to its caller.
@@ -60,24 +60,6 @@ def nullspace(rows):
             v[pc] = -red[r][free]
         basis.append(v)
     return basis
-
-
-def solve(rows, rhs):
-    """One exact solution of rows @ x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
-    return x
 
 
 def integer_kernel_vector(rows):

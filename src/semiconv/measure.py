@@ -28,7 +28,15 @@ Key facts implemented and verified here: an idempotent distribution
 (mu*mu = mu) is supported on a completely simple subsemigroup and factors
 as (left marginal) * (uniform on the group factor) * (right marginal);
 conversely such a product is idempotent whenever the right-times-left
-support folds into the group.  That converse is the fold lemma: for a
+support folds into the group.  So factorize_idempotent decides
+idempotence by that factorization theorem and squares nothing: mu is
+idempotent exactly when its support splits (it is closed and simple),
+its group marginal is omega_G, and the coordinate product of its three
+marginals is mu again, which the fold lemma below makes idempotent, as
+the split verified R*L in G.  When any of these fails, mu is not
+idempotent, and factorize_idempotent raises PreconditionViolated;
+is_idempotent_measure, one convolution, is the brute-force oracle of
+that decision.  The converse is the fold lemma: for a
 group H in S with Haar measure omega_H (uniform on H) and probabilities
 lambda, rho with supp(rho)*supp(lambda) inside H, lambda * omega_H * rho
 is idempotent.  Right translation by h in H permutes H, so omega_H *
@@ -87,6 +95,7 @@ from .errors import (
     HypothesisViolated,
     InvalidDistribution,
     MalformedInput,
+    NotASubsemigroup,
     NotSimple,
     PreconditionViolated,
     SupportOutsideDecomposition,
@@ -327,6 +336,8 @@ def marginals(mu, dec):
 
 
 def is_idempotent_measure(mu):
+    """Whether mu * mu = mu, by one convolution: the brute-force oracle of
+    the factorization theorem that factorize_idempotent decides by."""
     return convolve(mu, mu) == mu
 
 
@@ -344,28 +355,22 @@ class IdempotentFactorization:
 
 
 def factorize_idempotent(mu):
-    """Split an idempotent distribution into its product form and verify it.
+    """Split an idempotent distribution into its product form.
 
-    The support must form a completely simple subsemigroup, the group
-    marginal must be uniform, and the three-factor product, built in the
-    split's coordinates, must reproduce mu exactly; violations raise
-    TheoremViolation.
+    Idempotence is decided by the factorization theorem (see the module
+    docstring), and mu is not squared: the support must split as a
+    completely simple subsemigroup, the group marginal must be uniform,
+    and the three-factor product, built in the split's coordinates, must
+    reproduce mu exactly.  Any failure means mu * mu != mu and raises
+    PreconditionViolated, not TheoremViolation.
     """
-    if not is_idempotent_measure(mu):
-        raise PreconditionViolated("mu * mu = mu")
-    supp = mu.support()
     try:
-        dec = rees_decompose(supp)
-    except NotSimple as exc:
-        raise TheoremViolation(
-            "support completely simple", f"support is not simple: {exc}"
-        ) from exc
+        dec = rees_decompose(mu.support())
+    except (NotASubsemigroup, NotSimple) as exc:
+        raise PreconditionViolated("mu * mu = mu") from exc
     left, mid, right = marginals(mu, dec)
-    if mid != haar_uniform(dec.group):
-        raise TheoremViolation("group marginal uniform")
-    rebuilt = coordinate_product(left, mid, right)
-    if rebuilt != mu:
-        raise TheoremViolation("product form", "left * haar * right != mu")
+    if mid != haar_uniform(dec.group) or coordinate_product(left, mid, right) != mu:
+        raise PreconditionViolated("mu * mu = mu")
     return IdempotentFactorization(decomposition=dec, left=left, haar=mid, right=right)
 
 

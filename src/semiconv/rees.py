@@ -11,9 +11,18 @@ triples in the decomposition; psi_inv then looks them up.
 The verified split is itself the proof that the carrier is completely
 simple, so rees_decompose tries it first, at the least idempotent e (or
 at the requested one), and proves nothing beforehand.  Suppose the split
-holds: L*G*R = S with |L|*|G|*|R| = |S|, every z in S is x*g*y for
-verified coordinates, G is a group with identity e, R*L lies in G,
-e*L = {e} and R*e = {e}, all in an associative ambient table.  Then
+holds, in an associative ambient table: L*G*R = S with |L|*|G|*|R| =
+|S|, every z in S is x*g*y for verified coordinates, G = e*(S*e) is a
+group, and R*L lies in G.  Three more facts follow with no comparison:
+  * e is G's identity: e = e*e*e lies in e*(S*e) = G and is idempotent,
+    and a group's only idempotent is its identity;
+  * e*L = {e}: x in L = E(S*e) is x = s*e, so x*e = x, and e*x = e*s*e
+    lies in G and is idempotent, as (e*x)*(e*x) = e*(x*e)*x = e*x*x =
+    e*x; so e*x is G's identity e;
+  * R*e = {e}, mirrored: y in E(e*S) has e*y = y, and y*e in G is
+    idempotent.
+Likewise the coordinate loop need not test that e*z*e lies in G: z*e
+lies in S*e, so e*z*e lies in e*(S*e) = G by construction.  Then
   * S is closed: for z = x*g*y and z' = x'*g'*y',
     z*z' = x*(g*(y*x')*g')*y' with g*(y*x')*g' in G, so it lies in L*G*R;
   * S is simple: for a = x*g*y and any t = x'*g'*y', put c = y*x in G,
@@ -176,11 +185,8 @@ def _split(s, e):
     es = product_sets(single_e, s)
     left = idempotents(se)
     right = idempotents(es)
-    g_set = product_sets(single_e, se)
-    group = group_structure(g_set)
-    if group.identity != e:
-        raise VerificationFailed("group", "identity of e*S*e differs from e")
-
+    # e is the identity of the verified group (see the module docstring).
+    group = group_structure(product_sets(single_e, se))
     coordinates = _verify_decomposition(s, e, left, group, right)
     return ReesDecomposition(
         carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
@@ -192,13 +198,10 @@ def _verify_decomposition(s, e, left, group, right):
     of every z in S, each verified by multiplying back."""
     sg = s.parent
     g_set = group.carrier
-    single_e = sg.singleton(e)
+    # e*L = {e} and R*e = {e} follow from G being a group (see the module
+    # docstring), so only R*L in G is checked.
     if not product_sets(right, left).issubset(g_set):
         raise VerificationFailed("interface", "R*L not contained in G")
-    if product_sets(single_e, left) != single_e:
-        raise VerificationFailed("interface", "e*L != {e}")
-    if product_sets(right, single_e) != single_e:
-        raise VerificationFailed("interface", "R*e != {e}")
     if len(left) * len(g_set) * len(right) != len(s):
         raise VerificationFailed("bijection", "factor sizes do not multiply to the order")
     rows = sg.rows
@@ -206,11 +209,11 @@ def _verify_decomposition(s, e, left, group, right):
     coordinates = {}
     for z in s:
         ze = rows[z][e]
-        eze = row_e[ze]
+        eze = row_e[ze]  # in e*(S*e) = G by construction
         g_inv = group.inv(eze)
         x = rows[ze][g_inv]
         y = rows[g_inv][row_e[z]]
-        if x not in left or eze not in g_set or y not in right:
+        if x not in left or y not in right:
             raise VerificationFailed("coordinates", f"inverse image of {sg.label(z)} left the factors")
         if rows[rows[x][eze]][y] != z:
             raise VerificationFailed("coordinates", f"x*g*y != z at {sg.label(z)}")

@@ -432,7 +432,7 @@ def test_subset_of_labels():
 def test_product_sets_matches_nested_loop():
     for sg in (cyclic(5), t_full(2), build(CorpusSpec("rectangular_band", (2, 3)))):
         n = sg.order
-        subsets = [sg.subset([0]), sg.subset(range(n)), sg.subset([n - 1, 0])]
+        subsets = [sg.subset([0]), sg.subset(range(n)), sg.subset([n - 1, 0]), sg.empty()]
         for a in subsets:
             for b in subsets:
                 got = product_sets(a, b)
@@ -499,6 +499,8 @@ def test_generated_subsemigroup_is_closure():
     sg = t_full(3)
     gens = sg.subset_of_labels(["120", "110"])
     assert set(generated_subsemigroup(gens).elements()) == brute_closure(sg, gens.elements())
+    with pytest.raises(EmptyGenerators):
+        generated_subsemigroup(sg.empty())
     for spec in CLOSURE_TABLES:
         sg = build(spec)
         n = sg.order
@@ -520,8 +522,9 @@ def test_ideal_predicates():
     assert is_left_ideal(k) and is_right_ideal(k) and is_ideal(k)
     just_id = sg.subset_of_labels(["01"])
     assert not is_left_ideal(just_id)
-    with pytest.raises(EmptySet):
-        is_left_ideal(sg.empty())
+    for predicate in (is_left_ideal, is_right_ideal):
+        with pytest.raises(EmptySet):
+            predicate(sg.empty())
 
 
 def test_principal_ideals():
@@ -704,6 +707,8 @@ def test_group_structure_rejects_non_groups():
     band = build(CorpusSpec("rectangular_band", (2, 2)))
     with pytest.raises(NotAGroup):
         group_structure(band.carrier())
+    with pytest.raises(EmptySet):
+        group_structure(band.empty())
     # subgroup of a non-group ambient semigroup works
     t2 = t_full(2)
     perms = t2.subset_of_labels(["01", "10"])

@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import solve
+
 from semiconv import (
     CorpusSpec,
     Dist,
     MalformedInput,
     MismatchedParent,
+    NotSimple,
     RAT,
+    SingularDecomposition,
     TheoremViolation,
     VerificationFailed,
     analyze_limit,
@@ -49,7 +53,9 @@ from semiconv import (
 )
 from semiconv import core, dynamics, measure, verify
 from semiconv._rat import ONE, ZERO
-from semiconv.linalg import nullspace, solve
+from semiconv.cli import main
+from semiconv.linalg import nullspace
+from semiconv.serialize import dist_to_json, dumps_canonical, semigroup_to_json
 
 
 def cyclic(n):
@@ -376,6 +382,35 @@ def test_analyze_limit_rejects_a_wrong_marginal(monkeypatch):
     monkeypatch.setattr(dynamics, "_fixed_law", swapped)
     with pytest.raises(VerificationFailed, match="limit invariance"):
         analyze_limit(mu)
+
+
+def limit_exit_code(tmp_path, mu):
+    """The exit code of semiconv limit on mu's table and mu, as files."""
+    table, step = tmp_path / "table.json", tmp_path / "step.json"
+    table.write_text(dumps_canonical(semigroup_to_json(mu.parent)), encoding="utf-8")
+    step.write_text(dumps_canonical(dist_to_json(mu)), encoding="utf-8")
+    return main(["limit", str(table), str(step)])
+
+
+def test_analyze_limit_names_a_kernel_that_does_not_split(monkeypatch, tmp_path, capsys):
+    def not_simple(carrier, at=None):
+        raise NotSimple(carrier.parent.label(carrier.least()))
+
+    monkeypatch.setattr(dynamics, "rees_decompose", not_simple)
+    with pytest.raises(TheoremViolation, match="^theorem check failed: kernel completely simple"):
+        analyze_limit(t2_walk())
+    assert limit_exit_code(tmp_path, t2_walk()) == 3
+    assert "kernel completely simple" in capsys.readouterr().err
+
+
+def test_analyze_limit_rejects_a_solve_with_no_vector(monkeypatch, tmp_path, capsys):
+    # The swap 10 lies off the kernel, so lambda is solved over two states;
+    # a solve that finds no kernel vector leaves no law to fix.
+    monkeypatch.setattr(dynamics, "integer_kernel_vector", lambda rows: None)
+    with pytest.raises(SingularDecomposition, match="^no probability is fixed"):
+        analyze_limit(t2_walk())
+    assert limit_exit_code(tmp_path, t2_walk()) == 3
+    assert "no probability is fixed" in capsys.readouterr().err
 
 
 IN_KERNEL_WALKS = [

@@ -3,8 +3,10 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import solve
+
 from semiconv._rat import ONE, RAT, ZERO
-from semiconv.linalg import integer_kernel_vector, nullspace, rref, solve
+from semiconv.linalg import integer_kernel_vector, nullspace, rref
 
 
 def R(*vals):

@@ -14,6 +14,8 @@ from semiconv import (
     InvalidDistribution,
     MalformedInput,
     MismatchedParent,
+    NotASubsemigroup,
+    NotSimple,
     PreconditionViolated,
     RAT,
     SupportOutsideDecomposition,
@@ -366,6 +368,28 @@ def test_compose_idempotent_squares_nothing(monkeypatch):
     assert real(built, built) == built
 
 
+def test_factorize_idempotent_squares_nothing(monkeypatch):
+    # idempotence is decided by the factorization theorem; no measure is
+    # convolved at all
+    calls = []
+    real = measure.convolve
+
+    def watched(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(measure, "convolve", watched)
+    b23 = band(2, 3)
+    dec = rees_decompose(b23.carrier())
+    built = measure.coordinate_product(
+        uniform_on(dec.left), haar_uniform(dec.group), uniform_on(dec.right)
+    )
+    assert factorize_idempotent(built).recompose() == built
+    with pytest.raises(PreconditionViolated, match="mu \\* mu = mu"):
+        factorize_idempotent(dirac(cyclic(4), 1))
+    assert calls == []
+
+
 def random_part(factor, rng):
     """A seeded distribution on a seeded non-empty subset of factor."""
     elements = factor.elements()
@@ -385,6 +409,57 @@ def test_composed_measures_square_to_themselves_on_the_extended_corpus():
             )
             assert convolve(built, built) == built, inst.name
             assert factorize_idempotent(built).recompose() == built, inst.name
+
+
+def mixed(a, b):
+    """The even mixture (a + b) / 2."""
+    union = a.support() | b.support()
+    return Dist.from_mapping(a.parent, {z: (a.prob(z) + b.prob(z)) / 2 for z in union})
+
+
+def test_factorize_idempotent_returns_exactly_on_idempotent_measures():
+    # The squaring oracle against the factorization theorem, on seeded
+    # measures over every extended-corpus table: compositions and point
+    # masses that are idempotent, and near misses that are not, whose
+    # support does not split, whose group marginal is not Haar, or that are
+    # not the product of their marginals.
+    idempotent, missed = 0, {"split": 0, "haar": 0, "product": 0}
+    for n, inst in enumerate(build_corpus("extended")):
+        dec, sg = inst.rees, inst.semigroup
+        rng = XorShift64Star(11000 + n)
+        for _ in range(16):
+            lam, rho = random_part(dec.left, rng), random_part(dec.right, rng)
+            composed = measure.coordinate_product(lam, haar_uniform(dec.group), rho)
+            # the same support, reweighted: a mixture with composed keeps
+            # its Haar group marginal
+            other = measure.coordinate_product(
+                random_dist(lam.support(), rng.next_word(), 32),
+                haar_uniform(dec.group),
+                random_dist(rho.support(), rng.next_word(), 32),
+            )
+            picked = sg.subset(rng.below(sg.order) for _ in range(1 + rng.below(4)))
+            candidates = [
+                composed,
+                mixed(composed, other),
+                measure.coordinate_product(lam, random_part(dec.group.carrier, rng), rho),
+                random_dist(picked, rng.next_word(), 32),
+                dirac(sg, picked.least()),
+            ]
+            for mu in candidates:
+                if is_idempotent_measure(mu):
+                    assert factorize_idempotent(mu).recompose() == mu, (inst.name, mu)
+                    idempotent += 1
+                    continue
+                with pytest.raises(PreconditionViolated, match="mu \\* mu = mu"):
+                    factorize_idempotent(mu)
+                try:
+                    split = rees_decompose(mu.support())
+                except (NotASubsemigroup, NotSimple):
+                    missed["split"] += 1
+                    continue
+                haar = marginals(mu, split)[1] == haar_uniform(split.group)
+                missed["product" if haar else "haar"] += 1
+    assert idempotent > 1000 and min(missed.values()) > 10, (idempotent, missed)
 
 
 def test_coordinate_product_matches_two_convolutions_on_the_extended_corpus():

@@ -287,9 +287,15 @@ def closed_form_coordinates(dec, z):
 def test_coordinates_equal_the_closed_form_on_the_extended_corpus():
     checked = 0
     for inst in build_corpus("extended"):
-        k = kernel(inst.semigroup.carrier())
+        sg = inst.semigroup
+        k = kernel(sg.carrier())
         for e in idempotents(k):
             dec = rees_decompose(k, at=e)
+            # what the split derives rather than compares: G's identity is
+            # e, e*L = {e} and R*e = {e}
+            assert dec.group.identity == e, (inst.name, e)
+            assert all(sg.mul(e, x) == e for x in dec.left), (inst.name, e)
+            assert all(sg.mul(y, e) == e for y in dec.right), (inst.name, e)
             for z in k:
                 assert psi_inv(dec, z) == closed_form_coordinates(dec, z), (inst.name, e, z)
                 checked += 1
