@@ -1,5 +1,9 @@
-"""Exact rational arithmetic: every probability and matrix entry is a
-fractions.Fraction, built through RAT().
+"""Exact rational values: RAT (fractions.Fraction), the type of every
+probability a caller gives or reads, and the 'p/q' literals that carry
+them in JSON.  Not every exact value is a Fraction: Dist keeps int
+numerators over one common denominator, and the fixed laws of dynamics
+are solved on integers; Fractions are made at the edges, and in linalg's
+rref and nullspace.
 """
 
 from fractions import Fraction

@@ -16,13 +16,12 @@ The one that decides is taken in descending order of row image size
 |a*S|, which keeps it small; only when its sweep finds a broken row is a
 second set, taken in index order, swept to name the lexicographically
 first broken triple.  The validated table is kept as a read-only int32
-array.  The kernel is computed from one of its elements, as K = (S*z)*S,
-and checked to be an ideal, against a generating set of S when the caller
-holds one: each generator mapping K into K on both sides makes every
-product of them do so.  S is simple exactly when it is its own
-kernel.  The minimal left (right) ideals are read off the verified Rees
-split of K, L*G*y (x*G*R), and S is left (right) simple exactly when it
-is its own only minimal left (right) ideal.
+array.  The kernel of a subsemigroup S is computed from one of its
+elements, as K = (S*z)*S; associativity, which validation proved, makes
+it an ideal of S, so it is not tested for one.  S is simple exactly when
+it is its own kernel.  The minimal left (right) ideals are read off the
+verified Rees split of K, L*G*y (x*G*R), and S is left (right) simple
+exactly when it is its own only minimal left (right) ideal.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -487,23 +486,21 @@ def _power_cycle(base):
     return start + 1, sets[start:], ElementSet(base.parent, reached)
 
 
-def is_left_ideal(ideal, within=None):
+def is_left_ideal(ideal):
     """Whether S*I is contained in I (I nonempty), S the ambient carrier."""
-    amb = _as_set(within) if within is not None else ideal.parent.carrier()
     if not ideal:
         raise EmptySet("ideal test on the empty set")
-    return product_sets(amb, ideal).issubset(ideal)
+    return product_sets(ideal.parent.carrier(), ideal).issubset(ideal)
 
 
-def is_right_ideal(ideal, within=None):
-    amb = _as_set(within) if within is not None else ideal.parent.carrier()
+def is_right_ideal(ideal):
     if not ideal:
         raise EmptySet("ideal test on the empty set")
-    return product_sets(ideal, amb).issubset(ideal)
+    return product_sets(ideal, ideal.parent.carrier()).issubset(ideal)
 
 
-def is_ideal(ideal, within=None):
-    return is_left_ideal(ideal, within) and is_right_ideal(ideal, within)
+def is_ideal(ideal):
+    return is_left_ideal(ideal) and is_right_ideal(ideal)
 
 
 def _closure_witness(subset):
@@ -566,56 +563,53 @@ def principal_right_ideal(x, a):
 
 
 def minimal_left_ideals(x):
-    """The minimal left ideals, sorted by least member."""
+    """The minimal left ideals of the subsemigroup x, sorted by least member."""
     s = _as_set(x)
     return minimal_ideals(s)[1] if s else []
 
 
 def minimal_right_ideals(x):
-    """The minimal right ideals, sorted by least member."""
+    """The minimal right ideals of the subsemigroup x, sorted by least member."""
     s = _as_set(x)
     return minimal_ideals(s)[2] if s else []
 
 
 def minimal_ideals(x):
-    """(K, minimal left ideals, minimal right ideals), the one-sided ideals
-    read off the verified Rees split of K (see rees.minimal_one_sided_ideals)."""
+    """(K, minimal left ideals, minimal right ideals) of the subsemigroup x
+    (see kernel), the one-sided ideals read off the verified Rees split of
+    K (see rees.minimal_one_sided_ideals)."""
     from .rees import minimal_one_sided_ideals, rees_decompose
 
     k = kernel(x)
     return (k, *minimal_one_sided_ideals(rees_decompose(k)))
 
 
-def kernel(x, *, generators=None):
-    """The least two-sided ideal K, computed as S*z*S and checked to be an
-    ideal.
+def kernel(x):
+    """The least two-sided ideal K of the subsemigroup x, computed as S*z*S.
 
+    x must be closed under the product: it is a validated carrier, the
+    union T of a support walk (closed, as A_i*A_j = A_(i+j)), or a set
+    just checked to be a subsemigroup.  Nothing here tests that, and on a
+    set that is not closed the result may leave it.
+
+    S*z*S is an ideal of a closed S by associativity alone: S*(S*z*S) =
+    (S*S)*z*S lies in S*z*S, as S*S lies in S, and mirrored on the right.
     z is the left-normed product of the elements of S, so it has every
-    element of S as a factor, and it lies in every ideal I: the factor a
-    taken from I puts the partial product ending in a in I, and each later
-    factor on the right keeps it there.  So S*z*S lies inside every ideal,
-    and once the check shows it is an ideal, it is the least one.
-
-    generators, a set that generates S, narrows the check to g*K and K*g
-    inside K for each g in it (default: every g in S).  That is enough:
-    a product s = g_1*...*g_n of generators gives s*K = g_1*(...(g_n*K))
-    inside K, and K*s likewise.
+    element of S as a factor, and it lies in every ideal I of S: the factor
+    a taken from I puts the partial product ending in a in I, and each
+    later factor on the right keeps it there.  So S*z*S lies inside every
+    ideal of S, and, being one, it is the least one.
     """
     s = _as_set(x)
     if not s:
         raise EmptySet("the empty set has no kernel")
-    if generators is not None and not generators:
-        raise EmptyGenerators("cannot check the kernel against no generators")
     sg = s.parent
     rows = sg.rows
     els = s.elements()
     z = els[0]
     for a in els[1:]:
         z = rows[z][a]
-    k = product_sets(product_sets(s, sg.singleton(z)), s)
-    if not is_ideal(k, s if generators is None else generators):
-        raise VerificationFailed("kernel ideal", f"S*z*S is not an ideal for z = {sg.label(z)}")
-    return k
+    return product_sets(product_sets(s, sg.singleton(z)), s)
 
 
 def group_structure(subset):

@@ -79,9 +79,10 @@ supp(nu) = L*G*R (support_nu_product) is recorded from
 support_nu_is_kernel, as the split's carrier is the walk kernel itself.
 The powers of a single element, and of a*e for element_power_cluster's
 check that a*e generates the cycle C, are read off that same walk of
-core._power_cycle, run on a singleton.  e = a^(rp) is not compared with
-the identity of C: it is an idempotent in C, once C is verified a group,
-and a group's only idempotent is its identity.
+core._power_cycle, run on a singleton.  That check makes C = {b, ...,
+b^p} with b = a*e and b^(p+1) = b, a cyclic group, so C is not tested for
+one, and e = a^(rp), an idempotent in C, is its identity, a group's only
+idempotent.
 The Cesaro averages and variation norms work on the integer numerators of
 their distributions over one common denominator; a Fraction is made only
 for each norm returned.
@@ -101,8 +102,6 @@ from .core import (
     GroupStructure,
     _check_parent,
     _power_cycle,
-    generated_subsemigroup,
-    group_structure,
     kernel,
     product_sets,
 )
@@ -271,14 +270,25 @@ def cesaro_limit(mu):
     rectangular_band(256,1), half of whose mass lies off its kernel (|L| =
     512, |G| = |R| = 1), lumps to one class per side, and a walk whose
     steps off K tell every state apart solves over all of L.
-    The kernel's ideal check runs over supp(mu) alone, which generates the
-    subsemigroup.  The result is idempotent by the fold lemma of the
-    measure module, since the split verified R*L in G, and is verified
-    mu-invariant before returning.
+    The kernel is found and split as in analyze_limit, by _walk_split.  The
+    result is idempotent by the fold lemma of the measure module, since the
+    split verified R*L in G, and is verified mu-invariant before returning.
     """
-    steps = support(mu)
-    dec = rees_decompose(kernel(generated_subsemigroup(steps), generators=steps))
-    return _limit_factors(mu, dec)[0]
+    return _limit_factors(mu, _walk_split(support(mu))[2])[0]
+
+
+def _walk_split(steps):
+    """(q, cycle, dec): the support walk of steps (core._power_cycle) and
+    the verified Rees split dec of the kernel of the subsemigroup T they
+    generate.  T, the union of the supports the walk visits, is closed, as
+    A_i*A_j = A_(i+j), so kernel needs no further test.  A kernel that does
+    not split breaks the theorem, so NotSimple is a TheoremViolation."""
+    q, cycle, reached = _power_cycle(steps)
+    try:
+        dec = rees_decompose(kernel(reached))
+    except NotSimple as exc:
+        raise TheoremViolation("kernel completely simple", str(exc)) from exc
+    return q, cycle, dec
 
 
 def support_period(mu):
@@ -304,6 +314,11 @@ def element_power_cluster(sg, a):
     unique r with q <= rp <= q+p-1, and that C = {e, ae, ..., a^(p-1)e}.
     Both cycles, of the powers of a and of a*e, are read off
     core._power_cycle run on a singleton, the walk the support cycle uses.
+    The cycle of b = a*e proves the group: q_b = 1 and p steps give
+    b^(p+1) = b with b, ..., b^p distinct, and its orbit equal to C makes
+    C = {b, ..., b^p}.  So b^p*b^k = b^k for k >= 1, and b^k*b^(p-k) =
+    b^p: C is a cyclic group with identity b^p.  e, idempotent in C, is
+    then that identity, a group's only idempotent.
     """
     q, cycle, _ = _power_cycle(sg.singleton(a))
     p = len(cycle)
@@ -312,9 +327,8 @@ def element_power_cluster(sg, a):
     e = cycle[-q % p].least()
     if sg.mul(e, e) != e:
         raise VerificationFailed("power cycle", "a^(rp) is not idempotent")
-    group_structure(cluster)  # and e, idempotent in C, is its identity
     # a*e generates C exactly when its powers return to a*e after p steps
-    # and visit all of C on the way.
+    # and visit all of C on the way; that makes C a group with identity e.
     q_b, cycle_b, orbit = _power_cycle(sg.singleton(sg.mul(a, e)))
     if q_b != 1 or len(cycle_b) != p or orbit != cluster:
         raise VerificationFailed("power cycle", "cycle is not generated by a*e")
@@ -385,13 +399,10 @@ def analyze_limit(mu):
             raise TheoremViolation(name, detail())
 
     steps = support(mu)
-    q, cycle, reached = _power_cycle(steps)
-    # supp(mu) generates T = reached, so the ideal check needs only its steps.
-    walk_kernel = kernel(reached, generators=steps)
-    try:
-        dec = rees_decompose(walk_kernel)
-    except NotSimple as exc:
-        raise TheoremViolation("kernel completely simple", str(exc)) from exc
+    # The walk's T is closed, so its kernel T*z*T is an ideal of T by
+    # associativity alone, and the split verifies it completely simple.
+    q, cycle, dec = _walk_split(steps)
+    walk_kernel = dec.carrier
     # _limit_factors raises unless mu * nu = nu = nu * mu, and nu * nu = nu
     # by the fold R*L in G.
     nu, lam, rho = _limit_factors(mu, dec)

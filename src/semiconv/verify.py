@@ -222,9 +222,12 @@ def _instance_rng(inst, seed, salt):
     return XorShift64Star(mix & 0xFFFFFFFFFFFFFFFF)
 
 
-def _random_support(sg, rng, max_size=4):
+_MAX_SUPPORT = 4
+
+
+def _random_support(sg, rng):
     n = sg.order
-    size = 1 + rng.below(min(max_size, n))
+    size = 1 + rng.below(min(_MAX_SUPPORT, n))
     picked = set()
     while len(picked) < size:
         picked.add(rng.below(n))

@@ -51,7 +51,7 @@ from semiconv import (
     uniform_on,
     variation_norm,
 )
-from semiconv import core, dynamics, measure, verify
+from semiconv import core, dynamics, measure, rees, verify
 from semiconv._rat import ONE, ZERO
 from semiconv.cli import main
 from semiconv.linalg import nullspace
@@ -892,8 +892,8 @@ def test_analyze_limit_reads_nothing_back():
 
 
 def test_analyze_limit_builds_the_kernel_once(monkeypatch):
-    # The walk kernel is built and decomposed once, at every period, and no
-    # group is tested afresh: H is read off the verified group G.
+    # The walk kernel is built and decomposed once, at every period, and the
+    # only group test is the split's own: H is read off the verified group G.
     calls, decomposed, grouped = [], [], []
 
     def counting(into, real):
@@ -905,20 +905,22 @@ def test_analyze_limit_builds_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "kernel", counting(calls, dynamics.kernel))
     monkeypatch.setattr(dynamics, "rees_decompose", counting(decomposed, dynamics.rees_decompose))
-    monkeypatch.setattr(dynamics, "group_structure", counting(grouped, dynamics.group_structure))
+    monkeypatch.setattr(rees, "group_structure", counting(grouped, rees.group_structure))
     rep = analyze_limit(dirac(cyclic(600), 1))
     assert rep.p == 600
     assert len(calls) == 1
     assert decomposed == [rep.rees.carrier]
-    assert grouped == []
+    assert len(grouped) == 1
     calls.clear()
     decomposed.clear()
+    grouped.clear()
     rep = analyze_limit(t2_walk())
     assert rep.p == 1 and rep.H is rep.rees.group
     assert len(calls) == 1 and decomposed == [rep.rees.carrier]
-    assert grouped == []
+    assert len(grouped) == 1
+    grouped.clear()
     rep = analyze_limit(fold_walk())
-    assert rep.p == 3 and rep.H.order == 2 and grouped == []
+    assert rep.p == 3 and rep.H.order == 2 and len(grouped) == 1
 
 
 def test_no_limit_measure_is_squared(monkeypatch):
@@ -983,20 +985,41 @@ def test_a_cycle_whose_least_period_is_not_p_fails_period_matches_quotient(monke
     assert exc.value.clause == "period_matches_quotient"
 
 
-def test_analyze_limit_reads_the_walk_subsemigroup_off_the_support_walk(monkeypatch):
+def test_analyze_limit_reads_the_walk_subsemigroup_off_the_support_walk():
     # T, the subsemigroup supp(mu) generates, is the union of the supports
-    # the walk visits, so analyze_limit runs no closure
+    # the walk visits, so neither analyze_limit nor cesaro_limit runs the
+    # closure.  A profile hook sees every call, however it is bound.
+    closure = core.generated_subsemigroup.__code__
     closures = []
-    real = dynamics.generated_subsemigroup
 
-    def counting(gens):
-        closures.append(gens)
-        return real(gens)
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is closure:
+            closures.append(frame)
 
-    monkeypatch.setattr(dynamics, "generated_subsemigroup", counting)
     for mu in (t2_walk(), fold_walk(), dirac(cyclic(600), 1)):
-        analyze_limit(mu)
+        sys.setprofile(watch)
+        try:
+            rep = analyze_limit(mu)
+            nu = cesaro_limit(mu)
+        finally:
+            sys.setprofile(None)
+        assert nu == rep.nu
     assert closures == []
+
+
+def test_the_kernel_runs_no_ideal_test(monkeypatch):
+    # S*z*S is an ideal of a closed S by associativity, so neither kernel
+    # nor the limit analyses built on it test for one.
+    def refuse(*args):
+        raise AssertionError("ideal test")
+
+    monkeypatch.setattr(core, "is_left_ideal", refuse)
+    monkeypatch.setattr(core, "is_right_ideal", refuse)
+    t2 = t_full(2)
+    assert core.kernel(t2.carrier()).labels() == ("00", "11")
+    for mu in (t2_walk(), fold_walk(), dirac(cyclic(6), 1)):
+        rep = analyze_limit(mu)
+        assert cesaro_limit(mu) == rep.nu
 
 
 @pytest.mark.parametrize("seed", range(2))
