@@ -2,8 +2,8 @@
 probability a caller gives or reads, and the 'p/q' literals that carry
 them in JSON.  Not every exact value is a Fraction: Dist keeps int
 numerators over one common denominator, and the fixed laws of dynamics
-are solved on integers; Fractions are made at the edges, and in linalg's
-rref and nullspace.
+are solved on integers, as is every elimination in linalg; Fractions are
+made at the edges, and at the read-out of linalg's rref and nullspace.
 """
 
 from fractions import Fraction

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
 
-from ._rat import ONE, RAT, ZERO
+from ._rat import RAT, ZERO
 from .core import (
     Semigroup,
     group_structure,
@@ -618,13 +618,13 @@ def _solve_invariant_dists(sg):
     rows = []
     for x in range(n):
         for w in range(n):
-            row_l = [ZERO] * n
-            row_l[sg.mul(x, w)] += ONE
-            row_l[w] -= ONE
+            row_l = [0] * n
+            row_l[sg.mul(x, w)] += 1
+            row_l[w] -= 1
             rows.append(row_l)
-            row_r = [ZERO] * n
-            row_r[sg.mul(w, x)] += ONE
-            row_r[w] -= ONE
+            row_r = [0] * n
+            row_r[sg.mul(w, x)] += 1
+            row_r[w] -= 1
             rows.append(row_r)
     return nullspace(rows)
 

@@ -1,15 +1,64 @@
 """Shared test plumbing: acceptance-criteria reporting and the Fraction
-solve that is the oracle of linalg.integer_kernel_vector.
+Gauss-Jordan that is the oracle of every elimination in semiconv.linalg.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
 pass/fail status is visible in normal (captured) runs.
+
+fraction_rref, fraction_nullspace and solve share no code with the package:
+they divide each pivot row by its pivot in Fraction, where linalg eliminates
+on ints and makes a Fraction only at read-out.
 """
 
-from semiconv._rat import ZERO
-from semiconv.linalg import rref
+from semiconv._rat import ONE, ZERO
 
 _ACCEPTANCE_LINES = []
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        mr = m[r]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], mr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def fraction_nullspace(rows):
+    """Basis of {x : rows @ x = 0}, one vector per free column, pinned to
+    one there."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
 
 
 def solve(rows, rhs):
@@ -21,7 +70,7 @@ def solve(rows, rhs):
         return None
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = fraction_rref(aug)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols

@@ -10,7 +10,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import record_criterion
+from conftest import fraction_nullspace, record_criterion
 
 from semiconv import (
     CorpusSpec,
@@ -43,7 +43,6 @@ from semiconv import (
     variation_norm,
 )
 from semiconv.cli import main
-from semiconv.linalg import nullspace
 from semiconv.serialize import (
     dumps_canonical,
     limit_report_to_json,
@@ -342,7 +341,7 @@ def test_criterion_05_uniform_is_the_unique_biinvariant_distribution():
                             row[pos[i]] += RAT(1)
                     row[pos[z]] -= RAT(1)
                     rows.append(row)
-        basis = nullspace(rows)
+        basis = fraction_nullspace(rows)
         # solution space is exactly the constants: dimension one, flat vector
         ok = ok and len(basis) == 1
         ok = ok and len(set(basis[0])) == 1 and basis[0][0] != RAT(0)

@@ -12,11 +12,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solve
+from conftest import fraction_nullspace, solve
 
 from semiconv import (
     CorpusSpec,
@@ -49,12 +50,12 @@ from semiconv import (
     translate,
     tv_distance,
     uniform_on,
+    validate_cayley,
     variation_norm,
 )
 from semiconv import core, dynamics, measure, rees, verify
 from semiconv._rat import ONE, ZERO
 from semiconv.cli import main
-from semiconv.linalg import nullspace
 from semiconv.serialize import dist_to_json, dumps_canonical, semigroup_to_json
 
 
@@ -543,6 +544,30 @@ def test_marginal_laws_match_the_solve_inside_the_kernel(seed):
     assert in_kernel >= 40
 
 
+def rotations_and_constants(m):
+    """The maps x -> x+i (r_i) and x -> a (c_a) on {0..m-1}, composed right
+    to left: r_i r_j = r_(i+j), r_i c_a = c_(a+i) and c_a s = c_a."""
+    i, j = np.arange(m)[:, None], np.arange(2 * m)[None, :]
+    rotations = (i + j) % m + np.where(j < m, 0, m)
+    constants = np.broadcast_to(m + i, (m, 2 * m))
+    labels = [f"r{a}" for a in range(m)] + [f"c{a}" for a in range(m)]
+    return validate_cayley(labels, np.vstack([rotations, constants]))
+
+
+def test_a_walk_that_lumps_nothing_solves_over_every_state():
+    # Under 1/2 r_1 + 1/2 c_0 the walk sits at c_a once it has made k = a
+    # mod m rotations before its first constant, so nu(c_a) = 2^(m-1-a) /
+    # (2^m - 1).  The m left states each step by a different law, so
+    # nothing lumps and the elimination runs over all m of them, at sizes
+    # the corpora lack.
+    for m in range(2, 65):
+        mu = Dist.from_mapping(rotations_and_constants(m), {"r1": RAT(1, 2), "c0": RAT(1, 2)})
+        report = analyze_limit(mu)
+        assert (report.q, report.p) == (m, 1)
+        want = {m + a: RAT(2 ** (m - 1 - a), 2**m - 1) for a in range(m)}
+        assert dict(report.nu.items()) == want, m
+
+
 def test_fixed_laws_make_no_fraction():
     # Every Fraction is made, and computed with, by Python code in the
     # fractions module, so a profile hook sees each one.
@@ -591,7 +616,7 @@ def spectral_limit(mu):
         row[pos[z]] -= ONE
         n_rows.append(row)
     nt = [list(col) for col in zip(*n_rows)]
-    fixed = nullspace(nt)
+    fixed = fraction_nullspace(nt)
     stacked = [[vec[i] for vec in fixed] + nt[i] for i in range(k)]
     coeffs = solve(stacked, [mu.probs[z] for z in states])
     probs = [ZERO] * sg.order

@@ -3,7 +3,7 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solve
+from conftest import fraction_nullspace, fraction_rref, solve
 
 from semiconv._rat import ONE, RAT, ZERO
 from semiconv.linalg import integer_kernel_vector, nullspace, rref
@@ -57,6 +57,39 @@ def test_solve_underdetermined_and_inconsistent():
     assert solve([R(1, 1), R(1, 1)], R(1, 2)) is None
 
 
+@st.composite
+def rational_matrices(draw):
+    """A 1x1 to 7x7 matrix, wide or tall, of ints and Fractions with
+    denominators up to 12; some rows zero, some repeating an earlier row."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.builds(RAT, st.integers(-9, 9), st.integers(1, 12)),
+    )
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(rows[draw(st.integers(0, i - 1))]))
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rational_matrices())
+def test_rref_and_nullspace_match_the_fraction_oracle(rows):
+    # RREF is unique, so the int elimination's read-out is the oracle's
+    # matrix and pivot list, and it hands out Fractions only
+    red, pivots = rref(rows)
+    assert (red, pivots) == fraction_rref(rows)
+    assert all(type(x) is RAT for row in red for x in row)
+    assert nullspace(rows) == fraction_nullspace(rows)
+
+
 def primitive(v):
     """The integer multiple of a rational vector with coprime entries, of
     the same sign."""
@@ -84,7 +117,7 @@ def walk_matrices(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(walk_matrices())
 def test_integer_kernel_vector_matches_the_fraction_nullspace(matrix):
-    basis = nullspace([[RAT(a) for a in row] for row in matrix])
+    basis = fraction_nullspace([[RAT(a) for a in row] for row in matrix])
     v = integer_kernel_vector(matrix)
     if len(basis) != 1:
         assert v is None
