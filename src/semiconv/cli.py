@@ -97,8 +97,9 @@ def cmd_analyze(args):
         "minimal_left_ideals": [list(a.labels()) for a in mins_l],
         "minimal_right_ideals": [list(a.labels()) for a in mins_r],
         "kernel": list(k.labels()),
-        # The full carrier is closed, so is_simple, is_left_simple and
-        # is_right_simple come down to these comparisons (their definitions).
+        # The full carrier is closed, so it is simple exactly when it is its
+        # own kernel, and left (right) simple exactly when it is its own only
+        # minimal left (right) ideal.
         "is_simple": k == car,
         "is_left_simple": mins_l == [car],
         "is_right_simple": mins_r == [car],

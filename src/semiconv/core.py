@@ -19,9 +19,9 @@ first broken triple.  The validated table is kept as a read-only int32
 array.  The kernel of a subsemigroup S is computed from one of its
 elements, as K = (S*z)*S; associativity, which validation proved, makes
 it an ideal of S, so it is not tested for one.  S is simple exactly when
-it is its own kernel.  The minimal left (right) ideals are read off the
-verified Rees split of K, L*G*y (x*G*R), and S is left (right) simple
-exactly when it is its own only minimal left (right) ideal.
+it is its own kernel, and left (right) simple exactly when one translate
+S*z (z*S) of a kernel element z is S.  The minimal one-sided ideals are
+read off the verified Rees split of K in rees.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -527,15 +527,24 @@ def _require_subsemigroup(subset):
 
 
 def is_left_simple(subset):
-    """Whether A*a = A for every a in A (A a subsemigroup): A is its own
-    only minimal left ideal."""
+    """Whether A*a = A for every a in A (A a subsemigroup), decided by the
+    one translate A*z = A, z the least element of the kernel K of A.
+
+    The test is needed, as a left simple A has A*a = A for every a.  It is
+    enough: A*z lies in the ideal K, so A = A*z forces A = K, which is
+    simple and so completely simple.  Then K*z is a minimal left ideal
+    (see the rees module docstring), and A = K*z has no smaller left
+    ideal.  Each A*a, a left ideal of A, is then A.
+    """
     _require_subsemigroup(subset)
-    return minimal_left_ideals(subset) == [subset]
+    return product_sets(subset, subset.parent.singleton(kernel(subset).least())) == subset
 
 
 def is_right_simple(subset):
+    """Whether a*A = A for every a in A: the mirror of is_left_simple, by
+    the one translate z*A = A."""
     _require_subsemigroup(subset)
-    return minimal_right_ideals(subset) == [subset]
+    return product_sets(subset.parent.singleton(kernel(subset).least()), subset) == subset
 
 
 def is_simple(subset):
@@ -560,28 +569,6 @@ def principal_left_ideal(x, a):
 def principal_right_ideal(x, a):
     s = _as_set(x)
     return product_sets(s.parent.singleton(a), s) | s.parent.singleton(a)
-
-
-def minimal_left_ideals(x):
-    """The minimal left ideals of the subsemigroup x, sorted by least member."""
-    s = _as_set(x)
-    return minimal_ideals(s)[1] if s else []
-
-
-def minimal_right_ideals(x):
-    """The minimal right ideals of the subsemigroup x, sorted by least member."""
-    s = _as_set(x)
-    return minimal_ideals(s)[2] if s else []
-
-
-def minimal_ideals(x):
-    """(K, minimal left ideals, minimal right ideals) of the subsemigroup x
-    (see kernel), the one-sided ideals read off the verified Rees split of
-    K (see rees.minimal_one_sided_ideals)."""
-    from .rees import minimal_one_sided_ideals, rees_decompose
-
-    k = kernel(x)
-    return (k, *minimal_one_sided_ideals(rees_decompose(k)))
 
 
 def kernel(x):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import pickle
 import random
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semiconv import core
+from semiconv import core, rees
 from semiconv.core import (
     DEFAULT_ORDER_CAP,
     _by_image_size,
@@ -23,9 +26,6 @@ from semiconv.core import (
     is_right_simple,
     is_simple,
     kernel,
-    minimal_ideals,
-    minimal_left_ideals,
-    minimal_right_ideals,
     principal_left_ideal,
     principal_right_ideal,
     product_sets,
@@ -46,7 +46,12 @@ from semiconv.errors import (
 )
 from semiconv.generators import CorpusSpec, XorShift64Star, build
 from semiconv.measure import uniform_on
-from semiconv.rees import rees_decompose
+from semiconv.rees import (
+    minimal_ideals,
+    minimal_left_ideals,
+    minimal_right_ideals,
+    rees_decompose,
+)
 from semiconv.verify import (
     _corrupted_instance,
     build_corpus,
@@ -672,6 +677,71 @@ def test_simplicity_flags_cost_no_sweep_per_element(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_one_sided_simplicity_makes_no_rees_split(monkeypatch):
+    # One translate of a kernel element decides each flag; the split and
+    # its read-outs belong to rees and are never reached.
+    def no_split(*args, **kwargs):
+        raise AssertionError("is_left_simple / is_right_simple ran a Rees split")
+
+    monkeypatch.setattr(rees, "rees_decompose", no_split)
+    monkeypatch.setattr(rees, "_split", no_split)
+    for inst in build_corpus("extended"):
+        car = inst.semigroup.carrier()
+        assert is_left_simple(car) == simple_by_sweep(car, "left"), inst.name
+        assert is_right_simple(car) == simple_by_sweep(car, "right"), inst.name
+
+
+_SMALL_FACTORS = st.one_of(
+    st.builds(lambda n: CorpusSpec("cyclic", (n,)), st.integers(1, 4)),
+    st.builds(lambda n: CorpusSpec("left_zero", (n,)), st.integers(1, 3)),
+    st.builds(lambda n: CorpusSpec("right_zero", (n,)), st.integers(1, 3)),
+    st.builds(
+        lambda m, k: CorpusSpec("rectangular_band", (m, k)), st.integers(1, 2), st.integers(1, 2)
+    ),
+)
+
+
+@st.composite
+def small_subsemigroups(draw):
+    """A drawn small table and either its carrier or the subsemigroup that
+    one to three drawn elements generate."""
+    seed = draw(st.integers(0, 2**16))
+    spec = draw(
+        st.one_of(
+            st.builds(
+                lambda g, r, c: CorpusSpec("rees_matrix", (g, r, c), seed=seed),
+                st.integers(1, 3),
+                st.integers(1, 3),
+                st.integers(1, 3),
+            ),
+            st.builds(
+                lambda a, b: CorpusSpec("direct_product", factors=(a, b)),
+                _SMALL_FACTORS,
+                _SMALL_FACTORS,
+            ),
+            st.builds(
+                lambda k: CorpusSpec("random_transformation_subsemigroup", (3, k), seed=seed),
+                st.integers(1, 3),
+            ),
+        )
+    )
+    sg = build(spec)
+    if draw(st.booleans()):
+        return sg.carrier()
+    gens = draw(st.lists(st.integers(0, sg.order - 1), min_size=1, max_size=3))
+    return generated_subsemigroup(sg.subset(gens))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_subsemigroups())
+def test_simplicity_flags_and_minimal_ideals_match_the_oracles_on_drawn_tables(car):
+    assert is_left_simple(car) == simple_by_sweep(car, "left")
+    assert is_right_simple(car) == simple_by_sweep(car, "right")
+    assert is_simple(car) == simple_by_sweep(car, "two-sided")
+    for found, side in ((minimal_left_ideals(car), "left"), (minimal_right_ideals(car), "right")):
+        assert [a.mask for a in found] == [a.mask for a in principal_minimal_ideals(car, side)]
+
+
 def test_group_structure_cyclic():
     sg = cyclic(4)
     grp = group_structure(sg.carrier())
@@ -780,3 +850,31 @@ def test_only_core_reads_the_element_set_mask():
         if re.search(r"\.mask\b|\bElementSet\(", line)
     ]
     assert offending == []
+
+
+def _imported_modules(node):
+    """Dotted names of the modules an import statement reads, a relative
+    import resolved inside semiconv."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    base = ".".join(filter(None, ["semiconv" if node.level else "", node.module]))
+    return [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+
+
+def test_every_import_is_at_module_level_and_core_imports_only_errors():
+    # core is the leaf the other modules build on: an import inside a
+    # function, or from core to any module but errors, hides a cycle.
+    source = Path(core.__file__).parent
+    nested, core_uses = [], set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+            if path.name == "core.py":
+                mods = _imported_modules(node)
+                core_uses.update(m for m in mods if m.split(".")[0] == "semiconv")
+    assert nested == []
+    assert core_uses <= {"semiconv.errors"}
