@@ -444,6 +444,7 @@ def generated_subsemigroup(gens):
     the right, so a breadth-first search under z -> z*g reaches them all in
     O(|T|*|gens|) table lookups.
     """
+    gens = _as_set(gens)
     if not gens:
         raise EmptyGenerators("cannot generate from the empty set")
     rows = gens.parent.rows
@@ -488,12 +489,14 @@ def _power_cycle(base):
 
 def is_left_ideal(ideal):
     """Whether S*I is contained in I (I nonempty), S the ambient carrier."""
+    ideal = _as_set(ideal)
     if not ideal:
         raise EmptySet("ideal test on the empty set")
     return product_sets(ideal.parent.carrier(), ideal).issubset(ideal)
 
 
 def is_right_ideal(ideal):
+    ideal = _as_set(ideal)
     if not ideal:
         raise EmptySet("ideal test on the empty set")
     return product_sets(ideal, ideal.parent.carrier()).issubset(ideal)
@@ -518,12 +521,15 @@ def _closure_witness(subset):
     return None
 
 
-def _require_subsemigroup(subset):
+def _require_subsemigroup(x):
+    """x as an ElementSet, once it is checked to be a subsemigroup."""
+    subset = _as_set(x)
     if not subset:
         raise EmptySet("empty set is not a subsemigroup")
     w = _closure_witness(subset)
     if w is not None:
         raise NotASubsemigroup(*w)
+    return subset
 
 
 def is_left_simple(subset):
@@ -536,14 +542,14 @@ def is_left_simple(subset):
     (see the rees module docstring), and A = K*z has no smaller left
     ideal.  Each A*a, a left ideal of A, is then A.
     """
-    _require_subsemigroup(subset)
+    subset = _require_subsemigroup(subset)
     return product_sets(subset, subset.parent.singleton(kernel(subset).least())) == subset
 
 
 def is_right_simple(subset):
     """Whether a*A = A for every a in A: the mirror of is_left_simple, by
     the one translate z*A = A."""
-    _require_subsemigroup(subset)
+    subset = _require_subsemigroup(subset)
     return product_sets(subset.parent.singleton(kernel(subset).least()), subset) == subset
 
 
@@ -555,7 +561,7 @@ def is_simple(subset):
 def _simplicity_witness(subset):
     """None if A is its own kernel, else the least kernel element a, for
     which A*a*A is the kernel, a proper ideal."""
-    _require_subsemigroup(subset)
+    subset = _require_subsemigroup(subset)
     k = kernel(subset)
     return None if k == subset else k.least()
 
@@ -614,7 +620,7 @@ def group_structure(subset):
     each is A exactly when row or column x hits |A| distinct elements of
     it.
     """
-    _require_subsemigroup(subset)
+    subset = _require_subsemigroup(subset)
     sg = subset.parent
     rows = sg.rows
     els = subset.elements()

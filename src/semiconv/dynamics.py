@@ -72,11 +72,12 @@ bijection, each reads back as the triple it was built from, and its
 support is L*C*R for the subset C of G its middle factor lives on.  H
 and the coset of gamma are read from the G-coordinates the split already
 verified; H is a closed subset of the verified group G, so a subgroup
-with G's identity and inverses.  Normality conjugates H by gamma alone;
-a clause that _limit_factors, the split, the fold, the construction or
-the coset map already proves is recorded from it.
-supp(nu) = L*G*R (support_nu_product) is recorded from
-support_nu_is_kernel, as the split's carrier is the walk kernel itself.
+with G's identity and inverses.  Normality conjugates H by gamma alone.
+A clause that _limit_factors, the split, the fold, the construction or
+the coset map already proves is listed in LIMIT_CLAUSES and has no
+run-time statement; a comment at the step that proves it names it.
+supp(nu) = L*G*R (support_nu_product) follows from support_nu_is_kernel,
+as the split's carrier is the walk kernel itself.
 The powers of a single element, and of a*e for element_power_cluster's
 check that a*e generates the cycle C, are read off that same walk of
 core._power_cycle, run on a singleton.  That check makes C = {b, ...,
@@ -335,6 +336,21 @@ def element_power_cluster(sg, a):
     return PowerCluster(q=q, p=p, cluster=cluster, idempotent=e)
 
 
+# The clauses of the limit theorem, in report order.  analyze_limit computes
+# six of them and raises TheoremViolation naming the one that fails; each of
+# the other fifteen follows from a step it has already verified, and the
+# comment at that step names it.
+LIMIT_CLAUSES = (
+    "nu_idempotent", "nu_invariant", "support_nu_is_kernel", "support_nu_product",
+    "eta_idempotent", "subgroup_in_group", "eta_support_product", "subgroup_normal",
+    "gamma_coset", "gamma_representative_independent", "period_matches_quotient",
+    "eta_power_invariant", "coset_powers_exhaust", "gamma_power_in_subgroup",
+    "cluster_distinct", "cluster_closed_cyclic", "cluster_supports_cosets",
+    "cluster_factorization", "nu_factorization", "eta_factorization",
+    "marginal_readings_agree",
+)
+
+
 @dataclass(frozen=True, eq=False)
 class LimitReport:
     """Everything the limit theorem asserts about one walk, checked."""
@@ -347,7 +363,12 @@ class LimitReport:
     rees: ReesDecomposition
     H: GroupStructure
     gamma: int
-    checks: dict
+
+    @property
+    def checks(self):
+        """Each of LIMIT_CLAUSES mapped to True, in a new dict: a report
+        exists only when every clause holds."""
+        return dict.fromkeys(LIMIT_CLAUSES, True)
 
 
 def analyze_limit(mu):
@@ -356,22 +377,23 @@ def analyze_limit(mu):
     Computes the Cesaro limit nu, the cluster identity eta, the cluster
     cycle [eta, mu*eta, ..., mu^(p-1)*eta], the product decomposition of
     supp(nu) with subgroup H and coset generator gamma, and verifies every
-    structural clause exactly.  A failed clause raises TheoremViolation;
-    the returned report's check map is therefore all-True.  Like
-    cesaro_limit it takes every table the package accepts; past the two
-    fixed laws (one lumped solve each, none when supp(mu) lies in K) and
-    the invariance check's two convolutions, its cost is set algebra over
-    the walk's supports, the split's G-coordinates of supp(mu)*L and
-    R*supp(mu), and coordinate products on K.
+    structural clause exactly.  A computed clause that fails raises
+    TheoremViolation naming it, so a returned report's checks map each of
+    LIMIT_CLAUSES to True.  Like cesaro_limit it takes every table the
+    package accepts; past the two fixed laws (one lumped solve each, none
+    when supp(mu) lies in K) and the invariance check's two convolutions,
+    its cost is set algebra over the walk's supports, the split's
+    G-coordinates of supp(mu)*L and R*supp(mu), and coordinate products on
+    K.
 
-    Each clause is proven once.  A clause an earlier step already proves
-    records that step's result: _limit_factors (mu * nu = nu = nu * mu,
-    and nu * nu = nu by the fold R*L in G), the verified split (L*G*R = K,
-    every G-coordinate in G, and R*L in G, which is eta_idempotent when H
-    = G), the fold supp(rho)*supp(lambda) in H (eta * eta = eta, and a
-    second split of supp(eta) would read eta as the first does), the
-    subgroup H (gamma*h*H = gamma*H) or the least p with gamma^p in H
-    (gamma_power_in_subgroup, and with period_matches_quotient the p
+    Each clause is proven once.  A clause an earlier step already proves has
+    no run-time statement; the comment at that step names it: _limit_factors
+    (mu * nu = nu = nu * mu, and nu * nu = nu by the fold R*L in G), the
+    verified split (L*G*R = K, every G-coordinate in G, and R*L in G, which
+    is eta_idempotent when H = G), the fold supp(rho)*supp(lambda) in H (eta
+    * eta = eta, and a second split of supp(eta) would read eta as the first
+    does), the subgroup H (gamma*h*H = gamma*H) or the least p with gamma^p
+    in H (gamma_power_in_subgroup, and with period_matches_quotient the p
     cosets gamma^k H are distinct and fill G).  H is tested only for
     closure, as it lies in the verified group G.  Normality conjugates H by
     gamma alone, as H and gamma generate G (coset_powers_exhaust).  nu, eta
@@ -385,37 +407,25 @@ def analyze_limit(mu):
     lie in gamma*H (gamma_coset), and eta * mu^p = eta once the right steps
     G(y*s) do too (eta_power_invariant); cluster_factorization,
     cluster_distinct and, with eta_idempotent and subgroup_normal by the
-    fold, cluster_closed_cyclic follow.  So a G-coordinate that sends a
-    step off the coset stops the report at gamma_coset or
-    eta_power_invariant.
+    fold, cluster_closed_cyclic follow.  So a G-coordinate that sends a step
+    off the coset stops the report at gamma_coset or eta_power_invariant.
     """
     sg = mu.parent
-    checks = {}
-
-    def record(name, ok, detail=lambda: ""):
-        # detail builds the failure text, only when the clause fails.
-        checks[name] = bool(ok)
-        if not ok:
-            raise TheoremViolation(name, detail())
-
     steps = support(mu)
     # The walk's T is closed, so its kernel T*z*T is an ideal of T by
     # associativity alone, and the split verifies it completely simple.
     q, cycle, dec = _walk_split(steps)
     walk_kernel = dec.carrier
-    # _limit_factors raises unless mu * nu = nu = nu * mu, and nu * nu = nu
-    # by the fold R*L in G.
+    # _limit_factors raises unless mu * nu = nu = nu * mu (nu_invariant),
+    # and nu * nu = nu by the fold R*L in G (nu_idempotent).
     nu, lam, rho = _limit_factors(mu, dec)
-    record("nu_idempotent", True)
-    record("nu_invariant", True)
     nu_support = support(nu)
-    record(
-        "support_nu_is_kernel",
-        nu_support == walk_kernel,
-        lambda: f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}",
-    )
-    # dec.carrier is walk_kernel, and the split verified L*G*R = dec.carrier.
-    record("support_nu_product", True)
+    if nu_support != walk_kernel:
+        raise TheoremViolation(
+            "support_nu_is_kernel", f"supp(nu)={nu_support.labels()}, kernel={walk_kernel.labels()}"
+        )
+    # support_nu_product: dec.carrier is walk_kernel, and the split verified
+    # L*G*R = dec.carrier.
     e = dec.base
     g_carrier = dec.group.carrier
     # The split stored e*z*e, which lies in e*(K*e) = G, as the G-coordinate
@@ -449,16 +459,13 @@ def analyze_limit(mu):
     # supp(rho) = R, supp(lambda) = L (support_nu_is_kernel; see
     # eta_support_product below).  With H = G that is R*L in G, which the
     # split verified.
-    record(
-        "eta_idempotent",
-        subgroup is dec.group or product_sets(dec.right, dec.left).issubset(h_set),
-    )
-    record("subgroup_in_group", True)  # every G-coordinate lies in e*(K*e) = G
-    # supp(nu) = psi(supp(lambda) x G x supp(rho)) is K = psi(L x G x R)
-    # (support_nu_is_kernel), and psi is a bijection, so supp(lambda) = L and
-    # supp(rho) = R; a coordinate product over a subset C of G is then
-    # supported on psi(L x C x R) = L*C*R, here L*H*R.
-    record("eta_support_product", True)
+    if subgroup is not dec.group and not product_sets(dec.right, dec.left).issubset(h_set):
+        raise TheoremViolation("eta_idempotent")
+    # subgroup_in_group: every G-coordinate lies in e*(K*e) = G.
+    # eta_support_product: supp(nu) = psi(supp(lambda) x G x supp(rho)) is
+    # K = psi(L x G x R) (support_nu_is_kernel), and psi is a bijection, so
+    # supp(lambda) = L and supp(rho) = R; a coordinate product over a subset
+    # C of G is then supported on psi(L x C x R) = L*C*R, here L*H*R.
 
     # One step of mu moves a coordinate product's middle factor by the
     # G-coordinates G(s*x), x in L, on the left and G(y*s), y in R, on the
@@ -473,10 +480,12 @@ def analyze_limit(mu):
     # H and gamma generate G (coset_powers_exhaust below, which a returned
     # report also passed), so gamma*H*gamma^-1 = H makes H normal in G.
     gamma_inv = dec.group.inv(gamma)
-    record("subgroup_normal", sg.subset(rows[z][gamma_inv] for z in gamma_coset) == h_set)
-    record("gamma_coset", gamma_set == gamma_coset)
-    # Any z = gamma*h in gamma*H has z*H = gamma*(h*H) = gamma*H.
-    record("gamma_representative_independent", True)
+    if sg.subset(rows[z][gamma_inv] for z in gamma_coset) != h_set:
+        raise TheoremViolation("subgroup_normal")
+    if gamma_set != gamma_coset:
+        raise TheoremViolation("gamma_coset")
+    # gamma_representative_independent: any z = gamma*h in gamma*H has z*H
+    # = gamma*(h*H) = gamma*H.
 
     # p is the order of gamma*H in G/H, the least k >= 1 with gamma^k in H.
     # The support cycle on K witnesses it independently: rotating the cycle
@@ -486,55 +495,54 @@ def analyze_limit(mu):
     while gamma_pows[-1] not in h_set:
         gamma_pows.append(rows[gamma_pows[-1]][gamma])
     p = len(gamma_pows) - 1
-    record(
-        "period_matches_quotient",
-        on_kernel[p:] + on_kernel[:p] == on_kernel
-        and len(set(on_kernel[:p])) == p
-        and p * subgroup.order == dec.group.order,
-        lambda: f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
-    )
+    if (
+        on_kernel[p:] + on_kernel[:p] != on_kernel
+        or len(set(on_kernel[:p])) != p
+        or p * subgroup.order != dec.group.order
+    ):
+        raise TheoremViolation(
+            "period_matches_quotient",
+            f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
+        )
     # Put c_k = lambda * omega_(gamma^k H) * rho.  Every G(s*x) lies in
     # gamma*H (gamma_coset), so by normality G(s*x)*gamma^k H = gamma^(k+1) H,
     # and lambda is fixed by its walk (nu_invariant, read through the lemma
     # with m = omega_G): mu * c_k = c_(k+1).  Mirrored, every G(y*s) in
     # gamma*H = H*gamma and rho fixed give c_k * mu = c_(k+1).  With
     # gamma^p in H, c_p = eta, so mu^p * eta = eta = eta * mu^p.
-    record("eta_power_invariant", right_steps.issubset(gamma_coset))
-    # The least p makes the cosets gamma^k H, k < p, distinct, hence
-    # disjoint, and p*|H| = |G| (period_matches_quotient) makes them fill G.
-    record("coset_powers_exhaust", True)
-    record("gamma_power_in_subgroup", True)  # p is defined by it
+    if not right_steps.issubset(gamma_coset):
+        raise TheoremViolation("eta_power_invariant")
+    # coset_powers_exhaust: the least p makes the cosets gamma^k H, k < p,
+    # distinct, hence disjoint, and p*|H| = |G| (period_matches_quotient)
+    # makes them fill G.  gamma_power_in_subgroup: p is defined by it.
 
     # c_k for k < p, built in the split's coordinates; c_0 is eta.
     cluster = [eta] + [
         coordinate_product(lam, uniform_on(sg.subset(rows[g][h] for h in h_set)), rho)
         for g in gamma_pows[1:p]
     ]
-    # c_k lives on L*gamma^k H*R, as for eta_support_product, and those
-    # sets are distinct (coset_powers_exhaust), so the c_k are too.
-    record("cluster_distinct", True)
-    # By the fold (see the measure module), with rho * lambda a probability
-    # on H (eta_idempotent), eta * c_j = lambda * omega_H * omega_(gamma^j H)
-    # * rho, which is c_j because gamma^j H gamma^-j = H (subgroup_normal).
-    # So c_i * c_j = mu^i * (eta * c_j) = c_((i+j) mod p).
-    record("cluster_closed_cyclic", True)
-    # c_k = mu^k * eta (eta_power_invariant above), over gamma^k H by
-    # construction, so supported on L*gamma^k H*R.
-    record("cluster_supports_cosets", True)
-    record("cluster_factorization", True)
-    # nu and eta are the coordinate products over G and H, and psi_inv o psi
-    # is the identity on the verified coordinates, so they read back as
-    # (lambda, omega_G, rho) and (lambda, omega_H, rho).
-    record("nu_factorization", True)
-    record("eta_factorization", True)
-    # A second split of supp(eta) at e would read the same triple.  The fold
-    # R*L in H (eta_idempotent; supp(eta) = L*H*R by eta_support_product)
-    # makes supp(eta) completely simple with base e and group e*supp(eta)*e
-    # = H.  Its psi_inv has the closed form (z*e*g^-1, g, g^-1*e*z) with
-    # g = e*z*e, and g^-1 in H is g^-1 in G, so both splits give every
-    # point of supp(eta) the same coordinates, those eta was built from.
-    record("marginal_readings_agree", True)
-
+    # cluster_distinct: c_k lives on L*gamma^k H*R, as for
+    # eta_support_product, and those sets are distinct
+    # (coset_powers_exhaust), so the c_k are too.
+    # cluster_closed_cyclic: by the fold (see the measure module), with
+    # rho * lambda a probability on H (eta_idempotent), eta * c_j = lambda *
+    # omega_H * omega_(gamma^j H) * rho, which is c_j because gamma^j H
+    # gamma^-j = H (subgroup_normal).  So c_i * c_j = mu^i * (eta * c_j) =
+    # c_((i+j) mod p).
+    # cluster_supports_cosets and cluster_factorization: c_k = mu^k * eta
+    # (eta_power_invariant above), over gamma^k H by construction, so
+    # supported on L*gamma^k H*R.
+    # nu_factorization and eta_factorization: nu and eta are the coordinate
+    # products over G and H, and psi_inv o psi is the identity on the
+    # verified coordinates, so they read back as (lambda, omega_G, rho) and
+    # (lambda, omega_H, rho).
+    # marginal_readings_agree: a second split of supp(eta) at e would read
+    # the same triple.  The fold R*L in H (eta_idempotent; supp(eta) = L*H*R
+    # by eta_support_product) makes supp(eta) completely simple with base e
+    # and group e*supp(eta)*e = H.  Its psi_inv has the closed form
+    # (z*e*g^-1, g, g^-1*e*z) with g = e*z*e, and g^-1 in H is g^-1 in G, so
+    # both splits give every point of supp(eta) the same coordinates, those
+    # eta was built from.
     return LimitReport(
         nu=nu,
         q=q,
@@ -544,7 +552,6 @@ def analyze_limit(mu):
         rees=dec,
         H=subgroup,
         gamma=gamma,
-        checks=checks,
     )
 
 

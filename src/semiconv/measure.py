@@ -89,7 +89,7 @@ from functools import cache
 from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import GroupStructure, _Frozen, _check_parent, product_sets
+from .core import GroupStructure, _Frozen, _as_set, _check_parent, product_sets
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -311,6 +311,7 @@ def haar_uniform(group):
 
 
 def uniform_on(subset):
+    subset = _as_set(subset)
     if not subset:
         raise EmptySet("uniform distribution on the empty set")
     return Dist._from_numerators(subset.parent, len(subset), dict.fromkeys(subset, 1))
@@ -323,6 +324,7 @@ def marginals(mu, dec):
     returned distributions live on the same ambient semigroup, concentrated
     on the left factor, the group, and the right factor respectively.
     """
+    _check_parent(mu, dec)
     sg = mu.parent
     coords = []
     for z, n in mu._nums:

@@ -531,6 +531,61 @@ def test_ideal_predicates():
             predicate(sg.empty())
 
 
+def outcome(call):
+    """("ok", the result) or ("raised", the error type and text); a split,
+    which compares by identity, as its parts."""
+    try:
+        got = call()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    if isinstance(got, rees.ReesDecomposition):
+        got = (got.carrier, got.base, got.left, got.group, got.right)
+    return "ok", got
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        generated_subsemigroup,
+        group_structure,
+        idempotents,
+        is_ideal,
+        is_left_ideal,
+        is_left_simple,
+        is_right_ideal,
+        is_right_simple,
+        is_simple,
+        kernel,
+        minimal_ideals,
+        minimal_left_ideals,
+        minimal_right_ideals,
+        rees_decompose,
+        uniform_on,
+        pytest.param(lambda x: principal_left_ideal(x, 1), id="principal_left_ideal"),
+        pytest.param(lambda x: principal_right_ideal(x, 1), id="principal_right_ideal"),
+        pytest.param(lambda x: rees.is_primitive_idempotent(x, 0), id="is_primitive_idempotent"),
+    ],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CorpusSpec("cyclic", (4,)),
+        CorpusSpec("full_transformation", (2,)),
+        CorpusSpec("rectangular_band", (2, 2)),
+    ],
+    ids=CorpusSpec.describe,
+)
+def test_a_semigroup_stands_for_its_carrier(function, spec):
+    # Each public function that takes a subset answers, or refuses, a
+    # Semigroup as it does its carrier.  Nine of them once ended in
+    # AttributeError, as a Semigroup has no parent.
+    sg = build(spec)
+    got = outcome(lambda: function(sg))
+    assert got == outcome(lambda: function(sg.carrier()))
+    assert got[:2] != ("raised", AttributeError)
+
+
 def test_principal_ideals():
     sg = t_full(2)
     car = sg.carrier()

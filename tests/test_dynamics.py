@@ -5,11 +5,13 @@ direct loops; composition in full transformation semigroups is mul(f, g)
 = f(g(x)), so constants absorb on the left.
 """
 
+import ast
 import dataclasses
 import fractions
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ from conftest import fraction_nullspace, solve
 from semiconv import (
     CorpusSpec,
     Dist,
+    GroupStructure,
+    LimitReport,
     MalformedInput,
     MismatchedParent,
     NotSimple,
@@ -57,6 +61,10 @@ from semiconv import core, dynamics, measure, rees, verify
 from semiconv._rat import ONE, ZERO
 from semiconv.cli import main
 from semiconv.serialize import dist_to_json, dumps_canonical, semigroup_to_json
+
+
+# What limit_clauses_by_brute returns when every clause holds.
+ALL_CLAUSES_HOLD = dict.fromkeys(dynamics.LIMIT_CLAUSES, True)
 
 
 def cyclic(n):
@@ -302,7 +310,7 @@ def test_a_walk_whose_fold_is_not_trivial_passes_every_brute_clause():
     assert (rep.q, rep.p) == (3, 3)
     assert (len(dec.left), dec.group.order, len(dec.right), rep.H.order) == (2, 6, 2, 2)
     assert rep.H.carrier.labels() == ("((0,0),0)", "((0,0),3)")
-    assert limit_clauses_by_brute(mu, rep) == [True] * 21
+    assert limit_clauses_by_brute(mu, rep) == ALL_CLAUSES_HOLD
 
 
 KNOWN_PERIOD_WALKS = [
@@ -339,7 +347,7 @@ def test_cluster_period_on_walks_of_known_period(make_walk, period):
     mu = make_walk()
     rep = analyze_limit(mu)
     assert rep.p == period
-    assert limit_clauses_by_brute(mu, rep) == [True] * 21
+    assert limit_clauses_by_brute(mu, rep) == ALL_CLAUSES_HOLD
     # the float iteration, p steps at a time, converges to eta only when p
     # is a multiple of the true period and eta is the cluster identity
     assert float_shadow(mu, rep.eta, rep.p).converged
@@ -736,9 +744,10 @@ def default_corpus_walks(seed):
 
 
 def limit_clauses_by_brute(mu, report):
-    """The 21 clauses of analyze_limit, in report order, each recomputed on
-    the report's values with every product made afresh: no clause is read
-    off another, and H, the gamma set and the cosets come from table rows."""
+    """Each of dynamics.LIMIT_CLAUSES, in that order, mapped to whether it
+    holds, recomputed on the report's values with every product made
+    afresh: no clause is read off another, and H, the gamma set and the
+    cosets come from table rows."""
     sg = mu.parent
     rows = sg.rows
     nu, eta, cluster, p, dec = report.nu, report.eta, report.cluster, report.p, report.rees
@@ -804,8 +813,46 @@ def limit_clauses_by_brute(mu, report):
         "marginal_readings_agree": marginals(eta, rees_decompose(support(eta), at=e))
         == marginals(eta, dec),
     }
-    assert list(clauses) == list(report.checks)
-    return list(clauses.values())
+    assert list(clauses) == list(dynamics.LIMIT_CLAUSES)
+    return clauses
+
+
+def test_the_report_checks_are_the_declared_clauses():
+    # LIMIT_CLAUSES is the one list of the clause names and their order:
+    # the report's checks and the brute oracle follow it, and each access to
+    # checks makes a new dict.
+    assert len(set(dynamics.LIMIT_CLAUSES)) == len(dynamics.LIMIT_CLAUSES) == 21
+    assert "checks" not in {f.name for f in dataclasses.fields(LimitReport)}
+    mu = fold_walk()
+    rep = analyze_limit(mu)
+    checks = rep.checks
+    assert list(checks.items()) == list(ALL_CLAUSES_HOLD.items())
+    assert rep.checks is not checks
+    checks["nu_idempotent"] = False
+    assert rep.checks == ALL_CLAUSES_HOLD
+    assert list(limit_clauses_by_brute(mu, rep)) == list(dynamics.LIMIT_CLAUSES)
+
+
+def test_only_the_computed_clauses_are_named_outside_the_declared_list():
+    # Each clause name is a string literal once in the package, in
+    # LIMIT_CLAUSES, and a second time only for the six that analyze_limit
+    # computes, where it raises.  A proven clause has no statement.
+    computed = {
+        "support_nu_is_kernel",
+        "eta_idempotent",
+        "subgroup_normal",
+        "gamma_coset",
+        "period_matches_quotient",
+        "eta_power_invariant",
+    }
+    names = set(dynamics.LIMIT_CLAUSES)
+    written = Counter(
+        node.value
+        for path in Path(dynamics.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in names
+    )
+    assert written == {name: 1 + (name in computed) for name in names}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -817,7 +864,7 @@ def test_cluster_closure_from_the_generator_matches_the_pair_sweep(seed):
         report = analyze_limit(mu)
         assert report.checks["cluster_closed_cyclic"] is True
         assert verify.cluster_closed_by_sweep(report.cluster) is True
-        assert limit_clauses_by_brute(mu, report) == [True] * 21, mu.parent
+        assert limit_clauses_by_brute(mu, report) == ALL_CLAUSES_HOLD, mu.parent
 
 
 @pytest.mark.parametrize("n", [2, 3, 12, 30])
@@ -826,7 +873,7 @@ def test_cluster_closure_on_point_masses_of_full_period(n):
     rep = analyze_limit(mu)
     assert rep.p == n and rep.checks["cluster_closed_cyclic"]
     assert verify.cluster_closed_by_sweep(rep.cluster) is True
-    assert limit_clauses_by_brute(mu, rep) == [True] * 21
+    assert limit_clauses_by_brute(mu, rep) == ALL_CLAUSES_HOLD
 
 
 def test_an_open_cluster_list_fails_the_pair_sweep():
@@ -874,6 +921,63 @@ def test_a_wrong_g_coordinate_stops_the_coset_map(monkeypatch, first, clause):
     with pytest.raises(TheoremViolation) as exc:
         analyze_limit(mu)
     assert exc.value.clause == clause
+
+
+def test_a_limit_that_misses_a_kernel_point_fails_support_nu_is_kernel(monkeypatch):
+    # The kernel of t2_walk's subsemigroup is {00, 11}.  A point mass at the
+    # base idempotent in place of nu misses 11.
+    real = dynamics._limit_factors
+
+    def point_mass_nu(mu, dec):
+        _, lam, rho = real(mu, dec)
+        return dirac(mu.parent, dec.base), lam, rho
+
+    monkeypatch.setattr(dynamics, "_limit_factors", point_mass_nu)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(t2_walk())
+    assert exc.value.clause == "support_nu_is_kernel"
+    assert str(exc.value) == (
+        "theorem check failed: support_nu_is_kernel (supp(nu)=('00',), kernel=('00', '11'))"
+    )
+
+
+def test_a_fold_that_leaves_h_fails_eta_idempotent(monkeypatch):
+    # On fold_walk, H = {0,3} in the Z6 coordinate is not G, and R*L is the
+    # base idempotent ((0,0),0).  Reading R as R*((0,0),1) puts R*L at
+    # ((0,0),1), outside H, so eta * eta = eta no longer follows.
+    mu = fold_walk()
+    sg = mu.parent
+    real = dynamics.rees_decompose
+
+    def shifted(carrier):
+        dec = real(carrier)
+        shift = sg.singleton(sg.index("((0,0),1)"))
+        return dataclasses.replace(dec, right=core.product_sets(dec.right, shift))
+
+    monkeypatch.setattr(dynamics, "rees_decompose", shifted)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "eta_idempotent"
+    assert str(exc.value) == "theorem check failed: eta_idempotent"
+
+
+def test_a_wrong_inverse_of_gamma_fails_subgroup_normal(monkeypatch):
+    # delta_1 on Z4 has H = {0} and gamma = 1.  Giving 1 the inverse 2, not
+    # 3, conjugates H to {3}.
+    mu = dirac(cyclic(4), 1)
+    real = dynamics.rees_decompose
+
+    def misinverted(carrier):
+        dec = real(carrier)
+        group = dec.group
+        inverses = {**group.inverses, 1: 2}
+        return dataclasses.replace(dec, group=GroupStructure(group.carrier, group.identity, inverses))
+
+    monkeypatch.setattr(dynamics, "rees_decompose", misinverted)
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "subgroup_normal"
+    assert str(exc.value) == "theorem check failed: subgroup_normal"
 
 
 def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):

@@ -292,6 +292,16 @@ def test_marginals_reject_escaping_support():
         marginals(mu, dec)
 
 
+def test_marginals_reject_a_split_of_another_semigroup():
+    # rectangular_band(2,2) and cyclic(4) both have order 4, so every support
+    # point of mu lies in the split's carrier by index; the three marginals
+    # were once built from cyclic(4)'s coordinates with no error.
+    mu = uniform_on(band(2, 2).carrier())
+    dec = rees_decompose(kernel(cyclic(4)))
+    with pytest.raises(MismatchedParent, match="different semigroups"):
+        marginals(mu, dec)
+
+
 def test_is_idempotent_measure():
     z4 = cyclic(4)
     sub = z4.subset_of_labels(["0", "2"])

@@ -20,6 +20,7 @@ from semiconv import (
     kernel,
     rees_decompose,
 )
+from semiconv.dynamics import LIMIT_CLAUSES
 from semiconv.serialize import (
     corpus_spec_from_json,
     corpus_spec_to_json,
@@ -145,7 +146,8 @@ def test_limit_report_to_json():
     assert obj["cluster"] == [{"probs": {"0": "1/1"}}, {"probs": {"1": "1/1"}}]
     assert obj["gamma"] == "1"
     assert obj["H"]["carrier"] == ["0"]
-    assert set(obj["checks"].values()) == {True} and len(obj["checks"]) == 21
+    assert obj["checks"] == dict.fromkeys(LIMIT_CLAUSES, True)
+    assert list(obj["checks"]) == list(LIMIT_CLAUSES)
     # serializable as-is
     json.dumps(obj)
 
