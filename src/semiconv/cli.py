@@ -4,9 +4,12 @@ File-driven workflows over JSON tables and distributions: validation,
 structure reports, convolution, limit analysis, the verification suite,
 and corpus generation.
 
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid
-semigroup or distribution data, 3 theorem or verification failure or an
-unexpected internal error.
+Exit codes: 0 success, 1 unreadable or unparseable input or an
+unwritable output file, 2 invalid semigroup or distribution data, 3
+theorem or verification failure or an unexpected internal error.  Each
+error class declares its code as `exit_code` in `semiconv.errors`, and
+`main` returns it; only success, `verify`'s failed checks and internal
+errors are decided here.
 """
 
 from __future__ import annotations
@@ -22,46 +25,30 @@ from .dynamics import (
     element_power_cluster,
     power,
 )
-from .errors import (
-    HypothesisViolated,
-    InvalidDistribution,
-    InvalidTable,
-    MalformedInput,
-    SemiconvError,
-    SingularDecomposition,
-    TheoremViolation,
-    VerificationFailed,
-)
+from .errors import MalformedInput, SemiconvError
 from .generators import build
 from .measure import convolve
 from .rees import minimal_one_sided_ideals, rees_decompose
 from .verify import run_suite
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_INVALID = 2
 EXIT_THEOREM = 3
-
-_THEOREM_ERRORS = (
-    TheoremViolation,
-    VerificationFailed,
-    HypothesisViolated,
-    SingularDecomposition,
-)
 
 
 def _emit(args, payload, human_lines):
     """Route one report: human text to stdout, JSON inline or to a file."""
     text = serialize.dumps_canonical(payload)
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(text)
     else:
         for line in human_lines:
             print(line)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {args.out}: {exc}") from exc
 
 
 def _set_line(name, es):
@@ -80,7 +67,7 @@ def _load_pair(args):
 
 def cmd_validate(args):
     sg = serialize.load_semigroup(args.table)
-    print(f"valid semigroup: order {sg.order}")
+    _emit(args, {"order": sg.order}, [f"valid semigroup: order {sg.order}"])
     return EXIT_OK
 
 
@@ -155,13 +142,14 @@ def cmd_power(args):
 
 
 def cmd_limit(args):
-    if args.emit_diagnostic and args.max_power < 1:
-        raise MalformedInput(f"--max-power must be >= 1, got {args.max_power}")
+    steps = args.emit_diagnostic
+    if steps is not None and steps < 1:
+        raise MalformedInput(f"--emit-diagnostic must be >= 1, got {steps}")
     sg, mu = _load_pair(args)
     report = analyze_limit(mu)
     payload = serialize.limit_report_to_json(report)
-    if args.emit_diagnostic:
-        diag = cesaro_diagnostic(mu, args.max_power, report.nu)
+    if steps:
+        diag = cesaro_diagnostic(mu, steps, report.nu)
         payload["diagnostic"] = {
             "deviations": [serialize.rat_to_string(d) for d in diag.deviations],
             "limit_gaps": [serialize.rat_to_string(g) for g in diag.limit_gaps],
@@ -174,10 +162,10 @@ def cmd_limit(args):
         f"coset generator gamma: {sg.label(report.gamma)}",
         f"checks passed: {len(report.checks)}",
     ]
-    if args.emit_diagnostic:
+    if steps:
         human.append(
             "diagnostic gap to limit after "
-            f"{args.max_power} steps: {serialize.rat_to_string(diag.limit_gaps[-1])}"
+            f"{steps} steps: {serialize.rat_to_string(diag.limit_gaps[-1])}"
         )
     _emit(args, payload, human)
     return EXIT_OK
@@ -265,11 +253,13 @@ def _parser():
     p = add("limit", cmd_limit, "limit analysis of the convolution walk")
     p.add_argument("table")
     p.add_argument("mu")
-    p.add_argument("--max-power", type=int, default=16, help="diagnostic series length")
     p.add_argument(
         "--emit-diagnostic",
-        action="store_true",
-        help="include the averaged-shift deviation series",
+        type=int,
+        nargs="?",
+        const=16,
+        metavar="MAX_POWER",
+        help="include the averaged-shift deviation series over MAX_POWER steps (default 16)",
     )
 
     p = add("cluster-element", cmd_cluster_element, "cycle structure of one element's powers")
@@ -298,18 +288,9 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except _THEOREM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THEOREM
-    except (InvalidTable, InvalidDistribution) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except SemiconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return exc.exit_code
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_THEOREM

@@ -407,6 +407,10 @@ def _first_broken_triple(t, rows):
 
 def product_sets(first, second):
     """{a*b : a in first, b in second}.  Empty factor gives the empty set."""
+    # Exact type tests keep the usual pair of ElementSets off _as_set's two
+    # calls: this is the set product of every support walk.
+    if type(first) is not ElementSet or type(second) is not ElementSet:
+        first, second = _as_set(first), _as_set(second)
     _check_parent(first, second)
     sg = first.parent
     aa, bb = first.elements(), second.elements()

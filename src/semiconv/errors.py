@@ -1,20 +1,28 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the exit-code taxonomy.
 
-Every error raised by the package derives from SemiconvError so CLI code
-can map failures to exit codes in one place.
+Every error raised by the package derives from SemiconvError, and each
+class declares in `exit_code` the code the command line exits with when
+it is raised: 1 for input that cannot be read, parsed or written; 2, the
+default, for invalid semigroup or distribution data; 3 for a theorem or
+verification failure.  This module is the one place the mapping lives:
+`cli.main` returns `exc.exit_code` for every SemiconvError.
 """
 
 
 class SemiconvError(Exception):
-    pass
+    exit_code = 2
 
 
 class MalformedInput(SemiconvError):
     """Input file or literal does not parse into the expected shape."""
 
+    exit_code = 1
+
 
 class InvalidTable(MalformedInput):
     """A table that parses but does not describe a semigroup's elements."""
+
+    exit_code = 2
 
 
 class IndexOutOfRange(InvalidTable):
@@ -87,6 +95,8 @@ class NotInFactor(SemiconvError):
 class VerificationFailed(SemiconvError):
     """An internally derived identity failed to check out.  Signals a bug."""
 
+    exit_code = 3
+
     def __init__(self, clause, detail=""):
         self.clause = clause
         msg = f"internal verification failed: {clause}"
@@ -102,7 +112,7 @@ class InvalidSandwichEntry(SemiconvError):
 
 
 class InvalidDistribution(MalformedInput):
-    pass
+    exit_code = 2
 
 
 class SupportOutsideDecomposition(SemiconvError):
@@ -113,6 +123,8 @@ class SupportOutsideDecomposition(SemiconvError):
 
 class TheoremViolation(SemiconvError):
     """A verified-by-construction conclusion failed on concrete data."""
+
+    exit_code = 3
 
     def __init__(self, clause, detail=""):
         self.clause = clause
@@ -132,6 +144,8 @@ class PreconditionViolated(SemiconvError):
 
 
 class HypothesisViolated(SemiconvError):
+    exit_code = 3
+
     def __init__(self, condition, witness=None):
         self.condition, self.witness = condition, witness
         msg = f"hypothesis violated: {condition}"
@@ -141,7 +155,7 @@ class HypothesisViolated(SemiconvError):
 
 
 class SingularDecomposition(SemiconvError):
-    pass
+    exit_code = 3
 
 
 class ParameterOutOfRange(SemiconvError):

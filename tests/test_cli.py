@@ -1,16 +1,24 @@
 """Command line driver: output shapes and the exit-code contract.
 
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 structurally
-invalid semigroup or distribution data, 3 a theorem check failed.
+invalid semigroup or distribution data, 3 a theorem check failed.  Each
+error class declares its code in `semiconv.errors`.
 """
 
 import json
 
 import pytest
 
-from semiconv import DEFAULT_ORDER_CAP, cli, core, generators, rees
+from semiconv import DEFAULT_ORDER_CAP, cli, core, errors, generators, rees
 from semiconv.cli import main
 from semiconv.core import is_left_simple, is_right_simple, is_simple
+from semiconv.errors import (
+    IndexOutOfRange,
+    MalformedInput,
+    NonAssociative,
+    SemiconvError,
+    TheoremViolation,
+)
 from semiconv.serialize import dumps_canonical, semigroup_to_json
 from semiconv.verify import build_corpus
 
@@ -46,6 +54,16 @@ def dist_file(tmp_path, name, probs):
 def test_validate_ok(z4, capsys):
     assert main(["validate", z4]) == 0
     assert capsys.readouterr().out == "valid semigroup: order 4\n"
+
+
+def test_validate_honours_json_and_out(z4, tmp_path, capsys):
+    # validate once printed its line and ignored both flags.
+    assert main(["validate", z4, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": 4}
+    target = tmp_path / "valid.json"
+    assert main(["validate", z4, "-o", str(target)]) == 0
+    assert capsys.readouterr().out == "valid semigroup: order 4\n"
+    assert json.loads(target.read_text(encoding="utf-8")) == {"order": 4}
 
 
 def test_validate_non_associative(tmp_path, capsys):
@@ -221,13 +239,16 @@ def test_limit_subcommand(z2, tmp_path, capsys):
 
 def test_limit_diagnostic(z2, tmp_path, capsys):
     mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
-    assert main(["limit", z2, mu, "--json", "--emit-diagnostic", "--max-power", "4"]) == 0
+    assert main(["limit", z2, mu, "--json", "--emit-diagnostic", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["diagnostic"]["deviations"] == ["2/1", "0/1", "2/3", "0/1"]
     assert payload["diagnostic"]["limit_gaps"] == ["1/1", "0/1", "1/3", "0/1"]
     # human mode mentions the final gap
-    assert main(["limit", z2, mu, "--emit-diagnostic", "--max-power", "4"]) == 0
+    assert main(["limit", z2, mu, "--emit-diagnostic", "4"]) == 0
     assert "diagnostic gap to limit after 4 steps: 0/1" in capsys.readouterr().out
+    # with no value the series runs 16 steps
+    assert main(["limit", z2, mu, "--emit-diagnostic"]) == 0
+    assert "diagnostic gap to limit after 16 steps: 0/1" in capsys.readouterr().out
 
 
 def test_limit_rejects_max_power_before_solving(z2, tmp_path, capsys, monkeypatch):
@@ -237,8 +258,68 @@ def test_limit_rejects_max_power_before_solving(z2, tmp_path, capsys, monkeypatc
         raise AssertionError("analyze_limit ran before the argument check")
 
     monkeypatch.setattr(cli, "analyze_limit", unreachable)
-    assert main(["limit", z2, mu, "--emit-diagnostic", "--max-power", "0"]) == 1
-    assert "--max-power must be >= 1" in capsys.readouterr().err
+    assert main(["limit", z2, mu, "--emit-diagnostic", "0"]) == 1
+    assert "--emit-diagnostic must be >= 1, got 0" in capsys.readouterr().err
+
+
+# The exit-code taxonomy, written out class by class: 1 for input that
+# cannot be read, parsed or written, 2 for invalid data, 3 for a failed
+# theorem.
+EXIT_CODES = {
+    "MalformedInput": 1,
+    "InvalidTable": 2,
+    "IndexOutOfRange": 2,
+    "InvalidDistribution": 2,
+    "TheoremViolation": 3,
+    "VerificationFailed": 3,
+    "HypothesisViolated": 3,
+    "SingularDecomposition": 3,
+}
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SemiconvError)
+]
+
+
+def test_the_taxonomy_names_existing_classes():
+    assert set(EXIT_CODES) <= {c.__name__ for c in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_declares_its_exit_code(error_class):
+    assert error_class.exit_code == EXIT_CODES.get(error_class.__name__, 2)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (MalformedInput("cannot parse"), 1),
+        (IndexOutOfRange(0, 1, 9), 2),
+        (NonAssociative(1, 2, 3), 2),
+        (TheoremViolation("eta_idempotent", "detail"), 3),
+    ],
+    ids=["MalformedInput", "IndexOutOfRange", "NonAssociative", "TheoremViolation"],
+)
+def test_main_returns_the_code_the_error_declares(error, code, z2, tmp_path, capsys, monkeypatch):
+    mu = dist_file(tmp_path, "mu.json", {"1": "1/1"})
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "analyze_limit", failing)
+    assert main(["limit", z2, mu]) == code == type(error).exit_code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
+def test_unwritable_out_file_is_io_error(z4, tmp_path, capsys):
+    # Once an internal error: open's FileNotFoundError reached main's catch-all.
+    target = tmp_path / "missing" / "report.json"
+    assert main(["analyze", z4, "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert "order: 4" in captured.out
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_unexpected_exception_is_an_internal_error(z2, tmp_path, capsys, monkeypatch):

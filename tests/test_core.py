@@ -564,6 +564,7 @@ def outcome(call):
         pytest.param(lambda x: principal_left_ideal(x, 1), id="principal_left_ideal"),
         pytest.param(lambda x: principal_right_ideal(x, 1), id="principal_right_ideal"),
         pytest.param(lambda x: rees.is_primitive_idempotent(x, 0), id="is_primitive_idempotent"),
+        pytest.param(lambda x: product_sets(x, x), id="product_sets"),
     ],
     ids=lambda f: f.__name__,
 )
@@ -578,7 +579,7 @@ def outcome(call):
 )
 def test_a_semigroup_stands_for_its_carrier(function, spec):
     # Each public function that takes a subset answers, or refuses, a
-    # Semigroup as it does its carrier.  Nine of them once ended in
+    # Semigroup as it does its carrier.  Ten of them once ended in
     # AttributeError, as a Semigroup has no parent.
     sg = build(spec)
     got = outcome(lambda: function(sg))
