@@ -4,12 +4,12 @@ File-driven workflows over JSON tables and distributions: validation,
 structure reports, convolution, limit analysis, the verification suite,
 and corpus generation.
 
-Exit codes: 0 success, 1 unreadable or unparseable input or an
-unwritable output file, 2 invalid semigroup or distribution data, 3
-theorem or verification failure or an unexpected internal error.  Each
-error class declares its code as `exit_code` in `semiconv.errors`, and
-`main` returns it; only success, `verify`'s failed checks and internal
-errors are decided here.
+Exit codes: 0 success, 1 unreadable or unparseable input, a command line
+that does not parse, or an unwritable output file, 2 invalid semigroup or
+distribution data, 3 theorem or verification failure or an unexpected
+internal error.  Each error class declares its code as `exit_code` in
+`semiconv.errors`, and `main` returns it; only success, `verify`'s failed
+checks and internal errors are decided here.
 """
 
 from __future__ import annotations
@@ -36,19 +36,21 @@ EXIT_THEOREM = 3
 
 
 def _emit(args, payload, human_lines):
-    """Route one report: human text to stdout, JSON inline or to a file."""
+    """Route one report: human text to stdout, JSON inline or to a file.
+    The file is written first, so a run that cannot write it prints no
+    report."""
     text = serialize.dumps_canonical(payload)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        for line in human_lines:
-            print(line)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise MalformedInput(f"cannot write {args.out}: {exc}") from exc
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        for line in human_lines:
+            print(line)
 
 
 def _set_line(name, es):
@@ -216,8 +218,17 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line that does not parse is malformed input: print the
+    usage line and raise, so main maps it like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MalformedInput(message)
+
+
 def _parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="semiconv",
         description="Exact structure and convolution-limit analysis of finite semigroups.",
     )
@@ -285,8 +296,8 @@ _PARSER = _parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except SemiconvError as exc:
         print(f"error: {exc}", file=sys.stderr)

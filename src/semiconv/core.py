@@ -384,10 +384,10 @@ def _greedy_generators(t, order=None):
             reached[size : size + frontier.size] = frontier
             size += frontier.size
             seen = reached[:size]
-            products = np.concatenate(
-                (t[np.ix_(frontier, seen)].ravel(), t[np.ix_(seen, frontier)].ravel())
-            )
-            frontier = np.unique(products[~inside[products]])
+            hit = np.zeros(n, dtype=bool)
+            hit[t[frontier[:, None], seen]] = True
+            hit[t[seen[:, None], frontier]] = True
+            frontier = np.flatnonzero(hit & ~inside)
     return gens
 
 

@@ -12,9 +12,27 @@ validate_cayley that integer array.
 Randomized kinds draw from xorshift64*, a fixed 64-bit shift-register
 generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D), so the
 corpus is reproducible bit-for-bit across implementations and platforms.
+
+Runs of draws are read from a jump table, with no per-step loop.  The
+state step s -> s^(s>>12), s^(s<<25), s^(s>>27) is linear over GF(2)^64:
+each shift and XOR maps a XOR b to f(a) XOR f(b).  So the state t steps
+after s is the XOR of the images of the parts of s; cut s into its 16
+nibbles and it is the XOR, over nibble j with value v, of the state t
+steps after the state holding v at nibble j and zeros elsewhere.  The
+table _jump_table() holds those 16 x 16 x 64 states, built once by
+stepping the 64 one-bit states as one numpy vector, so below_many reads up
+to 64 states with one gather and one XOR reduction; the output multiply
+wraps mod 2^64 in uint64, as next_word does.  This is the jump-ahead of
+Haramoto, Matsumoto, Nishimura, Panneton and L'Ecuyer (INFORMS J.
+Computing 20, 2008) for Vigna's xorshift64* (ACM TOMS 42, 2016).
+
+random_dist on a one-point support draws nothing: every draw below 1 is
+0, so the one weight is the whole bound, and the generator is local to
+the call, so skipping its draws changes no later value.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,20 +69,52 @@ class XorShift64Star:
         return self.next_word() % n
 
     def below_many(self, n, count):
-        """count draws in [0, n), in one loop: the values, and the state left
-        behind, of count calls to below(n)."""
+        """count draws in [0, n): the values, and the state left behind, of
+        count calls to below(n).  Reads the states 64 at a time from the
+        jump table (module docstring)."""
         if n < 1:
             raise ParameterOutOfRange(f"draw bound must be >= 1, got {n}")
+        table = _jump_table()
         s = self.state
-        multiplier = self.MULTIPLIER
         out = []
-        for _ in range(count):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            out.append((s * multiplier & _MASK64) % n)
+        while count > 0:
+            m = min(count, 64)
+            rows = _NIBBLE_ROWS + ((np.uint64(s) >> _NIBBLE_SHIFTS) & _NIBBLE_MASK)
+            states = np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0)[:m]
+            out += [w % n for w in (states * _MULTIPLIER).tolist()]
+            s = int(states[-1])
+            count -= m
         self.state = s
         return out
+
+
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
+_NIBBLE_ROWS = 16 * np.arange(16, dtype=np.uint64)
+_NIBBLE_MASK = np.uint64(15)
+_MULTIPLIER = np.uint64(XorShift64Star.MULTIPLIER)
+
+
+@cache
+def _jump_table():
+    """Row 16*j + v, column t: the state t+1 steps after the state whose
+    nibble j is v and whose other bits are 0 (a 16 x 16 x 64 table, with
+    its first two axes flattened).  Built on first use, by stepping the 64
+    one-bit states as one vector."""
+    s = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    steps = np.empty((64, 64), dtype=np.uint64)
+    for t in range(64):
+        s ^= s >> np.uint64(12)
+        s ^= s << np.uint64(25)
+        s ^= s >> np.uint64(27)
+        steps[:, t] = s
+    # bit b of nibble j is bit 4j+b; the axes of table are (j, v, t)
+    bits = steps.reshape(16, 4, 64)
+    table = np.zeros((16, 16, 64), dtype=np.uint64)
+    for b in range(4):
+        has = (np.arange(16) >> b) & 1 == 1
+        table[:, has, :] ^= bits[:, b, None, :]
+    table.flags.writeable = False  # one table, shared by every caller
+    return table.reshape(256, 64)
 
 
 @dataclass(frozen=True)
@@ -302,7 +352,10 @@ def random_dist(support, seed, denominator_bound):
         raise ParameterOutOfRange(
             f"denominator_bound {denominator_bound} below support size {k}"
         )
-    weights = [1] * k
-    for i in XorShift64Star(seed).below_many(k, denominator_bound - k):
-        weights[i] += 1
+    if k == 1:
+        weights = [denominator_bound]
+    else:
+        weights = [1] * k
+        for i in XorShift64Star(seed).below_many(k, denominator_bound - k):
+            weights[i] += 1
     return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))

@@ -317,9 +317,26 @@ def test_unwritable_out_file_is_io_error(z4, tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     assert main(["analyze", z4, "-o", str(target)]) == 1
     captured = capsys.readouterr()
-    assert "order: 4" in captured.out
+    # the file is written before the report is printed, so a failed write
+    # prints no report
+    assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
+
+
+def test_a_command_line_that_does_not_parse_is_malformed_input(z2, capsys):
+    assert main(["limit", z2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: semiconv limit ")
+    assert captured.err.endswith("error: the following arguments are required: mu\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: semiconv limit ")
 
 
 def test_unexpected_exception_is_an_internal_error(z2, tmp_path, capsys, monkeypatch):

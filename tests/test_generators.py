@@ -25,7 +25,8 @@ from semiconv import generators
 MASK = (1 << 64) - 1
 
 
-def reference_stream(seed, count):
+def reference_states(seed, count):
+    """The states after each of count steps, by the per-step loop."""
     s = seed & MASK
     if s == 0:
         s = 0x9E3779B97F4A7C15
@@ -34,8 +35,12 @@ def reference_stream(seed, count):
         s ^= s >> 12
         s = (s ^ (s << 25)) & MASK
         s ^= s >> 27
-        out.append((s * 0x2545F4914F6CDD1D) & MASK)
+        out.append(s)
     return out
+
+
+def reference_stream(seed, count):
+    return [(s * 0x2545F4914F6CDD1D) & MASK for s in reference_states(seed, count)]
 
 
 def test_xorshift_matches_reference():
@@ -68,15 +73,46 @@ def test_below():
         rng.below(0)
 
 
-@pytest.mark.parametrize("n", [1, 3, 10, 1 << 40])
+# Chained counts cross the 64-state blocks of the jump table: empty, one,
+# one short of a block, a block, one over, two blocks and one, many blocks.
+CHAINED_COUNTS = (0, 1, 63, 64, 65, 129, 1000)
+ORACLE_SEEDS = (0, 1, 42, MASK) + tuple(reference_stream(2024, 20))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 1 << 40, 2**64 + 5])
 def test_below_many_is_repeated_below(n):
-    for seed in (0, 42, MASK):
+    for seed in ORACLE_SEEDS:
         one, many = XorShift64Star(seed), XorShift64Star(seed)
-        draws = [one.below(n) for _ in range(70)]
-        assert many.below_many(n, 50) + many.below_many(n, 0) + many.below_many(n, 20) == draws
-        assert many.state == one.state
+        states = [one.state] + reference_states(seed, sum(CHAINED_COUNTS))
+        done = 0
+        for count in CHAINED_COUNTS:
+            assert many.below_many(n, count) == [one.below(n) for _ in range(count)]
+            done += count
+            assert many.state == one.state == states[done]
     with pytest.raises(ParameterOutOfRange):
         XorShift64Star(1).below_many(0, 5)
+
+
+def random_dist_by_loop(support, seed, bound):
+    """random_dist by the per-step loop, drawing also on a one-point support."""
+    elements = support.elements()
+    weights = [1] * len(elements)
+    for w in reference_stream(seed, bound - len(elements)):
+        weights[w % len(elements)] += 1
+    return Dist.from_mapping(
+        support.parent, {e: RAT(w, bound) for e, w in zip(elements, weights)}
+    )
+
+
+def test_random_dist_matches_the_step_loop():
+    # a fresh seed per call, so the first blocks read every table row
+    seeds = iter(reference_stream(99, 5 * 130))
+    z5 = build(CorpusSpec("cyclic", (5,)))
+    for k in range(1, 6):
+        support = z5.subset_of_labels([str(i) for i in range(5 - k, 5)])
+        for bound in range(k, 131):
+            seed = next(seeds)
+            assert random_dist(support, seed, bound) == random_dist_by_loop(support, seed, bound)
 
 
 def test_cyclic_builder():
