@@ -7,21 +7,29 @@ through ElementSet's operations, never through the mask.  So the set
 algebra that needs the mask lives here, down to the power walk A, A*A, ...
 up to its first repeat (_power_cycle), which dynamics runs on supp(mu) to
 read off the support cycle of mu^n, and on a singleton {a} to read off the
-power cycle of an element a for its cluster.  All operations are exact
-table lookups; the only numeric library involved is numpy, used for table
-validation and for bulk product enumeration on large sets.  Validation decides
-associativity by Light's test: it sweeps (a*b)*c = a*(b*c) over all b and
-c only for the rows a of a greedy generating set.  Two such sets are used.
-The one that decides is taken in descending order of row image size
-|a*S|, which keeps it small; only when its sweep finds a broken row is a
-second set, taken in index order, swept to name the lexicographically
-first broken triple.  The validated table is kept as a read-only int32
-array.  The kernel of a subsemigroup S is computed from one of its
-elements, as K = (S*z)*S; associativity, which validation proved, makes
-it an ideal of S, so it is not tested for one.  S is simple exactly when
-it is its own kernel, and left (right) simple exactly when one translate
-S*z (z*S) of a kernel element z is S.  The minimal one-sided ideals are
-read off the verified Rees split of K in rees.
+power cycle of an element a for its cluster.  A walk step, a set product
+or a mask read above a measured size goes through numpy, one table gather
+into a boolean array or one np.unpackbits; below it a loop over the
+table's rows or the mask's bits is cheaper, as numpy's fixed cost per
+call dominates small sets.  All operations are exact table lookups.
+Validation decides associativity by Light's test: it sweeps (a*b)*c =
+a*(b*c) over all b and c only for the rows a of a greedy generating set,
+each pick outside the closure of the earlier picks under right
+translation by them.  That closure is sound without associativity: the
+good rows (those whose sweep passes) are closed under the product, so the
+right translates of good picks are good, and picks that reach every
+element prove every row good.  It lies inside the closure under both
+products of every pair, and equals it on an associative table.  Two such
+sets are used.  The one that decides is taken in descending order of row
+image size |a*S|, which keeps it small; only when its sweep finds a
+broken row is a second set, taken in index order, swept to name the
+lexicographically first broken triple.  The validated table is kept as a
+read-only int32 array.  The kernel of a subsemigroup S is computed from
+one of its elements, as K = (S*z)*S; associativity, which validation
+proved, makes it an ideal of S, so it is not tested for one.  S is simple
+exactly when it is its own kernel, and left (right) simple exactly when
+one translate S*z (z*S) of a kernel element z is S.  The minimal
+one-sided ideals are read off the verified Rees split of K in rees.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -173,13 +181,8 @@ class ElementSet(_Frozen):
         # analysis makes dozens of sets.
         els = self._elements
         if els is None:
-            out = []
             m = self.mask
-            while m:
-                low = m & -m
-                out.append(low.bit_length() - 1)
-                m ^= low
-            els = tuple(out)
+            els = tuple(_indices(m).tolist()) if m.bit_count() > _UNPACK_SIZE else _bits(m)
             _set_elements(self, els)
         return els
 
@@ -239,6 +242,33 @@ _set_parent = ElementSet.parent.__set__
 _set_mask = ElementSet.mask.__set__
 _set_elements = ElementSet._elements.__set__
 
+# Above this many elements a mask is read by np.unpackbits rather than one
+# bit at a time: the bit loop costs about 0.13 us per element at order 176
+# and 0.17 us at order 1000, the unpacking a flat 3-5 us, and they cross
+# between 24 and 32 elements at both orders (best of 5x2000 calls).
+_UNPACK_SIZE = 32
+
+
+def _bits(mask):
+    """The set bits of a mask, ascending, one bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _indices(mask):
+    """The set bits of a mask as an ascending index array."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
+def _mask_of(hit):
+    """The mask of a boolean array over the carrier."""
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+
 
 def _check_parent(first, second):
     """MismatchedParent unless two sets or distributions share one Semigroup."""
@@ -272,21 +302,29 @@ def validate_cayley(labels, table):
     Associativity is decided by Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, section 1.2).  Call a good when
     (a*b)*c = a*(b*c) for all b and c.  The good elements are closed under
-    the product, so they are the whole carrier once they include a
-    generating set B.  B is picked greedily, each pick outside the closure
-    of the earlier ones, and that closure is built from both products x*y
-    and y*x of every pair, without assuming associativity; then only the
-    rows a in B are swept against every b and c, at O(|B|*n^2) cost instead
-    of O(n^3).
+    the product: for good a and a', ((a*a')*b)*c = (a*(a'*b))*c =
+    a*((a'*b)*c) = a*(a'*(b*c)) = (a*a')*(b*c), using only the goodness of
+    a (twice) and of a'.  So they are the whole carrier once they include
+    a set B whose closure under right translation, x -> x*g for g in B, is
+    the whole carrier: every element of that closure is a pick or x*g with
+    x in it, hence a product of good elements.  B is picked greedily, each
+    pick outside that closure of the earlier ones (_greedy_generators),
+    without assuming associativity; then only the rows a in B are swept
+    against every b and c, at O(|B|*n^2) cost instead of O(n^3).  The
+    closure lies inside the closure under both products of every pair; on
+    an associative table the two are one set, the products of picks, so
+    only a table that fails the test can need more picks.
 
-    Any generating set decides the test, so the deciding B is picked in
-    descending order of row image size |a*S| (ties by index): rows that
-    reach many elements generate the table in few picks.  Only if one of
-    its rows is bad is a second B, picked in index order, swept in
-    ascending order to name the witness: the lexicographically first triple
-    (a, b, c) with (a*b)*c != a*(b*c), as a full sweep would find it.  Every
-    row before the first bad row a is good, so their closure is good and
-    misses a, and the index-order pick therefore puts a in that B.
+    Any such B decides the test, so the deciding B is picked in descending
+    order of row image size |a*S| (ties by index): rows that reach many
+    elements generate the table in few picks.  Only if one of its rows is
+    bad is a second B, picked in index order, swept in ascending order to
+    name the witness: the lexicographically first triple (a, b, c) with
+    (a*b)*c != a*(b*c), as a full sweep would find it.  Every row before
+    the first bad row a is good, so the closure of the picks before a is
+    good and misses a, and the index-order pick therefore puts a in that
+    B; the picks swept before it are good, so a's first broken (b, c) is
+    the first triple found.
 
     The returned Semigroup keeps the validated table as its read-only
     table_array().
@@ -366,8 +404,16 @@ def _greedy_generators(t, order=None):
     outside the closure of those taken before it, so that together they
     generate the whole table.
 
-    The closure grows breadth first: every newly reached element x is
-    multiplied on both sides by every element reached so far, x included.
+    The closure is under right translation by the picks: the least set
+    that holds every pick g and x*g for each x in it and each pick g.  It
+    grows breadth first.  A new pick g sends everything reached before it
+    through x*g; g and each newly reached element go through every pick.
+    No associativity is assumed, and validate_cayley needs none: each
+    element reached is a pick or x*g for a reached x, so if the picks are
+    good rows of Light's test, so is everything reached.  The closure lies
+    inside the closure under both products of every reached pair, and on
+    an associative table it is that closure, the subsemigroup of all
+    products of picks, each a shorter product times one pick on the right.
     """
     n = len(t)
     inside = np.zeros(n, dtype=bool)
@@ -378,15 +424,17 @@ def _greedy_generators(t, order=None):
         if inside[g]:
             continue
         gens.append(g)
-        frontier = np.array([g], dtype=np.intp)
+        picks = np.array(gens)
+        hit = np.zeros(n, dtype=bool)
+        hit[t[reached[:size], g]] = True
+        hit[g] = True
+        frontier = np.flatnonzero(hit & ~inside)
         while frontier.size:
             inside[frontier] = True
             reached[size : size + frontier.size] = frontier
             size += frontier.size
-            seen = reached[:size]
             hit = np.zeros(n, dtype=bool)
-            hit[t[frontier[:, None], seen]] = True
-            hit[t[seen[:, None], frontier]] = True
+            hit[t[frontier[:, None], picks]] = True
             frontier = np.flatnonzero(hit & ~inside)
     return gens
 
@@ -405,25 +453,33 @@ def _first_broken_triple(t, rows):
     return None
 
 
+# Above this many index pairs product_sets marks a boolean array with one
+# table gather instead of looping over the pairs.  The loop costs about
+# 0.07 us a pair, the gather a flat 15-20 us with both index arrays read
+# from the masks; they cross between 128 and 256 pairs at orders 40, 176
+# and 1000 (fresh sets, best of 5x500 calls).
+_PRODUCT_GATHER_PAIRS = 192
+
+
 def product_sets(first, second):
     """{a*b : a in first, b in second}.  Empty factor gives the empty set."""
     # Exact type tests keep the usual pair of ElementSets off _as_set's two
-    # calls: this is the set product of every support walk.
+    # calls: this is the set product of the kernel, ideal and group steps.
     if type(first) is not ElementSet or type(second) is not ElementSet:
         first, second = _as_set(first), _as_set(second)
     _check_parent(first, second)
     sg = first.parent
-    aa, bb = first.elements(), second.elements()
-    if not aa or not bb:
+    pairs = first.mask.bit_count() * second.mask.bit_count()
+    if not pairs:
         return sg.empty()
-    if len(aa) * len(bb) > 4096:
+    if pairs > _PRODUCT_GATHER_PAIRS:
         hit = np.zeros(sg.order, dtype=bool)
-        hit[sg.table_array()[np.ix_(aa, bb)]] = True
-        bits = np.packbits(hit, bitorder="little").tobytes()
-        return ElementSet(sg, int.from_bytes(bits, "little"))
+        hit[sg.table_array()[np.ix_(_indices(first.mask), _indices(second.mask))]] = True
+        return ElementSet(sg, _mask_of(hit))
     rows = sg.rows
+    bb = second.elements()
     mask = 0
-    for a in aa:
+    for a in first.elements():
         row = rows[a]
         for b in bb:
             mask |= 1 << row[b]
@@ -468,27 +524,66 @@ def generated_subsemigroup(gens):
     return ElementSet(gens.parent, mask)
 
 
+# Above this many index pairs |A_n|*|A_1| a step of _power_cycle is one
+# gather into a boolean array.  On the walks_corpus walks (|T| <= 64) a
+# gather's fixed cost loses to the loop up to about 100 pairs: three walks
+# over orders 16-27 took 15-20 us with every step a loop and 20-28 us at a
+# cut of 48 (best of 7x300), and walks_corpus wall_s read 3.3% over the
+# parent at 48 and 2.4% at 128 (--seconds 8, 6 runs each).  The 8
+# limit_large walks take 1.06 ms per pass at 128, 0.86-0.91 ms at 48 and
+# 2.9 ms at 256.
+_WALK_GATHER_PAIRS = 128
+
+
 def _power_cycle(base):
     """q, the sets A_q, ..., A_(q+p-1) and T, for the powers A_1 = base,
     A_(n+1) = A_n * A_1, with (q, p) least such that A_(q+p) = A_q, and T
     the subsemigroup base generates.
 
-    Exact cycle detection with a first-occurrence map over the bitmask
+    Exact cycle detection with a first-occurrence map over the mask
     sequence; the first repeat of a deterministic sequence lands exactly at
     the preperiod.  T is the union of the A_n, and every A_n past the walk
     repeats one it visited, so T is the union of the visited sets.
+
+    Each step is taken by the cheaper of two forms, chosen by its size
+    |A_n|*|A_1|.  Above _WALK_GATHER_PAIRS it is one gather of A_n's rows
+    from the table's A_1 columns into a boolean array, and A_n's index
+    array is kept from the step before when that was a gather too.  Below
+    it the step loops over the pairs on the table's rows: on a walk of
+    small sets, such as a point mass over cyclic(1000) with its 1,000
+    singletons, numpy's fixed cost per call would dominate every step.
+    Either way each visited set is one mask, the key of the repeat test,
+    and only the cycle's sets and T become ElementSets.
     """
+    sg = base.parent
+    rows = sg.rows
+    steps = base.elements()
+    columns = None
     seen = {}
-    sets = []
+    masks = []
     reached = 0
-    cur = base
-    while cur.mask not in seen:
-        seen[cur.mask] = len(sets)
-        sets.append(cur)
-        reached |= cur.mask
-        cur = product_sets(cur, base)
-    start = seen[cur.mask]
-    return start + 1, sets[start:], ElementSet(base.parent, reached)
+    mask, index = base.mask, None
+    while mask not in seen:
+        seen[mask] = len(masks)
+        masks.append(mask)
+        reached |= mask
+        if mask.bit_count() * len(steps) > _WALK_GATHER_PAIRS:
+            if columns is None:
+                columns = sg.table_array()[:, list(steps)]
+            hit = np.zeros(sg.order, dtype=bool)
+            hit[columns[_indices(mask) if index is None else index]] = True
+            index = np.flatnonzero(hit)
+            mask = _mask_of(hit)
+        else:
+            els = _bits(mask) if index is None else index.tolist()
+            index = None
+            mask = 0
+            for a in els:
+                row = rows[a]
+                for b in steps:
+                    mask |= 1 << row[b]
+    start = seen[mask]
+    return start + 1, [ElementSet(sg, m) for m in masks[start:]], ElementSet(sg, reached)
 
 
 def is_left_ideal(ideal):

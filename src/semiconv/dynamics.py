@@ -170,11 +170,6 @@ def _accumulate(acc, den, dist):
     return common
 
 
-def tv_distance(mu, nu):
-    """Half the l1 distance between the probability vectors."""
-    return variation_norm(mu, nu) / 2
-
-
 def variation_norm(mu, nu):
     """Unhalved l1 distance; the norm in which the 2j/n bound is tight."""
     _check_parent(mu, nu)

@@ -35,8 +35,8 @@ its group marginal is omega_G, and the coordinate product of its three
 marginals is mu again, which the fold lemma below makes idempotent, as
 the split verified R*L in G.  When any of these fails, mu is not
 idempotent, and factorize_idempotent raises PreconditionViolated;
-is_idempotent_measure, one convolution, is the brute-force oracle of
-that decision.  The converse is the fold lemma: for a
+the tests' one-convolution check mu * mu = mu is the brute-force oracle
+of that decision.  The converse is the fold lemma: for a
 group H in S with Haar measure omega_H (uniform on H) and probabilities
 lambda, rho with supp(rho)*supp(lambda) inside H, lambda * omega_H * rho
 is idempotent.  Right translation by h in H permutes H, so omega_H *
@@ -280,13 +280,6 @@ def coordinate_product(lam, m, rho):
     return Dist._from_numerators(sg, lam.den * m.den * rho.den, out)
 
 
-def convolve_many(first, *rest):
-    acc = first
-    for nxt in rest:
-        acc = convolve(acc, nxt)
-    return acc
-
-
 def translate(mu, a, side):
     """Dirac convolution on the chosen side: 'left' is delta_a * mu, the
     support relabelled by z -> a*z; 'right' is mu * delta_a, by z -> z*a."""
@@ -337,12 +330,6 @@ def marginals(mu, dec):
     )
 
 
-def is_idempotent_measure(mu):
-    """Whether mu * mu = mu, by one convolution: the brute-force oracle of
-    the factorization theorem that factorize_idempotent decides by."""
-    return convolve(mu, mu) == mu
-
-
 @dataclass(frozen=True, eq=False)
 class IdempotentFactorization:
     """mu = left * haar * right over the decomposition of mu's support."""
@@ -390,7 +377,7 @@ def compose_idempotent(mu_left, mu_right, group):
             "support of mu_right * mu_left inside the group",
             escaping.parent.label(escaping.least()),
         )
-    return convolve_many(mu_left, haar_uniform(group), mu_right)
+    return convolve(convolve(mu_left, haar_uniform(group)), mu_right)
 
 
 @dataclass(frozen=True)

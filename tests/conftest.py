@@ -1,5 +1,6 @@
-"""Shared test plumbing: acceptance-criteria reporting and the Fraction
-Gauss-Jordan that is the oracle of every elimination in semiconv.linalg.
+"""Shared test plumbing: acceptance-criteria reporting, the Fraction
+Gauss-Jordan that is the oracle of every elimination in semiconv.linalg,
+and the measure oracles tv_distance and is_idempotent_measure.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -11,6 +12,7 @@ on ints and makes a Fraction only at read-out.
 """
 
 from semiconv._rat import ONE, ZERO
+from semiconv.measure import convolve
 
 _ACCEPTANCE_LINES = []
 
@@ -77,6 +79,18 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][-1]
     return x
+
+
+def tv_distance(mu, nu):
+    """Half the l1 distance between the dense probability vectors, summed
+    in Fraction, apart from dynamics.variation_norm's numerators."""
+    return sum(abs(p - q) for p, q in zip(mu.probs, nu.probs, strict=True)) / 2
+
+
+def is_idempotent_measure(mu):
+    """Whether mu * mu = mu, by one convolution: the brute-force oracle of
+    the factorization theorem that measure.factorize_idempotent decides by."""
+    return convolve(mu, mu) == mu
 
 
 def record_criterion(number, description, ok, detail=""):

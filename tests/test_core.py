@@ -139,14 +139,27 @@ def pairwise_closure(table, start):
     return closed
 
 
-def greedy_generators(table, order=None):
+def right_translate_closure(table, start, picks):
+    """The least set holding the given elements and x*g for each x in it
+    and g in picks."""
+    closed = set(start)
+    while new := {table[x][g] for x in closed for g in picks} - closed:
+        closed |= new
+    return closed
+
+
+def greedy_generators(table, order=None, pairwise=False):
     """Each element in the given order (default: index order) that the
-    closure of the earlier picks misses."""
+    closure of the earlier picks misses: under right translation by the
+    picks, or under both products of every pair."""
     closed, gens = set(), []
     for g in range(len(table)) if order is None else order:
         if g not in closed:
             gens.append(g)
-            closed = pairwise_closure(table, closed | {g})
+            if pairwise:
+                closed = pairwise_closure(table, closed | {g})
+            else:
+                closed = right_translate_closure(table, closed | {g}, gens)
     return gens
 
 
@@ -161,22 +174,35 @@ def greedy_generators(table, order=None):
 )
 def test_generating_set_matches_the_pairwise_closure(spec):
     rows = [list(r) for r in build(spec).rows]
+    labels = [str(a) for a in range(len(rows))]
     variants = [rows]
     # One corruption per row keeps a non-associative table in the mix.
     for i in range(len(rows)):
         table = [list(r) for r in rows]
         table[i][0] = (table[i][0] + 1) % len(rows)
         variants.append(table)
-    for table in variants:
-        assert _greedy_generators(np.array(table)) == greedy_generators(table)
+    for k, table in enumerate(variants):
         # The set that decides Light's test is picked in descending order of
         # |a*S|, ties by index; it must still generate every element.
         order = sorted(range(len(table)), key=lambda a: (-len(set(table[a])), a))
         by_image = _by_image_size(np.array(table))
         assert by_image.tolist() == order
-        gens = _greedy_generators(np.array(table), by_image)
-        assert gens == greedy_generators(table, order)
-        assert pairwise_closure(table, gens) == set(range(len(table)))
+        for picked in (None, order):
+            gens = _greedy_generators(np.array(table), None if picked is None else by_image)
+            assert gens == greedy_generators(table, picked)
+            assert right_translate_closure(table, gens, gens) == set(range(len(table)))
+            if k == 0:
+                # On an associative table the right translates of the picks
+                # close under every product: the two closures agree.
+                assert gens == greedy_generators(table, picked, pairwise=True)
+        if k:
+            # Every corrupted variant breaks associativity; Light's test on the
+            # smaller closure names the full sweep's first broken triple.
+            want = first_broken_triple(table)
+            assert want is not None
+            with pytest.raises(NonAssociative) as info:
+                validate_cayley(labels, table)
+            assert info.value.witness == want
 
 
 def test_image_ordered_generating_set_is_small():
@@ -445,8 +471,9 @@ def test_product_sets_matches_nested_loop():
 
 
 def test_product_sets_large_path():
-    # Above 4096 index pairs the product marks a boolean array; seeded
-    # subsets on both sides of the cut, and whole carriers, against the loop.
+    # Above core._PRODUCT_GATHER_PAIRS index pairs the product marks a
+    # boolean array; seeded subsets on both sides of the cut, and whole
+    # carriers, against the loop.
     sg = t_full(3)
     car = sg.carrier()
     got = product_sets(car, car)
@@ -457,12 +484,90 @@ def test_product_sets_large_path():
         CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25),
     ):
         sg = build(spec)
-        sizes = [(64, 64), (64, 65), (1, sg.order), (sg.order, sg.order)]
+        cut = core._PRODUCT_GATHER_PAIRS
+        sizes = [(8, cut // 8), (8, cut // 8 + 1), (cut // 8 + 1, 8), (64, 64), (1, sg.order)]
+        sizes.append((sg.order, sg.order))
         sizes += [(rng.randint(1, sg.order), rng.randint(1, sg.order)) for _ in range(12)]
         for size_a, size_b in sizes:
             a, b = (sg.subset(rng.sample(range(sg.order), k)) for k in (size_a, size_b))
             want = sg.subset(brute_products(sg, a, b))
             assert product_sets(a, b) == want, (spec.describe(), size_a, size_b)
+
+
+def test_elements_read_large_masks_as_the_bit_scan():
+    # Above core._UNPACK_SIZE elements a mask is read by np.unpackbits; sets
+    # on both sides of the cut, spread and dense, against a scan of bits.
+    rng = random.Random(11)
+    for n in (40, 176, 1000):
+        sg = cyclic(n)
+        for size in (1, core._UNPACK_SIZE, core._UNPACK_SIZE + 1, n // 2, n):
+            for picked in (rng.sample(range(n), size), range(n - size, n)):
+                mask = sum(1 << a for a in picked)
+                got = sg.subset(picked).elements()
+                assert got == tuple(a for a in range(n) if mask >> a & 1)
+                assert all(type(a) is int for a in got)
+
+
+# ---- the power walk ----
+
+
+def power_cycle_by_masks(base):
+    """The power walk one product_sets call per step, from the first
+    occurrence of each mask: the loop core._power_cycle ran before its
+    steps took the array form, kept as its oracle."""
+    seen = {}
+    sets = []
+    reached = 0
+    cur = base
+    while cur.mask not in seen:
+        seen[cur.mask] = len(sets)
+        sets.append(cur)
+        reached |= cur.mask
+        cur = product_sets(cur, base)
+    start = seen[cur.mask]
+    return start + 1, sets[start:], core.ElementSet(base.parent, reached)
+
+
+def assert_walk_matches_the_mask_loop(base, monkeypatch):
+    # The default size selection, every step a gather, and every step a
+    # loop over pairs all give the oracle's q, cycle and T.
+    want = power_cycle_by_masks(base)
+    for cut in (core._WALK_GATHER_PAIRS, 0, float("inf")):
+        monkeypatch.setattr(core, "_WALK_GATHER_PAIRS", cut)
+        q, cycle, reached = core._power_cycle(base)
+        assert (q, cycle, reached) == want, (base, cut)
+        assert all(type(c) is core.ElementSet for c in cycle)
+
+
+@pytest.mark.parametrize("n", [2, 7, 30, 101, 300])
+def test_the_walk_matches_the_mask_loop_on_cyclic_walks(n, monkeypatch):
+    # {2,5} and {1,7} grow from 2 elements to all n, so their steps cross
+    # the size selection, and {2,5} has q = n - 1; {1} visits p = n
+    # singletons.
+    sg = cyclic(n)
+    for steps in ((2, 5), (1, 7), (1,)):
+        base = sg.subset(a % n for a in steps)
+        assert_walk_matches_the_mask_loop(base, monkeypatch)
+    q, cycle, _ = core._power_cycle(sg.subset((1,)))
+    assert (q, len(cycle)) == (1, n)
+
+
+def test_the_walk_matches_the_mask_loop_on_the_order_176_walks(monkeypatch):
+    # The six 2-point supports the limit_large benchmark draws on
+    # random_transformation_subsemigroup(4,2)@seed=25, by label.
+    sg = build(CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25))
+    pairs = [
+        ("2012", "3201"),
+        ("2030", "3201"),
+        ("1231", "2310"),
+        ("0203", "2310"),
+        ("0121", "3201"),
+        ("2310", "3203"),
+    ]
+    for labels in pairs:
+        base = sg.subset_of_labels(labels)
+        assert_walk_matches_the_mask_loop(base, monkeypatch)
+        assert len(core._power_cycle(base)[2]) == 128
 
 
 # ---- idempotents, closure ----
@@ -796,6 +901,24 @@ def test_simplicity_flags_and_minimal_ideals_match_the_oracles_on_drawn_tables(c
     assert is_simple(car) == simple_by_sweep(car, "two-sided")
     for found, side in ((minimal_left_ideals(car), "left"), (minimal_right_ideals(car), "right")):
         assert [a.mask for a in found] == [a.mask for a in principal_minimal_ideals(car, side)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(car=small_subsemigroups(), data=st.data())
+def test_the_walk_matches_the_mask_loop_on_drawn_tables(car, data):
+    # Every drawn walk runs under each of the three selections; pytest's
+    # monkeypatch fixture is per test, not per example, so it is set by hand.
+    els = car.elements()
+    picked = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=4, unique=True))
+    base = car.parent.subset(picked)
+    want = power_cycle_by_masks(base)
+    default = core._WALK_GATHER_PAIRS
+    try:
+        for cut in (default, 0, float("inf")):
+            core._WALK_GATHER_PAIRS = cut
+            assert core._power_cycle(base) == want, (base, cut)
+    finally:
+        core._WALK_GATHER_PAIRS = default
 
 
 def test_group_structure_cyclic():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_nullspace, solve
+from conftest import fraction_nullspace, is_idempotent_measure, solve, tv_distance
 
 from semiconv import (
     CorpusSpec,
@@ -45,14 +45,12 @@ from semiconv import (
     float_shadow,
     generated_subsemigroup,
     haar_uniform,
-    is_idempotent_measure,
     marginals,
     power,
     rees_decompose,
     support,
     support_period,
     translate,
-    tv_distance,
     uniform_on,
     validate_cayley,
     variation_norm,

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_idempotent_measure
+
 from semiconv import (
     CorpusSpec,
     Dist,
@@ -27,12 +29,10 @@ from semiconv import (
     classify_translation_invariance,
     compose_idempotent,
     convolve,
-    convolve_many,
     dirac,
     factorize_idempotent,
     group_structure,
     haar_uniform,
-    is_idempotent_measure,
     kernel,
     marginals,
     psi_inv,
@@ -191,7 +191,7 @@ def test_convolve_matches_brute_force():
 
 
 def test_convolve_rejects_distributions_on_different_semigroups():
-    # the same parent check, and error, as tv_distance and product_sets
+    # the same parent check, and error, as variation_norm and product_sets
     mu = dirac(cyclic(4), 1)
     nu = dirac(t_full(2), 0)
     with pytest.raises(MismatchedParent, match="different semigroups"):
@@ -220,8 +220,7 @@ def test_convolve_many_associates():
     c = Dist(z4, (RAT(0), RAT(0), RAT(1, 3), RAT(2, 3)))
     left = convolve(convolve(a, b), c)
     right = convolve(a, convolve(b, c))
-    assert convolve_many(a, b, c) == left == right
-    assert convolve_many(a) == a
+    assert left == right == brute_convolve(brute_convolve(a, b), c)
 
 
 def test_translate():
