@@ -38,7 +38,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
-    EmptyGenerators,
     EmptySet,
     IndexOutOfRange,
     InvalidTable,
@@ -332,7 +331,7 @@ def validate_cayley(labels, table):
     labels = list(labels)
     n = len(labels)
     if n == 0:
-        raise MalformedInput("no elements")
+        raise InvalidTable("no elements")
     if len(set(labels)) != n:
         raise InvalidTable("duplicate element labels")
     _check_order(n)
@@ -506,7 +505,7 @@ def generated_subsemigroup(gens):
     """
     gens = _as_set(gens)
     if not gens:
-        raise EmptyGenerators("cannot generate from the empty set")
+        raise EmptySet("cannot generate from the empty set")
     rows = gens.parent.rows
     steps = gens.elements()
     mask = gens.mask

@@ -51,10 +51,6 @@ class EmptySet(SemiconvError):
     pass
 
 
-class EmptyGenerators(SemiconvError):
-    pass
-
-
 class NotASubsemigroup(SemiconvError):
     def __init__(self, a, b):
         self.witness = (a, b)
@@ -160,8 +156,3 @@ class SingularDecomposition(SemiconvError):
 
 class ParameterOutOfRange(SemiconvError):
     pass
-
-
-class EmptySupport(SemiconvError):
-    pass
-

@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from .core import _check_order, validate_cayley
-from .errors import EmptySupport, ParameterOutOfRange
+from .errors import EmptySet, ParameterOutOfRange
 from .measure import Dist
 from .rees import rees_matrix_semigroup
 
@@ -151,6 +151,8 @@ def build(spec):
 
 
 def _expect_params(spec, count):
+    if spec.factors:
+        raise ParameterOutOfRange(f"{spec.kind} takes parameters, not factor specs")
     if len(spec.params) != count:
         raise ParameterOutOfRange(
             f"{spec.kind} takes {count} parameter(s), got {len(spec.params)}"
@@ -345,7 +347,7 @@ def random_dist(support, seed, denominator_bound):
     every denominator divides the bound.
     """
     if not support:
-        raise EmptySupport("cannot place a distribution on the empty set")
+        raise EmptySet("cannot place a distribution on the empty set")
     elements = support.elements()
     k = len(elements)
     if denominator_bound < k:

@@ -45,8 +45,8 @@ rebuilt from its coordinates; |L|*|G|*|R| = |S| then makes it a
 bijection, so every x*g*y lies in S and L*G*R = S.
 
 When S is the kernel K of a larger semigroup T, the split also gives the
-minimal one-sided ideals of T (minimal_one_sided_ideals, and from T
-itself minimal_ideals and its one-sided read-outs).  For z in K,
+minimal one-sided ideals of T, which minimal_one_sided_ideals reads off
+the decomposition of K.  For z in K,
 K*z is a left ideal of T inside T*z, as K is an ideal.  For z = x*g*y,
 K*z = L*G*y: K*z lies in L*(G*(R*x)*G)*y = L*G*y because R*L lies in G,
 and x'*g'*y = (x'*h*y'')*z for any y'' in R with h = g'*g^-1*(y''*x)^-1.
@@ -74,7 +74,6 @@ from .core import (
     _simplicity_witness,
     group_structure,
     idempotents,
-    kernel,
     product_sets,
     validate_cayley,
 )
@@ -236,26 +235,6 @@ def minimal_one_sided_ideals(dec):
         sorted(map(dec.parent.subset, parts.values()), key=ElementSet.least)
         for parts in (lefts, rights)
     )
-
-
-def minimal_left_ideals(x):
-    """The minimal left ideals of the subsemigroup x, sorted by least member."""
-    s = _as_set(x)
-    return minimal_ideals(s)[1] if s else []
-
-
-def minimal_right_ideals(x):
-    """The minimal right ideals of the subsemigroup x, sorted by least member."""
-    s = _as_set(x)
-    return minimal_ideals(s)[2] if s else []
-
-
-def minimal_ideals(x):
-    """(K, minimal left ideals, minimal right ideals) of the subsemigroup x
-    (see core.kernel), the one-sided ideals read off the verified Rees split of
-    K (see minimal_one_sided_ideals)."""
-    k = kernel(x)
-    return (k, *minimal_one_sided_ideals(rees_decompose(k)))
 
 
 def psi(dec, x, g, y):

@@ -134,13 +134,6 @@ def power_cluster_to_json(sg, pc):
     }
 
 
-def corpus_spec_to_json(spec):
-    obj = {"kind": spec.kind, "params": list(spec.params), "seed": spec.seed}
-    if spec.factors:
-        obj["factors"] = [corpus_spec_to_json(f) for f in spec.factors]
-    return obj
-
-
 # Factor specs nest at most this deep.  A product of factors of order >= 2
 # passes the order cap past 10 levels, so deeper specs only add order-1
 # factors, and unbounded nesting would exhaust the interpreter's stack.

@@ -1,6 +1,8 @@
 """Shared test plumbing: acceptance-criteria reporting, the Fraction
 Gauss-Jordan that is the oracle of every elimination in semiconv.linalg,
-and the measure oracles tv_distance and is_idempotent_measure.
+the measure oracles tv_distance and is_idempotent_measure, and the
+minimal-ideal read-outs minimal_ideals, minimal_left_ideals and
+minimal_right_ideals.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -12,7 +14,9 @@ on ints and makes a Fraction only at read-out.
 """
 
 from semiconv._rat import ONE, ZERO
+from semiconv.core import kernel
 from semiconv.measure import convolve
+from semiconv.rees import minimal_one_sided_ideals, rees_decompose
 
 _ACCEPTANCE_LINES = []
 
@@ -91,6 +95,22 @@ def is_idempotent_measure(mu):
     """Whether mu * mu = mu, by one convolution: the brute-force oracle of
     the factorization theorem that measure.factorize_idempotent decides by."""
     return convolve(mu, mu) == mu
+
+
+def minimal_ideals(x):
+    """(K, minimal left ideals, minimal right ideals) of the subsemigroup x,
+    read as `semiconv analyze` reads them: off the verified Rees split of
+    its kernel K."""
+    k = kernel(x)
+    return (k, *minimal_one_sided_ideals(rees_decompose(k)))
+
+
+def minimal_left_ideals(x):
+    return minimal_ideals(x)[1]
+
+
+def minimal_right_ideals(x):
+    return minimal_ideals(x)[2]
 
 
 def record_criterion(number, description, ok, detail=""):

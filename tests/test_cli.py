@@ -100,6 +100,13 @@ def test_validate_duplicate_labels(tmp_path, capsys):
     assert "duplicate element labels" in capsys.readouterr().err
 
 
+def test_validate_empty_table(tmp_path, capsys):
+    # A table with no elements parses but is invalid data: once exit 1.
+    bad = write(tmp_path / "empty.json", {"labels": [], "table": []})
+    assert main(["validate", bad]) == 2
+    assert capsys.readouterr().err == "error: no elements\n"
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -380,6 +387,15 @@ def test_gen_subcommand(tmp_path, capsys):
     assert main(["gen", write(tmp_path / "bad.json", {"kind": "nope"})]) == 2
     assert main(["gen", write(tmp_path / "kind.json", {"kind": []})]) == 1
     assert '"kind" must be a string' in capsys.readouterr().err
+
+
+def test_gen_refuses_factor_specs_on_a_kind_that_is_not_a_product(tmp_path, capsys):
+    # The factors were once ignored, and cyclic(2) built with exit 0.
+    spec = {"kind": "cyclic", "params": [2], "factors": [{"kind": "cyclic", "params": [2]}]}
+    assert main(["gen", write(tmp_path / "spec.json", spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cyclic takes parameters, not factor specs\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

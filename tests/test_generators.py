@@ -12,7 +12,7 @@ import pytest
 from semiconv import (
     CorpusSpec,
     Dist,
-    EmptySupport,
+    EmptySet,
     ParameterOutOfRange,
     RAT,
     XorShift64Star,
@@ -233,6 +233,13 @@ def test_direct_product_builder():
         build(CorpusSpec("direct_product", params=(2,), factors=spec.factors))
 
 
+@pytest.mark.parametrize("kind", sorted(set(generators._BUILDERS) - {"direct_product"}))
+def test_only_direct_product_takes_factor_specs(kind):
+    # Every other kind once built from its params and ignored the factors.
+    with pytest.raises(ParameterOutOfRange, match=f"{kind} takes parameters, not factor specs"):
+        build(CorpusSpec(kind, (2, 2), factors=(CorpusSpec("cyclic", (2,)),)))
+
+
 def test_rees_matrix_builder_deterministic():
     spec = CorpusSpec("rees_matrix", (3, 2, 2), seed=11)
     a = build(spec)
@@ -443,7 +450,7 @@ def test_random_dist_matches_the_public_constructor():
 
 def test_random_dist_rejections():
     z5 = build(CorpusSpec("cyclic", (5,)))
-    with pytest.raises(EmptySupport):
+    with pytest.raises(EmptySet):
         random_dist(z5.empty(), 1, 8)
     with pytest.raises(ParameterOutOfRange):
         random_dist(z5.carrier(), 1, 4)

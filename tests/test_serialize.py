@@ -23,7 +23,6 @@ from semiconv import (
 from semiconv.dynamics import LIMIT_CLAUSES
 from semiconv.serialize import (
     corpus_spec_from_json,
-    corpus_spec_to_json,
     dist_from_json,
     dist_to_json,
     dumps_canonical,
@@ -174,7 +173,7 @@ def test_power_cluster_to_json():
     }
 
 
-def test_corpus_spec_round_trip():
+def test_corpus_spec_from_json():
     spec = CorpusSpec(
         "direct_product",
         factors=(
@@ -182,10 +181,15 @@ def test_corpus_spec_round_trip():
             CorpusSpec("rees_matrix", (2, 2, 2), seed=11),
         ),
     )
-    obj = corpus_spec_to_json(spec)
+    obj = {
+        "kind": "direct_product",
+        "factors": [
+            {"kind": "left_zero", "params": [2]},
+            {"kind": "rees_matrix", "params": [2, 2, 2], "seed": 11},
+        ],
+    }
     assert corpus_spec_from_json(obj) == spec
-    plain = corpus_spec_to_json(CorpusSpec("cyclic", (4,)))
-    assert plain == {"kind": "cyclic", "params": [4], "seed": 0}
+    assert corpus_spec_from_json({"kind": "cyclic", "params": [4], "seed": 0}) == CorpusSpec("cyclic", (4,))
     assert corpus_spec_from_json({"kind": "cyclic", "params": [4]}) == CorpusSpec("cyclic", (4,))
 
 
