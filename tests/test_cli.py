@@ -528,3 +528,57 @@ def test_analyze_builds_the_kernel_once_and_keeps_the_flags(tmp_path, capsys, mo
             is_left_simple(car),
             is_right_simple(car),
         ], inst.name
+
+
+# Table files that validate refuses, with the exit code and message of each.
+# {path} stands for the file's path.
+REFUSED_TABLES = {
+    "not_an_object": (b'["labels", "table"]', 1, 'expected an object with "labels" and "table"'),
+    "labels_not_strings": (b'{"labels": [0], "table": [[0]]}', 1, '"labels" must be an array of strings'),
+    "table_not_rows": (b'{"labels": ["a"], "table": [0]}', 1, '"table" must be an array of arrays'),
+    "entry_00": (
+        b'{"labels": ["a", "b"], "table": [[0, 1], [1, 00]]}',
+        1,
+        "{path} is not valid JSON: Expecting ',' delimiter: line 1 column 47 (char 46)",
+    ),
+    "repeated_key": (
+        b'{"labels": ["a"], "table": [[0]], "table": [[0]]}',
+        1,
+        "{path} repeats the key 'table' in one object",
+    ),
+    "entry_true": (
+        b'{"labels": ["a", "b"], "table": [[0, 1], [true, 0]]}',
+        2,
+        "table[1][0] = True is not a valid element index",
+    ),
+    "entry_float": (
+        b'{"labels": ["a", "b"], "table": [[0, 1], [1.0, 0]]}',
+        2,
+        "table[1][0] = 1.0 is not a valid element index",
+    ),
+    "entry_negative": (
+        b'{"labels": ["a", "b"], "table": [[0, 1], [1, -1]]}',
+        2,
+        "table[1][1] = -1 is not a valid element index",
+    ),
+    "entry_n": (
+        b'{"labels": ["a", "b"], "table": [[0, 2], [1, 0]]}',
+        2,
+        "table[0][1] = 2 is not a valid element index",
+    ),
+    "row_count": (b'{"labels": ["a", "b"], "table": [[0, 1]]}', 2, "table has 1 rows for 2 elements"),
+    "row_length": (
+        b'{"labels": ["a", "b"], "table": [[0, 1], [1]]}',
+        2,
+        "table row 1 has 1 entries for 2 elements",
+    ),
+    "no_labels": (b'{"labels": [], "table": []}', 2, "no elements"),
+}
+
+
+@pytest.mark.parametrize("data, code, message", REFUSED_TABLES.values(), ids=REFUSED_TABLES)
+def test_validate_refuses_a_table_file_with_its_code_and_message(data, code, message, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import random
 
 import pytest
 
@@ -19,9 +20,11 @@ from semiconv import (
     group_structure,
     kernel,
     rees_decompose,
+    serialize,
 )
 from semiconv.dynamics import LIMIT_CLAUSES
 from semiconv.serialize import (
+    _load_json,
     corpus_spec_from_json,
     dist_from_json,
     dist_to_json,
@@ -76,6 +79,105 @@ def test_load_semigroup(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(MalformedInput):
         load_semigroup(str(bad))
+
+
+# Tables of orders 1 to 176, and the three ways table files are written:
+# json.dump's default separators (as the benchmark writes them), gen's
+# indent=2, and compact.
+MUTATED_TABLE_SPECS = [
+    (CorpusSpec("cyclic", (1,)), 40),
+    (CorpusSpec("cyclic", (2,)), 40),
+    (CorpusSpec("full_transformation", (2,)), 40),
+    (CorpusSpec("rectangular_band", (3, 4)), 40),
+    (CorpusSpec("full_transformation", (3,)), 30),
+    (CorpusSpec("random_transformation_subsemigroup", (4, 2), seed=25), 4),
+]
+TABLE_WRITERS = [json.dumps, dumps_canonical, lambda obj: json.dumps(obj, separators=(",", ":"))]
+MUTATION_BYTES = b'0123456789-+.eE,[]{}: \n\r\t"tn\\\x00\xff'
+
+
+def _table_outcome(load, path):
+    try:
+        sg = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sg.labels, sg.rows
+
+
+def _mutate(rng, data):
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data) + 1)
+        byte = MUTATION_BYTES[rng.randrange(len(MUTATION_BYTES))]
+        edit = rng.randrange(3)
+        if edit == 0:
+            data.insert(at, byte)
+        elif at < len(data):
+            if edit == 1:
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def test_table_files_load_as_the_json_path_loads_them(tmp_path):
+    # load_semigroup must agree with json.load and semigroup_from_json on
+    # every file: the same Semigroup, or the same error and message.
+    rng = random.Random(2024)
+    path = str(tmp_path / "table.json")
+    for spec, mutations in MUTATED_TABLE_SPECS:
+        obj = semigroup_to_json(build(spec))
+        for write in TABLE_WRITERS:
+            text = write(obj).encode("utf-8")
+            for data in [text, text.replace(b"\n", b"\r\n")] + [_mutate(rng, text) for _ in range(mutations)]:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                want = _table_outcome(lambda p: semigroup_from_json(_load_json(p)), path)
+                assert _table_outcome(load_semigroup, path) == want, data
+
+
+def test_written_table_files_skip_the_json_path(tmp_path, monkeypatch):
+    # Every way a table file is written is read by the array reader.
+    path = tmp_path / "table.json"
+    calls = []
+    monkeypatch.setattr(serialize, "_load_json", lambda p: calls.append(p) or _load_json(p))
+    for spec, _ in MUTATED_TABLE_SPECS:
+        sg = build(spec)
+        for write in TABLE_WRITERS:
+            text = write(semigroup_to_json(sg))
+            for data in (text, text.replace("\n", "\r\n")):
+                path.write_text(data, encoding="utf-8", newline="")
+                got = load_semigroup(str(path))
+                assert (got.labels, got.rows) == (sg.labels, sg.rows)
+    assert calls == []
+
+
+# Files the array reader must decline, each but the first two an error.
+DECLINED_TABLES = {
+    "table_first": '{"table": [[0, 1], [1, 0]], "labels": ["a", "b"]}',
+    "third_key": '{"labels": ["a", "b"], "table": [[0, 1], [1, 0]], "note": ""}',
+    "entry_split_by_a_space": json.dumps(semigroup_to_json(cyclic(11))).replace(", 10,", ", 1 0,", 1),
+    "entry_after_a_row": '{"labels": ["a", "b"], "table": [[0, ] 1, [1, 0]]}',
+    "leading_zero": '{"labels": ["a", "b"], "table": [[0, 1], [01, 0]]}',
+    "minus_zero": '{"labels": ["a", "b"], "table": [[0, 1], [1, -0]]}',
+    "exponent": '{"labels": ["a", "b"], "table": [[0, 1], [1e0, 0]]}',
+    "out_of_range": '{"labels": ["a", "b"], "table": [[0, 1], [1, 2]]}',
+    "too_many_digits": '{"labels": ["a", "b"], "table": [[0, 1], [1, 10]]}',
+    "ragged": '{"labels": ["a", "b"], "table": [[0, 1, 0], [1]]}',
+    "repeated_key": '{"labels": ["a", "b"], "labels": ["a", "b"], "table": [[0, 1], [1, 0]]}',
+}
+
+
+@pytest.mark.parametrize("text", DECLINED_TABLES.values(), ids=DECLINED_TABLES)
+def test_declined_table_files_load_through_the_json_path(text, tmp_path, monkeypatch):
+    path = str(tmp_path / "table.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    want = _table_outcome(lambda p: semigroup_from_json(_load_json(p)), path)
+    calls = []
+    monkeypatch.setattr(serialize, "_load_json", lambda p: calls.append(p) or _load_json(p))
+    assert _table_outcome(load_semigroup, path) == want
+    assert calls == [path]
 
 
 def test_dist_wire_format():
