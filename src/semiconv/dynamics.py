@@ -55,9 +55,12 @@ the one coset gamma*H (gamma_coset) is what the lemma needs: with H
 normal and lambda fixed by its walk, mu * c_k = c_(k+1), and c_p = eta.
 Mirrored, every G(y*s), y in R, in gamma*H gives c_k * mu = c_(k+1), so
 eta * mu^p = eta with no power of mu; and p must be the least period of
-the support cycle on K, an independent witness.  The cycle is closed under
-convolution once eta * c_j = c_j for each j > 0: by associativity c_i *
-c_j = mu^i * (eta * c_j) = mu^(i+j) * eta = c_((i+j) mod p).  And
+the support cycle on K, an independent witness.  When H = G there is one
+coset, gamma*H = G, which holds every G-coordinate, so the coset clauses
+need no comparison, p = 1 and the cluster is nu alone; only the support
+cycle on K is checked.  The cycle is closed under convolution once eta *
+c_j = c_j for each j > 0: by associativity c_i * c_j = mu^i * (eta *
+c_j) = mu^(i+j) * eta = c_((i+j) mod p).  And
 eta * c_j = c_j follows, with no convolution, from supp(rho)*supp(lambda)
 in H (eta_idempotent), so the fold absorbs rho * lambda into omega_H, and
 gamma^j H gamma^-j = H (subgroup_normal), so omega_H * omega_(gamma^j H)
@@ -366,6 +369,26 @@ class LimitReport:
         return dict.fromkeys(LIMIT_CLAUSES, True)
 
 
+def _check_period(on_kernel, p, order_h, order_g):
+    """Raise period_matches_quotient unless p is the least period of the
+    support cycle's sets on K, on_kernel, and p*|H| = |G|: rotating the
+    sets by p leaves them unchanged, and their first p are distinct."""
+    if (
+        on_kernel[p:] + on_kernel[:p] != on_kernel
+        or len(set(on_kernel[:p])) != p
+        or p * order_h != order_g
+    ):
+        raise TheoremViolation(
+            "period_matches_quotient",
+            f"p={p}, {len(on_kernel)} sets on K, |G|={order_g}, |H|={order_h}",
+        )
+
+
+def _first_difference(first, second):
+    """The label of the least element in exactly one of two sets."""
+    return first.parent.label(((first - second) | (second - first)).least())
+
+
 def analyze_limit(mu):
     """Full limit analysis of the convolution powers of mu.
 
@@ -377,9 +400,11 @@ def analyze_limit(mu):
     LIMIT_CLAUSES to True.  Like cesaro_limit it takes every table the
     package accepts; past the two fixed laws (one lumped solve each, none
     when supp(mu) lies in K) and the invariance check's two convolutions,
-    its cost is set algebra over the walk's supports, the split's
-    G-coordinates of supp(mu)*L and R*supp(mu), and coordinate products on
-    K.
+    its cost is set algebra over the walk's supports and, only when H is a
+    proper subgroup of G, the split's G-coordinates of supp(mu)*L and
+    R*supp(mu) and coordinate products on K for eta and the coset terms.
+    When H = G the report is read off the split: eta = nu, p = 1, gamma is
+    the least element of G, and the cluster is [nu].
 
     Each clause is proven once.  A clause an earlier step already proves has
     no run-time statement; the comment at that step names it: _limit_factors
@@ -403,7 +428,12 @@ def analyze_limit(mu):
     G(y*s) do too (eta_power_invariant); cluster_factorization,
     cluster_distinct and, with eta_idempotent and subgroup_normal by the
     fold, cluster_closed_cyclic follow.  So a G-coordinate that sends a step
-    off the coset stops the report at gamma_coset or eta_power_invariant.
+    off the coset stops the report at gamma_coset or eta_power_invariant,
+    naming it.  When H = G these clauses hold with nothing to compare:
+    gamma*H = G holds every G-coordinate, so every step lies in the one
+    coset, gamma*G*gamma^-1 = G, and R*L in G is eta_idempotent.  Only
+    period_matches_quotient is checked there, as every set of the support
+    cycle on K must be K.
     """
     sg = mu.parent
     steps = support(mu)
@@ -435,27 +465,40 @@ def analyze_limit(mu):
     # L*H*R = supp(eta), whose G-coordinates are H, so eta = lambda *
     # omega_H * rho.
     on_kernel = [c & walk_kernel for c in cycle]
-    rows = sg.rows
-    h_set = sg.subset(coordinates[z][1] for z in next(c for c in on_kernel if e in c))
+    held = next(c for c in on_kernel if e in c)
+    if held == walk_kernel:
+        # psi is a bijection, so the G-coordinates of K are all of G, and
+        # H = G.  So eta = nu, gamma*H = G for every gamma in G, and p = 1,
+        # the least k with gamma^k in H.  gamma is G's least element, the
+        # least of G(s*x)*H = G.  Every clause about the cosets holds with
+        # nothing to compare: every G-coordinate lies in G = gamma*H, so the
+        # left steps make the one coset (gamma_coset) and the right steps lie
+        # in it (eta_power_invariant); gamma*G*gamma^-1 = G (subgroup_normal);
+        # R*L in G, which the split verified, is eta_idempotent; and the one
+        # cluster point eta = nu is the whole cycle, closed as eta*eta = eta.
+        # Only the support cycle on K is left to check: at p = 1 all its
+        # sets must be equal, K = L*G*R.
+        _check_period(on_kernel, 1, dec.group.order, dec.group.order)
+        return LimitReport(
+            nu=nu, q=q, p=1, eta=nu, cluster=(nu,), rees=dec, H=dec.group, gamma=g_carrier.least()
+        )
     # H lies in the group G the split verified, so H is a subgroup once it
     # is non-empty and closed: each h in H has h^n = e for some n >= 1, which
     # puts e and h^-1 = h^(n-1) in H.  Its identity is e and its inverses
-    # are those of G.  At p = 1, H is G itself.
-    if h_set == g_carrier:
-        subgroup = dec.group
-    elif h_set and product_sets(h_set, h_set).issubset(h_set):
-        subgroup = GroupStructure(h_set, e, {h: dec.group.inv(h) for h in h_set})
-    else:
+    # are those of G.
+    rows = sg.rows
+    h_set = sg.subset(coordinates[z][1] for z in held)
+    if not (h_set and product_sets(h_set, h_set).issubset(h_set)):
         raise TheoremViolation("subgroup_structure", f"H={h_set.labels()} is not closed")
-    # With H = G, eta is nu, already built.
-    eta = nu if subgroup is dec.group else coordinate_product(lam, haar_uniform(subgroup), rho)
+    subgroup = GroupStructure(h_set, e, {h: dec.group.inv(h) for h in h_set})
+    eta = coordinate_product(lam, haar_uniform(subgroup), rho)
     # eta = lambda * omega_H * rho is idempotent by the fold lemma (see the
     # measure module) exactly when supp(rho)*supp(lambda) lies in H, and
     # supp(rho) = R, supp(lambda) = L (support_nu_is_kernel; see
-    # eta_support_product below).  With H = G that is R*L in G, which the
-    # split verified.
-    if subgroup is not dec.group and not product_sets(dec.right, dec.left).issubset(h_set):
-        raise TheoremViolation("eta_idempotent")
+    # eta_support_product below).
+    outside = product_sets(dec.right, dec.left) - h_set
+    if outside:
+        raise TheoremViolation("eta_idempotent", f"R*L holds {sg.label(outside.least())} outside H")
     # subgroup_in_group: every G-coordinate lies in e*(K*e) = G.
     # eta_support_product: supp(nu) = psi(supp(lambda) x G x supp(rho)) is
     # K = psi(L x G x R) (support_nu_is_kernel), and psi is a bijection, so
@@ -475,10 +518,15 @@ def analyze_limit(mu):
     # H and gamma generate G (coset_powers_exhaust below, which a returned
     # report also passed), so gamma*H*gamma^-1 = H makes H normal in G.
     gamma_inv = dec.group.inv(gamma)
-    if sg.subset(rows[z][gamma_inv] for z in gamma_coset) != h_set:
-        raise TheoremViolation("subgroup_normal")
+    conjugate = sg.subset(rows[z][gamma_inv] for z in gamma_coset)
+    if conjugate != h_set:
+        raise TheoremViolation(
+            "subgroup_normal", f"gamma*H*gamma^-1 and H differ at {_first_difference(conjugate, h_set)}"
+        )
     if gamma_set != gamma_coset:
-        raise TheoremViolation("gamma_coset")
+        raise TheoremViolation(
+            "gamma_coset", f"G(s*x)*H and gamma*H differ at {_first_difference(gamma_set, gamma_coset)}"
+        )
     # gamma_representative_independent: any z = gamma*h in gamma*H has z*H
     # = gamma*(h*H) = gamma*H.
 
@@ -490,23 +538,18 @@ def analyze_limit(mu):
     while gamma_pows[-1] not in h_set:
         gamma_pows.append(rows[gamma_pows[-1]][gamma])
     p = len(gamma_pows) - 1
-    if (
-        on_kernel[p:] + on_kernel[:p] != on_kernel
-        or len(set(on_kernel[:p])) != p
-        or p * subgroup.order != dec.group.order
-    ):
-        raise TheoremViolation(
-            "period_matches_quotient",
-            f"p={p}, {len(on_kernel)} sets on K, |G|={dec.group.order}, |H|={subgroup.order}",
-        )
+    _check_period(on_kernel, p, subgroup.order, dec.group.order)
     # Put c_k = lambda * omega_(gamma^k H) * rho.  Every G(s*x) lies in
     # gamma*H (gamma_coset), so by normality G(s*x)*gamma^k H = gamma^(k+1) H,
     # and lambda is fixed by its walk (nu_invariant, read through the lemma
     # with m = omega_G): mu * c_k = c_(k+1).  Mirrored, every G(y*s) in
     # gamma*H = H*gamma and rho fixed give c_k * mu = c_(k+1).  With
     # gamma^p in H, c_p = eta, so mu^p * eta = eta = eta * mu^p.
-    if not right_steps.issubset(gamma_coset):
-        raise TheoremViolation("eta_power_invariant")
+    stray = right_steps - gamma_coset
+    if stray:
+        raise TheoremViolation(
+            "eta_power_invariant", f"G(y*s) = {sg.label(stray.least())} lies outside gamma*H"
+        )
     # coset_powers_exhaust: the least p makes the cosets gamma^k H, k < p,
     # distinct, hence disjoint, and p*|H| = |G| (period_matches_quotient)
     # makes them fill G.  gamma_power_in_subgroup: p is defined by it.

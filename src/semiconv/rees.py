@@ -39,10 +39,12 @@ checked, in the order closure, kernel, idempotent, requested base,
 primitivity, so that the error raised names the first one to fail, as
 before; if they all hold, the split is re-run to raise its own error.
 
-The split checks L*G*R = S without forming the product.  The coordinate
-loop maps S into L x G x R, and the map is one-to-one, since z = x*g*y is
-rebuilt from its coordinates; |L|*|G|*|R| = |S| then makes it a
-bijection, so every x*g*y lies in S and L*G*R = S.
+The split reads S*e, e*S and e*S*e = e*(S*e) in one pass over S
+(core.translates), then L and R as the idempotents of the first two and
+G as the third, verified a group.  It checks L*G*R = S without forming
+the product.  The coordinate loop maps S into L x G x R, and the map is
+one-to-one, since z = x*g*y is rebuilt from its coordinates; |L|*|G|*|R|
+= |S| then makes it a bijection, so every x*g*y lies in S and L*G*R = S.
 
 When S is the kernel K of a larger semigroup T, the split also gives the
 minimal one-sided ideals of T, which minimal_one_sided_ideals reads off
@@ -75,6 +77,7 @@ from .core import (
     group_structure,
     idempotents,
     product_sets,
+    translates,
     validate_cayley,
 )
 from .errors import (
@@ -151,13 +154,17 @@ def rees_decompose(x, at=None):
     hypotheses are checked only to name a failure.
     """
     s = _as_set(x)
-    ids = idempotents(s)
-    if ids and (at is None or at in ids):
+    rows = s.parent.rows
+    if at is None:
+        e = next((z for z in s if rows[z][z] == z), None)
+    else:
+        e = at if at in s and rows[at][at] == at else None
+    if e is not None:
         try:
-            return _split(s, ids.least() if at is None else at)
+            return _split(s, e)
         except (NotASubsemigroup, NotAGroup, VerificationFailed):
             pass
-    return _split(s, _base_or_raise(s, ids, at))
+    return _split(s, _base_or_raise(s, idempotents(s), at))
 
 
 def _base_or_raise(s, ids, at):
@@ -180,14 +187,11 @@ def _base_or_raise(s, ids, at):
 
 def _split(s, e):
     """S = L*G*R at the idempotent e of S, every clause verified."""
-    sg = s.parent
-    single_e = sg.singleton(e)
-    se = product_sets(s, single_e)
-    es = product_sets(single_e, s)
+    se, es, ese = translates(s, e)
     left = idempotents(se)
     right = idempotents(es)
     # e is the identity of the verified group (see the module docstring).
-    group = group_structure(product_sets(single_e, se))
+    group = group_structure(ese)
     coordinates = _verify_decomposition(s, e, left, group, right)
     return ReesDecomposition(
         carrier=s, base=e, left=left, group=group, right=right, coordinates=coordinates
@@ -207,11 +211,12 @@ def _verify_decomposition(s, e, left, group, right):
         raise VerificationFailed("bijection", "factor sizes do not multiply to the order")
     rows = sg.rows
     row_e = rows[e]
+    inverses = group.inverses
     coordinates = {}
     for z in s:
         ze = rows[z][e]
         eze = row_e[ze]  # in e*(S*e) = G by construction
-        g_inv = group.inv(eze)
+        g_inv = inverses[eze]
         x = rows[ze][g_inv]
         y = rows[g_inv][row_e[z]]
         if x not in left or y not in right:

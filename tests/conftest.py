@@ -1,8 +1,9 @@
 """Shared test plumbing: acceptance-criteria reporting, the Fraction
 Gauss-Jordan that is the oracle of every elimination in semiconv.linalg,
-the measure oracles tv_distance and is_idempotent_measure, and the
+the measure oracles tv_distance and is_idempotent_measure, the
 minimal-ideal read-outs minimal_ideals, minimal_left_ideals and
-minimal_right_ideals.
+minimal_right_ideals, and coset_algebra, the general coset computation of
+the limit analysis run on every walk, H = G included.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -13,9 +14,10 @@ they divide each pivot row by its pivot in Fraction, where linalg eliminates
 on ints and makes a Fraction only at read-out.
 """
 
+from semiconv import dynamics
 from semiconv._rat import ONE, ZERO
-from semiconv.core import kernel
-from semiconv.measure import convolve
+from semiconv.core import _power_cycle, kernel, product_sets
+from semiconv.measure import convolve, coordinate_product, support, uniform_on
 from semiconv.rees import minimal_one_sided_ideals, rees_decompose
 
 _ACCEPTANCE_LINES = []
@@ -111,6 +113,34 @@ def minimal_left_ideals(x):
 
 def minimal_right_ideals(x):
     return minimal_ideals(x)[2]
+
+
+def coset_algebra(mu):
+    """(gamma, p, H, cluster) of the limit of mu by the general coset
+    algebra, with no case for H = G: H from the G-coordinates of the
+    support set on K that holds e, gamma the least of G(s*x)*H over the
+    steps s and x in L, p the least k >= 1 with gamma^k in H, and the
+    cluster the coordinate products lambda * omega_(gamma^k H) * rho."""
+    sg = mu.parent
+    rows = sg.rows
+    steps = support(mu)
+    _, cycle, reached = _power_cycle(steps)
+    dec = rees_decompose(kernel(reached))
+    _, lam, rho = dynamics._limit_factors(mu, dec)
+    e, coordinates = dec.base, dec.coordinates
+    held = next(c for c in cycle if e in c) & dec.carrier
+    h_set = sg.subset(coordinates[z][1] for z in held)
+    left_steps = sg.subset(coordinates[rows[s][x]][1] for s in steps for x in dec.left)
+    gamma = product_sets(left_steps, h_set).least()
+    gamma_pows = [e, gamma]
+    while gamma_pows[-1] not in h_set:
+        gamma_pows.append(rows[gamma_pows[-1]][gamma])
+    p = len(gamma_pows) - 1
+    cluster = tuple(
+        coordinate_product(lam, uniform_on(sg.subset(rows[g][h] for h in h_set)), rho)
+        for g in gamma_pows[:p]
+    )
+    return gamma, p, h_set, cluster
 
 
 def record_criterion(number, description, ok, detail=""):

@@ -32,6 +32,7 @@ from semiconv.core import (
     principal_left_ideal,
     principal_right_ideal,
     product_sets,
+    translates,
     validate_cayley,
 )
 from semiconv.errors import (
@@ -266,7 +267,11 @@ def test_validate_takes_an_integer_array_as_the_list_table(dtype):
     table = np.array(rows, dtype=dtype)
     sg = validate_cayley(labels, table)
     assert sg.rows == validate_cayley(labels, rows).rows == tuple(map(tuple, rows))
-    assert all(type(v) is int for row in sg.rows for v in row)
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in sg.rows)
+    # The rows are unpacked from the array's bytes in row-major order, so a
+    # column-major array reads the same: here the left-zero table a*b = a.
+    left_zero = np.asfortranarray(np.repeat(np.arange(3, dtype=dtype)[:, None], 3, axis=1))
+    assert validate_cayley("abc", left_zero).rows == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
     arr = sg.table_array()
     assert arr.dtype == np.int32 and arr.flags.writeable is False
     table[0, 0] = 4  # the caller's array is not the one kept
@@ -1001,6 +1006,44 @@ def test_group_structure_matches_the_sweep_on_large_subsets(spec, pick, rejectio
     assert group_verdict(group_structure, subset) == expected
     if rejection is not None:
         assert expected[0] is rejection
+
+
+def test_the_inverse_gather_matches_the_row_loop_on_every_small_subset(monkeypatch):
+    # The row loop is the gather's oracle: on every subset of the small
+    # default tables, at every candidate identity, both return the same map
+    # or both None; and group_structure with every subset gathered still
+    # matches the sweep, witness included, on the non-groups.
+    monkeypatch.setattr(core, "_INVERSE_GATHER_SIZE", 0)
+    tables = [inst.semigroup for inst in build_corpus("default") if inst.semigroup.order <= 8]
+    found = 0
+    for sg in tables:
+        for els in all_subsets(sg.order):
+            subset = sg.subset(els)
+            for e in els:
+                by_rows = core._inverses_by_rows(subset, e)
+                assert core._inverses_by_gather(subset, e) == by_rows, (sg, els, e)
+                found += by_rows is not None
+            expected = group_verdict(group_by_sweep, subset)
+            assert group_verdict(group_structure, subset) == expected, (sg, els)
+    assert found > 0
+
+
+def test_translates_equal_the_three_set_products(monkeypatch):
+    # S*e, e*S and e*(S*e) on every extended-corpus kernel at each of its
+    # idempotents, by the row loop and by the gathers.
+    checked = 0
+    for inst in build_corpus("extended"):
+        sg = inst.semigroup
+        k = kernel(sg.carrier())
+        for e in idempotents(k):
+            single = sg.singleton(e)
+            se = product_sets(k, single)
+            expected = (se, product_sets(single, k), product_sets(single, se))
+            for cut in (0, sg.order):
+                monkeypatch.setattr(core, "_TRANSLATE_GATHER_SIZE", cut)
+                assert translates(k, e) == expected, (inst.name, e, cut)
+                checked += 1
+    assert checked > 100
 
 
 def test_group_structure_reads_rows_not_set_products(monkeypatch):

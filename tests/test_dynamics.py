@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_nullspace, is_idempotent_measure, solve, tv_distance
+from conftest import coset_algebra, fraction_nullspace, is_idempotent_measure, solve, tv_distance
 
 from semiconv import (
     CorpusSpec,
@@ -33,6 +33,7 @@ from semiconv import (
     SingularDecomposition,
     TheoremViolation,
     VerificationFailed,
+    XorShift64Star,
     analyze_limit,
     build,
     cesaro_average,
@@ -47,6 +48,7 @@ from semiconv import (
     haar_uniform,
     marginals,
     power,
+    random_dist,
     rees_decompose,
     support,
     support_period,
@@ -894,6 +896,13 @@ def test_an_open_cluster_list_fails_the_pair_sweep():
         assert not verify.cluster_closed_by_sweep(open_list), j
 
 
+# The witness each coset clause names when G((b,1)) is misread as (a,2).
+MISREAD_STEP_WITNESS = {
+    "gamma_coset": "G(s*x)*H and gamma*H differ at (a,2)",
+    "eta_power_invariant": "G(y*s) = (a,2) lies outside gamma*H",
+}
+
+
 @pytest.mark.parametrize(
     "first, clause", [("left_zero", "gamma_coset"), ("right_zero", "eta_power_invariant")]
 )
@@ -919,6 +928,8 @@ def test_a_wrong_g_coordinate_stops_the_coset_map(monkeypatch, first, clause):
     with pytest.raises(TheoremViolation) as exc:
         analyze_limit(mu)
     assert exc.value.clause == clause
+    # The misread coordinate (a,2) is the step that leaves the coset.
+    assert str(exc.value) == f"theorem check failed: {clause} ({MISREAD_STEP_WITNESS[clause]})"
 
 
 def test_a_limit_that_misses_a_kernel_point_fails_support_nu_is_kernel(monkeypatch):
@@ -956,7 +967,8 @@ def test_a_fold_that_leaves_h_fails_eta_idempotent(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         analyze_limit(mu)
     assert exc.value.clause == "eta_idempotent"
-    assert str(exc.value) == "theorem check failed: eta_idempotent"
+    # R*L is now {((0,0),1)}, the element that leaves H = {0,3}.
+    assert str(exc.value) == "theorem check failed: eta_idempotent (R*L holds ((0,0),1) outside H)"
 
 
 def test_a_wrong_inverse_of_gamma_fails_subgroup_normal(monkeypatch):
@@ -975,7 +987,10 @@ def test_a_wrong_inverse_of_gamma_fails_subgroup_normal(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         analyze_limit(mu)
     assert exc.value.clause == "subgroup_normal"
-    assert str(exc.value) == "theorem check failed: subgroup_normal"
+    # The conjugate {3} and H = {0} differ first at 0.
+    assert str(exc.value) == (
+        "theorem check failed: subgroup_normal (gamma*H*gamma^-1 and H differ at 0)"
+    )
 
 
 def test_limit_theorem_check_runs_the_pair_sweep(monkeypatch):
@@ -1071,7 +1086,7 @@ def test_no_limit_measure_is_squared(monkeypatch):
         assert convolve(nu, nu) == nu and convolve(rep.eta, rep.eta) == rep.eta
 
 
-def z6_walk_with_cycle(monkeypatch, sets):
+def z6_walk_with_cycle(monkeypatch, sets, points=("2", "5")):
     # On Z6 with support {2,5} the support cycle is {2,5}, {4,1}, {0,3}
     # from q = 1, and T = K = Z6 with e = 0.  The walk is patched to report
     # the given sets in place of that cycle, with the true q and T.
@@ -1083,7 +1098,58 @@ def z6_walk_with_cycle(monkeypatch, sets):
         return q, [z6.subset_of_labels(labels) for labels in sets], reached
 
     monkeypatch.setattr(dynamics, "_power_cycle", patched)
-    return Dist.from_mapping(z6, {"2": RAT(1, 2), "5": RAT(1, 2)})
+    return Dist.from_mapping(z6, {z: RAT(1, len(points)) for z in points})
+
+
+def test_an_h_equal_g_cycle_with_two_sets_fails_period_matches_quotient(monkeypatch):
+    # With support {1,2} the supports on Z6 grow to Z6 itself, so H = G and
+    # p = 1.  Reporting a second set {1,2} after Z6 keeps the set holding e
+    # at K, so H is still G, but a cycle of period 1 has one set.
+    mu = Dist.from_mapping(cyclic(6), {"1": RAT(1, 2), "2": RAT(1, 2)})
+    rep = analyze_limit(mu)
+    assert (rep.p, rep.H.carrier) == (1, rep.rees.group.carrier)
+    mu = z6_walk_with_cycle(monkeypatch, [tuple("012345"), ("1", "2")], points=("1", "2"))
+    with pytest.raises(TheoremViolation) as exc:
+        analyze_limit(mu)
+    assert exc.value.clause == "period_matches_quotient"
+    assert str(exc.value) == (
+        "theorem check failed: period_matches_quotient (p=1, 2 sets on K, |G|=6, |H|=6)"
+    )
+
+
+def benchmark_style_walks():
+    """Walks drawn as the walks_corpus benchmark draws its batch: eight on
+    each extended-corpus table of order <= 300, each a random_dist over at
+    most four points that generate at most 64 elements."""
+    rng = XorShift64Star(39)
+    walks = []
+    for inst in verify.build_corpus("extended"):
+        sg = inst.semigroup
+        if sg.order > 300:
+            continue
+        for _ in range(8):
+            while True:
+                size = 1 + rng.below(min(4, sg.order))
+                points = sg.subset(rng.below(sg.order) for _ in range(size))
+                if len(generated_subsemigroup(points)) <= 64:
+                    break
+            walks.append(random_dist(points, rng.next_word(), 64))
+    return walks
+
+
+@pytest.mark.parametrize("batch", ["default-0", "default-1", "default-2", "default-3", "drawn"])
+def test_the_limit_matches_the_general_coset_algebra(batch):
+    # analyze_limit reads gamma, p, H and the cluster off the split when
+    # H = G; the general coset algebra, run on every walk, must agree.
+    kind, _, seed = batch.partition("-")
+    walks = default_corpus_walks(int(seed)) if kind == "default" else benchmark_style_walks()
+    whole = 0
+    for mu in walks:
+        rep = analyze_limit(mu)
+        assert (rep.gamma, rep.p, rep.H.carrier, rep.cluster) == coset_algebra(mu), mu.parent
+        whole += rep.H.carrier == rep.rees.group.carrier
+    # both branches are taken
+    assert 0 < whole < len(walks)
 
 
 def test_a_subset_of_g_that_is_not_closed_fails_subgroup_structure(monkeypatch):
