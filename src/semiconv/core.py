@@ -89,9 +89,7 @@ class Semigroup(_Frozen):
     def __init__(self, labels, rows):
         labels = tuple(labels)
         _set_labels(self, labels)
-        # tuple() returns a tuple argument itself, so rows that are tuples
-        # already, as validate_cayley builds them, are not copied again.
-        _set_rows(self, tuple(map(tuple, rows)))
+        _set_rows(self, tuple(tuple(r) for r in rows))
         _set_index(self, {lab: i for i, lab in enumerate(labels)})
         _set_np(self, None)
 
@@ -518,31 +516,13 @@ def product_sets(first, second):
     return ElementSet(sg, mask)
 
 
-# Above this many elements translates reads its three sets by gathers
-# rather than by a loop over the table's rows.  On cyclic(n)'s carrier at
-# e = 0 the loop took 9 us at 32 elements, 22 us at 96 and 35 us at 128,
-# the gathers 26-29 us throughout (best of 5x200 calls); the three
-# product_sets calls it replaces took 21, 41 and 46 us.
-_TRANSLATE_GATHER_SIZE = 96
-
-
 def translates(s, e):
     """(S*e, e*S, e*S*e) for a set S and an element e, in one pass over S:
     z*e, e*z and e*(z*e) are read for each z in S.  The three are the
     products product_sets(S, {e}), product_sets({e}, S) and
     product_sets({e}, S*e), as a set product is the set of its pairwise
-    products.  Above _TRANSLATE_GATHER_SIZE elements the pass is three
-    gathers from S's index array, below it a loop over the table's rows."""
+    products."""
     sg = s.parent
-    if s.mask.bit_count() > _TRANSLATE_GATHER_SIZE:
-        t = sg.table_array()
-        index = _indices(s.mask)
-        ze = t[index, e]
-        hits = np.zeros((3, sg.order), dtype=bool)
-        hits[0, ze] = True
-        hits[1, t[e, index]] = True
-        hits[2, t[e, ze]] = True
-        return tuple(ElementSet(sg, _mask_of(hit)) for hit in hits)
     rows = sg.rows
     row_e = rows[e]
     se = es = ese = 0

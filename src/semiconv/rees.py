@@ -154,17 +154,13 @@ def rees_decompose(x, at=None):
     hypotheses are checked only to name a failure.
     """
     s = _as_set(x)
-    rows = s.parent.rows
-    if at is None:
-        e = next((z for z in s if rows[z][z] == z), None)
-    else:
-        e = at if at in s and rows[at][at] == at else None
-    if e is not None:
+    ids = idempotents(s)
+    if ids and (at is None or at in ids):
         try:
-            return _split(s, e)
+            return _split(s, ids.least() if at is None else at)
         except (NotASubsemigroup, NotAGroup, VerificationFailed):
             pass
-    return _split(s, _base_or_raise(s, idempotents(s), at))
+    return _split(s, _base_or_raise(s, ids, at))
 
 
 def _base_or_raise(s, ids, at):
