@@ -12,6 +12,17 @@ or a mask read above a measured size goes through numpy, one table gather
 into a boolean array or one np.unpackbits; below it a loop over the
 table's rows or the mask's bits is cheaper, as numpy's fixed cost per
 call dominates small sets.  All operations are exact table lookups.
+A Semigroup also holds three facts of its table as masks, each built on
+first use and kept, as table_array() is: the idempotents E(S), and the
+row images a*S and the column images S*b, one mask per element.  Each
+side of images is one scatter of the table into an n x n boolean array
+(the scatter whose row sums order the picks of Light's test below) and
+one np.packbits, and the two sides hold 2*n^2/8 bytes of mask (256 KiB
+at the order cap).  A set product with the whole carrier is then an
+OR of images, S*B of the column images of B and A*S of the row images of
+A, with no pass over pairs; this is the product of the kernel of a
+carrier, the ideal tests, the principal ideals and the closure test of a
+carrier.  idempotents(X) is X & E(S).
 Validation decides associativity by Light's test: it sweeps (a*b)*c =
 a*(b*c) over all b and c only for the rows a of a greedy generating set,
 each pick outside the closure of the earlier picks under right
@@ -80,11 +91,11 @@ class Semigroup(_Frozen):
     validate_cayley, which is the only path that checks associativity.
     Immutable through _Frozen, as every ElementSet and Dist keys on it and
     the table is read both as rows and as table_array().  The constructor,
-    validate_cayley and the table_array cache write through the slots' own
-    descriptors.
+    validate_cayley and the caches of table_array and the three table
+    masks write through the slots' own descriptors.
     """
 
-    __slots__ = ("labels", "rows", "_index", "_np")
+    __slots__ = ("labels", "rows", "_index", "_np", "_idempotents", "_row_masks", "_column_masks")
 
     def __init__(self, labels, rows):
         labels = tuple(labels)
@@ -92,6 +103,9 @@ class Semigroup(_Frozen):
         _set_rows(self, tuple(tuple(r) for r in rows))
         _set_index(self, {lab: i for i, lab in enumerate(labels)})
         _set_np(self, None)
+        _set_idempotents(self, None)
+        _set_row_masks(self, None)
+        _set_column_masks(self, None)
 
     def __reduce__(self):
         return Semigroup, (self.labels, self.rows)
@@ -119,6 +133,25 @@ class Semigroup(_Frozen):
             t.flags.writeable = False
             _set_np(self, t)
         return self._np
+
+    def _idempotent_mask(self):
+        """The mask of E(S), the elements with a*a = a, built once."""
+        if self._idempotents is None:
+            t = self.table_array()
+            _set_idempotents(self, _mask_of(t.diagonal() == np.arange(len(t))))
+        return self._idempotents
+
+    def _row_images(self):
+        """The row images a*S, one mask per element a, built once."""
+        if self._row_masks is None:
+            _set_row_masks(self, _image_masks(self.table_array(), rows=True))
+        return self._row_masks
+
+    def _column_images(self):
+        """The column images S*b, one mask per element b, built once."""
+        if self._column_masks is None:
+            _set_column_masks(self, _image_masks(self.table_array(), rows=False))
+        return self._column_masks
 
     def carrier(self):
         return ElementSet(self, (1 << self.order) - 1)
@@ -154,6 +187,28 @@ _set_labels = Semigroup.labels.__set__
 _set_rows = Semigroup.rows.__set__
 _set_index = Semigroup._index.__set__
 _set_np = Semigroup._np.__set__
+_set_idempotents = Semigroup._idempotents.__set__
+_set_row_masks = Semigroup._row_masks.__set__
+_set_column_masks = Semigroup._column_masks.__set__
+
+
+def _image_hits(t, rows):
+    """An n x n boolean array whose row i marks the image of row i
+    (rows=True) or of column i of the table t: one scatter of each entry
+    t[a, b] to (a, t[a, b]) or (b, t[a, b]) of a flat array."""
+    n = len(t)
+    starts = np.arange(0, n * n, n)
+    hit = np.zeros(n * n, dtype=bool)
+    hit[((starts[:, None] if rows else starts) + t).ravel()] = True
+    return hit.reshape(n, n)
+
+
+def _image_masks(t, rows):
+    """The image of each row (rows=True) or each column of the table t, one
+    mask per index: one packbits of _image_hits."""
+    packed = np.packbits(_image_hits(t, rows), axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 
 class ElementSet(_Frozen):
@@ -268,6 +323,19 @@ def _indices(mask):
 def _mask_of(hit):
     """The mask of a boolean array over the carrier."""
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+
+
+def _ascending_subset(sg, indices):
+    """The ElementSet of distinct indices of sg, given in ascending order,
+    with its elements() filled in.  Nothing is range-checked: the caller's
+    indices are sg's by construction, as a Dist's support is."""
+    els = tuple(indices)
+    mask = 0
+    for a in els:
+        mask |= 1 << a
+    out = ElementSet(sg, mask)
+    _set_elements(out, els)
+    return out
 
 
 def _check_parent(first, second):
@@ -396,10 +464,7 @@ def _entry_array(table, n):
 def _by_image_size(t):
     """Element indices in descending order of |a*S|, the number of distinct
     entries in row a, ties broken by index."""
-    n = len(t)
-    hit = np.zeros((n, n), dtype=bool)
-    hit[np.arange(n)[:, None], t] = True
-    return np.argsort(-hit.sum(axis=1), kind="stable")
+    return np.argsort(-_image_hits(t, rows=True).sum(axis=1), kind="stable")
 
 
 # Above this many pairs |frontier|*|picks| a layer of _greedy_generators is
@@ -492,16 +557,27 @@ _PRODUCT_GATHER_PAIRS = 192
 
 
 def product_sets(first, second):
-    """{a*b : a in first, b in second}.  Empty factor gives the empty set."""
+    """{a*b : a in first, b in second}.  Empty factor gives the empty set.
+
+    A product with the carrier S is a union of images of the table: S*B is
+    the union of the column images S*b over b in B, and A*S that of the
+    row images a*S over a in A, so it is one OR of masks per element of
+    the other operand.  Other products loop over the pairs, or above
+    _PRODUCT_GATHER_PAIRS of them take one table gather."""
     # Exact type tests keep the usual pair of ElementSets off _as_set's two
     # calls: this is the set product of the kernel, ideal and group steps.
     if type(first) is not ElementSet or type(second) is not ElementSet:
         first, second = _as_set(first), _as_set(second)
     _check_parent(first, second)
     sg = first.parent
-    pairs = first.mask.bit_count() * second.mask.bit_count()
+    size_a, size_b = first.mask.bit_count(), second.mask.bit_count()
+    pairs = size_a * size_b
     if not pairs:
         return sg.empty()
+    if size_a == len(sg.labels):
+        return ElementSet(sg, _union(sg._column_images(), second.elements()))
+    if size_b == len(sg.labels):
+        return ElementSet(sg, _union(sg._row_images(), first.elements()))
     if pairs > _PRODUCT_GATHER_PAIRS:
         hit = np.zeros(sg.order, dtype=bool)
         hit[sg.table_array()[np.ix_(_indices(first.mask), _indices(second.mask))]] = True
@@ -514,6 +590,14 @@ def product_sets(first, second):
         for b in bb:
             mask |= 1 << row[b]
     return ElementSet(sg, mask)
+
+
+def _union(images, indices):
+    """The OR of the image masks at the given indices."""
+    mask = 0
+    for i in indices:
+        mask |= images[i]
+    return mask
 
 
 def translates(s, e):
@@ -535,14 +619,10 @@ def translates(s, e):
 
 
 def idempotents(x):
-    """Elements with a*a = a, within the given carrier or subset."""
+    """Elements with a*a = a, within the given carrier or subset: its
+    intersection with E(S)."""
     s = _as_set(x)
-    rows = s.parent.rows
-    mask = 0
-    for a in s:
-        if rows[a][a] == a:
-            mask |= 1 << a
-    return ElementSet(s.parent, mask)
+    return ElementSet(s.parent, s.mask & s.parent._idempotent_mask())
 
 
 def generated_subsemigroup(gens):

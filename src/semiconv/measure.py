@@ -89,7 +89,7 @@ from functools import cache
 from math import gcd, lcm
 
 from ._rat import ONE, RAT, ZERO, as_rat
-from .core import GroupStructure, _Frozen, _as_set, _check_parent, product_sets
+from .core import GroupStructure, _ascending_subset, _Frozen, _as_set, _check_parent, product_sets
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -116,7 +116,10 @@ class Dist(_Frozen):
         if len(probs) != parent.order:
             raise InvalidDistribution(f"{len(probs)} probabilities for {parent.order} elements")
         dist = Dist.from_mapping(parent, dict(enumerate(probs)))
-        self._set(parent, dist.den, dist._nums, probs)
+        _set_parent(self, parent)
+        _set_den(self, dist.den)
+        _set_nums(self, dist._nums)
+        _set_probs(self, probs)
 
     @classmethod
     def _from_numerators(cls, parent, den, numerators):
@@ -139,16 +142,14 @@ class Dist(_Frozen):
         else:
             den //= g
             nums = tuple((i, n // g) for i, n in sorted(numerators.items()))
+        # The slots are written through their own descriptors, past
+        # _Frozen's guard.
         dist = object.__new__(cls)
-        dist._set(parent, den, nums, None)
+        _set_parent(dist, parent)
+        _set_den(dist, den)
+        _set_nums(dist, nums)
+        _set_probs(dist, None)
         return dist
-
-    def _set(self, parent, den, nums, probs):
-        # Through the slots' descriptors, past _Frozen's guard.
-        _set_parent(self, parent)
-        _set_den(self, den)
-        _set_nums(self, nums)
-        _set_probs(self, probs)
 
     def __reduce__(self):
         return Dist._from_numerators, (self.parent, self.den, dict(self._nums))
@@ -173,7 +174,8 @@ class Dist(_Frozen):
         return [(i, RAT(n, den)) for i, n in self._nums]
 
     def support(self):
-        return self.parent.subset(i for i, _ in self._nums)
+        # The numerators are in index order, and their indices in range.
+        return _ascending_subset(self.parent, (i for i, _ in self._nums))
 
     def __eq__(self, other):
         if not isinstance(other, Dist):

@@ -12,17 +12,20 @@ A CorpusInstance is also a structure record: its carrier, its kernel,
 the kernel's Rees decomposition, the minimal left and right ideals read
 off that decomposition, the one-sided simplicity flags and the group
 structure or None, each built on first use and kept for the suite run.
-A part whose build raises is not kept, so each use raises again.  Laws
-about a public predicate (is_left_simple, is_right_simple, is_simple)
-still call it, and wherever feasible an independent route (subset
-sweeps, principal-ideal enumeration, exact linear solves) confirms the
-optimized one.
+It keeps the oracle results that more than one law reads too: the
+principal-ideal enumeration of the minimal ideals and the subset sweep
+of the ideals (orders up to 5), each once per side.  A part whose build
+raises is not kept, so each use raises again.  Laws about a public
+predicate (is_left_simple, is_right_simple, is_simple) still call it,
+and wherever feasible an independent route (subset sweeps,
+principal-ideal enumeration, exact linear solves) confirms the optimized
+one.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
 
@@ -79,6 +82,7 @@ class CorpusInstance:
 
     name: str
     semigroup: Semigroup
+    _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def carrier(self):
@@ -111,6 +115,20 @@ class CorpusInstance:
             return group_structure(self.carrier)
         except SemiconvError:
             return None
+
+    def principal_minimal(self, side):
+        """principal_minimal_ideals of the carrier on the side, kept."""
+        return self._kept(principal_minimal_ideals, self.carrier, side)
+
+    def subset_ideals(self, side):
+        """_all_subset_ideals of the table on the side, kept."""
+        return self._kept(_all_subset_ideals, self.semigroup, side)
+
+    def _kept(self, oracle, source, side):
+        key = (oracle, side)
+        if key not in self._oracles:
+            self._oracles[key] = oracle(source, side)
+        return self._oracles[key]
 
 
 @dataclass(frozen=True)
@@ -378,7 +396,7 @@ def _minimal_ideal_criterion(inst, seed):
     sg, car = inst.semigroup, inst.carrier
     _, lefts, rights = inst.ideals
     for side, mins in (("left", lefts), ("right", rights)):
-        if mins != principal_minimal_ideals(car, side):
+        if mins != inst.principal_minimal(side):
             return f"minimal {side} ideals differ from the principal-ideal enumeration"
         for a in mins:
             for x in a:
@@ -390,7 +408,7 @@ def _minimal_ideal_criterion(inst, seed):
                 if trans != a:
                     return f"{side} ideal {_labels(a)} fails translation criterion at {sg.label(x)}"
         if sg.order <= 5:
-            brute = _inclusion_minimal(_all_subset_ideals(sg, side))
+            brute = _inclusion_minimal(inst.subset_ideals(side))
             if set(brute) != set(mins):
                 return f"subset sweep found different minimal {side} ideals than the kernel translates"
     return None
@@ -405,7 +423,7 @@ def _kernel_least_ideal(inst, seed):
     except SemiconvError as exc:
         return f"kernel computation failed: {exc}"
     union = sg.empty()
-    for part in principal_minimal_ideals(car, "left"):
+    for part in inst.principal_minimal("left"):
         union |= part
     if k != union:
         return f"kernel {_labels(k)} is not the union of the minimal principal left ideals"
@@ -431,7 +449,7 @@ def _one_sided_simplicity(inst, seed):
         if claimed != simple_by_sweep(car, side):
             return f"{side} simplicity flag disagrees with translation sweep"
         if sg.order <= 5:
-            brute = all(a == car for a in _all_subset_ideals(sg, side))
+            brute = all(a == car for a in inst.subset_ideals(side))
             if claimed != brute:
                 return f"{side} simplicity flag disagrees with subset sweep"
     return None
@@ -445,7 +463,7 @@ def _simplicity(inst, seed):
     if claimed != simple_by_sweep(car, "two-sided"):
         return "simplicity flag disagrees with SaS sweep"
     if sg.order <= 5:
-        brute = all(a == car for a in _all_subset_ideals(sg, "two-sided"))
+        brute = all(a == car for a in inst.subset_ideals("two-sided"))
         if claimed != brute:
             return "simplicity flag disagrees with subset sweep"
     return None

@@ -2,8 +2,11 @@
 Gauss-Jordan that is the oracle of every elimination in semiconv.linalg,
 the measure oracles tv_distance and is_idempotent_measure, the
 minimal-ideal read-outs minimal_ideals, minimal_left_ideals and
-minimal_right_ideals, and coset_algebra, the general coset computation of
-the limit analysis run on every walk, H = G included.
+minimal_right_ideals, coset_algebra, the general coset computation of
+the limit analysis run on every walk, H = G included, the set-product and
+idempotent oracles products_by_pairs and idempotents_by_scan, and
+cesaro_deviations_by_average, the Cesaro deviations by two convolutions a
+step.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -15,9 +18,9 @@ on ints and makes a Fraction only at read-out.
 """
 
 from semiconv import dynamics
-from semiconv._rat import ONE, ZERO
+from semiconv._rat import ONE, RAT, ZERO
 from semiconv.core import _power_cycle, kernel, product_sets
-from semiconv.measure import convolve, coordinate_product, support, uniform_on
+from semiconv.measure import Dist, convolve, coordinate_product, support, uniform_on
 from semiconv.rees import minimal_one_sided_ideals, rees_decompose
 
 _ACCEPTANCE_LINES = []
@@ -97,6 +100,32 @@ def is_idempotent_measure(mu):
     """Whether mu * mu = mu, by one convolution: the brute-force oracle of
     the factorization theorem that measure.factorize_idempotent decides by."""
     return convolve(mu, mu) == mu
+
+
+def products_by_pairs(first, second):
+    """{a*b : a in first, b in second} by the loop over the pairs, as a
+    set of indices: the oracle of every path of product_sets."""
+    rows = first.parent.rows
+    return {rows[a][b] for a in first for b in second}
+
+
+def idempotents_by_scan(x):
+    """The elements a of x with a*a = a, by one pass over x: the scan
+    core.idempotents ran before it read the table's mask E(S)."""
+    rows = x.parent.rows
+    return {a for a in x if rows[a][a] == a}
+
+
+def cesaro_deviations_by_average(mu, n_max):
+    """|avg_n - mu * avg_n| for n = 1..n_max in unhalved total variation,
+    each from the average and its convolution with mu: the two
+    convolutions a step cesaro_diagnostic made before it read the
+    deviation off mu^(n+1)."""
+    out = []
+    for n, (acc, den, _) in enumerate(dynamics._running_sums(mu, n_max), 1):
+        avg = Dist._from_numerators(mu.parent, den * n, acc)
+        out.append(RAT(*dynamics._variation_numerator(avg, convolve(mu, avg))))
+    return tuple(out)
 
 
 def minimal_ideals(x):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import minimal_ideals, minimal_left_ideals, minimal_right_ideals
+from conftest import (
+    idempotents_by_scan,
+    minimal_ideals,
+    minimal_left_ideals,
+    minimal_right_ideals,
+    products_by_pairs,
+)
 
 import semiconv
 from semiconv import core, rees
@@ -494,6 +500,82 @@ def test_product_sets_large_path():
             a, b = (sg.subset(rng.sample(range(sg.order), k)) for k in (size_a, size_b))
             want = sg.subset(brute_products(sg, a, b))
             assert product_sets(a, b) == want, (spec.describe(), size_a, size_b)
+
+
+@st.composite
+def any_tables(draw):
+    """A Semigroup(...) over 1-12 elements with any table, associative or
+    not: the images are facts of the table and need no associativity."""
+    n = draw(st.integers(1, 12))
+    entries = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    return core.Semigroup([str(a) for a in range(n)], rows)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sg=any_tables(), data=st.data())
+def test_carrier_products_and_idempotents_match_the_oracles_on_drawn_tables(sg, data):
+    # The carrier on either side or both, against the empty set, every
+    # singleton and one drawn subset; idempotents on the same sets.
+    n = sg.order
+    car = sg.carrier()
+    drawn = sg.subset(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    for other in (sg.empty(), drawn, car, *(sg.singleton(a) for a in range(n))):
+        for first, second in ((car, other), (other, car)):
+            assert set(product_sets(first, second)) == products_by_pairs(first, second)
+        assert set(idempotents(other)) == idempotents_by_scan(other)
+
+
+def test_carrier_products_match_the_pair_loop_across_mask_bytes():
+    # Orders around the 8-bit boundaries of the packed images, and the
+    # order-512 boolean_matrices(3), with the carrier on each side.
+    rng = random.Random(5)
+    tables = [cyclic(n) for n in (7, 8, 9, 17, 64, 65)]
+    tables.append(build(CorpusSpec("boolean_matrices", (3,))))
+    for sg in tables:
+        n = sg.order
+        car = sg.carrier()
+        for size in (1, 2, n // 2, n):
+            other = sg.subset(rng.sample(range(n), size))
+            for first, second in ((car, other), (other, car)):
+                assert set(product_sets(first, second)) == products_by_pairs(first, second)
+        assert set(idempotents(car)) == idempotents_by_scan(car)
+
+
+def test_a_copied_semigroup_with_built_images_behaves_as_the_original():
+    # copy and pickle rebuild through __init__, so the copy builds its own
+    # images on first use, equal to the original's.
+    sg = t_full(3)
+    car = sg.carrier()
+    left = [product_sets(car, sg.singleton(a)) for a in range(sg.order)]
+    right = [product_sets(sg.singleton(a), car) for a in range(sg.order)]
+    idem = idempotents(car)
+    for other in (copy.copy(sg), copy.deepcopy(sg), pickle.loads(pickle.dumps(sg))):
+        assert other is not sg and other.labels == sg.labels and other.rows == sg.rows
+        oc = other.carrier()
+        assert [product_sets(oc, other.singleton(a)).elements() for a in range(sg.order)] == [
+            a.elements() for a in left
+        ]
+        assert [product_sets(other.singleton(a), oc).elements() for a in range(sg.order)] == [
+            a.elements() for a in right
+        ]
+        assert idempotents(oc).elements() == idem.elements()
+        assert kernel(oc).elements() == kernel(car).elements()
+        assert other._row_images() == sg._row_images()
+        assert other._column_images() == sg._column_images()
+        assert other._idempotent_mask() == sg._idempotent_mask()
+
+
+def test_the_table_facts_are_frozen_and_built_once():
+    sg = cyclic(5)
+    built = (sg._idempotent_mask(), sg._row_images(), sg._column_images())
+    for name in ("_idempotents", "_row_masks", "_column_masks"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sg, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(sg, name)
+    assert sg._row_images() is built[1] and sg._column_images() is built[2]
+    assert built[0] == 0b1 and sg._idempotent_mask() == built[0]
 
 
 def test_elements_read_large_masks_as_the_bit_scan():

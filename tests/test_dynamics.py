@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coset_algebra, fraction_nullspace, is_idempotent_measure, solve, tv_distance
+from conftest import (
+    cesaro_deviations_by_average,
+    coset_algebra,
+    fraction_nullspace,
+    is_idempotent_measure,
+    solve,
+    tv_distance,
+)
 
 from semiconv import (
     CorpusSpec,
@@ -695,6 +702,34 @@ def test_cesaro_diagnostic_series():
         cesaro_diagnostic(mu, 0, nu)
 
 
+def test_the_diagnostic_deviations_match_the_two_convolution_form():
+    # mu^(n+1) against mu gives every deviation the average and mu * avg_n
+    # gave, over the default corpus and a wide walk on cyclic(40).
+    walks = [uniform_on(cyclic(40).subset(range(0, 40, 3)))]
+    for inst in verify.build_corpus("default"):
+        walks += verify._seeded_dists(inst, 0, 10, 2)
+    for mu in walks:
+        diag = cesaro_diagnostic(mu, 12, cesaro_limit(mu))
+        assert diag.deviations == cesaro_deviations_by_average(mu, 12), mu
+        assert all(type(v) is RAT for v in diag.deviations)
+
+
+def test_the_diagnostic_makes_one_convolution_a_step(monkeypatch):
+    mu = uniform_on(cyclic(12).subset([1, 4]))
+    nu = cesaro_limit(mu)
+    calls = Counter()
+
+    def counted(first, second):
+        calls["convolve"] += 1
+        return convolve(first, second)
+
+    monkeypatch.setattr(dynamics, "convolve", counted)
+    for n_max in (1, 2, 16):
+        calls.clear()
+        cesaro_diagnostic(mu, n_max, nu)
+        assert calls["convolve"] == n_max
+
+
 def test_cesaro_deviation_bound():
     z2 = cyclic(2)
     d1 = dirac(z2, 1)
@@ -930,6 +965,18 @@ def test_a_wrong_g_coordinate_stops_the_coset_map(monkeypatch, first, clause):
     assert exc.value.clause == clause
     # The misread coordinate (a,2) is the step that leaves the coset.
     assert str(exc.value) == f"theorem check failed: {clause} ({MISREAD_STEP_WITNESS[clause]})"
+
+
+def test_support_nu_is_kernel_is_decided_without_building_supp_nu(monkeypatch):
+    # supp(nu) lies in K by the split, so its size decides the clause; only
+    # supp(mu) is built, for the support walk.
+    built = []
+    real = Dist.support
+    monkeypatch.setattr(Dist, "support", lambda self: built.append(self) or real(self))
+    for mu in (t2_walk(), uniform_on(cyclic(6).subset([1, 4]))):
+        built.clear()
+        assert analyze_limit(mu).checks["support_nu_is_kernel"]
+        assert built == [mu]
 
 
 def test_a_limit_that_misses_a_kernel_point_fails_support_nu_is_kernel(monkeypatch):

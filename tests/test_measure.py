@@ -122,6 +122,17 @@ def test_dirac_and_support():
     assert mu.support().labels() == ("0", "2")
 
 
+def test_a_support_is_the_subset_of_its_numerator_indices():
+    # The mask and the element tuple are read straight off the numerators.
+    sg = build(CorpusSpec("cyclic", (70,)))
+    for picked in ([69], [0, 3, 64], list(range(1, 70, 2))):
+        mu = uniform_on(sg.subset(picked))
+        supp = mu.support()
+        assert supp == sg.subset(picked) and hash(supp) == hash(sg.subset(picked))
+        assert supp.elements() == tuple(picked) == sg.subset(picked).elements()
+        assert all(type(a) is int for a in supp.elements())
+
+
 @pytest.mark.parametrize("a", [-1, 3])
 def test_dirac_rejects_an_index_out_of_range(a):
     with pytest.raises(MalformedInput, match="element index out of range"):

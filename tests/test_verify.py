@@ -170,3 +170,30 @@ def test_a_record_part_that_fails_is_not_kept():
         ):
             inst.rees
     assert "rees" not in vars(inst) and "ideals" not in vars(inst)
+
+
+def test_each_instance_runs_each_oracle_once_per_side(monkeypatch):
+    # The record keeps the principal-ideal enumeration and the subset sweep
+    # that two laws each read.
+    calls = Counter()
+
+    def counted(oracle):
+        def run(source, side):
+            parent = getattr(source, "parent", source)
+            calls[(oracle.__name__, id(parent), side)] += 1
+            return oracle(source, side)
+
+        return run
+
+    for name in ("principal_minimal_ideals", "_all_subset_ideals"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    res = run_suite(corpus="default", seed=0, inject_corruption=True)
+    assert [c.name for c in res.checks if not c.passed] == ["kernel_least_ideal"]
+    runs = Counter((name, side) for name, _, side in calls)
+    assert set(calls.values()) == {1}
+    # 28 default instances enumerate both sides, and the corrupted one its
+    # left side in kernel_least_ideal; the sweeps cover the orders up to 5.
+    assert runs[("principal_minimal_ideals", "left")] == 29
+    assert runs[("principal_minimal_ideals", "right")] == 28
+    sweeps = [runs[("_all_subset_ideals", side)] for side in ("left", "right", "two-sided")]
+    assert sweeps[0] > 0 and sweeps == sweeps[:1] * 3
