@@ -95,7 +95,7 @@ Everything here is exact; the only floating point is the optional shadow
 iteration, which is diagnostic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
@@ -133,15 +133,6 @@ def power(mu, n):
         if n:
             base = convolve(base, base)
     return result
-
-
-def cesaro_average(mu, n):
-    """(1/n) * (mu + mu^2 + ... + mu^n), exact."""
-    if n < 1:
-        raise MalformedInput(f"average length must be >= 1, got {n}")
-    for acc, den, _ in _running_sums(mu, n):
-        pass
-    return Dist._from_numerators(mu.parent, den * n, acc)
 
 
 def _running_sums(mu, n):
@@ -598,10 +589,13 @@ def analyze_limit(mu):
 
 @dataclass(frozen=True)
 class CesaroDiagnostic:
-    """Exact deviation series for the bound |mu_n - mu * mu_n| <= 2/n."""
+    """Exact deviation series for the bound |mu_n - mu * mu_n| <= 2/n, and
+    the powers mu, mu^2, ..., mu^(n_max+1) it was read off, which equality
+    and repr leave out."""
 
     deviations: tuple
     limit_gaps: tuple
+    powers: tuple = field(compare=False, repr=False)
 
 
 def cesaro_diagnostic(mu, n_max, nu):
@@ -618,30 +612,56 @@ def cesaro_diagnostic(mu, n_max, nu):
     and the difference telescopes: avg_n - mu * avg_n = (mu - mu^(n+1))/n.
     So |avg_n - mu * avg_n| = |mu - mu^(n+1)|/n, which is at most 2/n as
     mu and mu^(n+1) are probabilities.  Each step n makes one convolution,
-    the running power mu^(n+1), which the next average also adds.
+    the running power mu^(n+1), which the next average also adds; the
+    result keeps those powers, mu to mu^(n_max+1), for shift_deviation.
     """
     if n_max < 1:
         raise MalformedInput(f"n_max must be >= 1, got {n_max}")
     deviations = []
     gaps = []
+    powers = [mu]
     sums = _running_sums(mu, n_max + 1)
     acc, den, _ = next(sums)
     for n in range(1, n_max + 1):
         avg = Dist._from_numerators(mu.parent, den * n, acc)
         # The next sum's power is mu^(n+1); acc moves on past avg_n.
         acc, den, later = next(sums)
+        powers.append(later)
         dev, dev_den = _variation_numerator(mu, later)
         if dev > 2 * dev_den:
             raise VerificationFailed("cesaro bound", f"deviation {RAT(dev, dev_den * n)} > 2/{n}")
         deviations.append(RAT(dev, dev_den * n))
         gaps.append(variation_norm(avg, nu))
-    return CesaroDiagnostic(deviations=tuple(deviations), limit_gaps=tuple(gaps))
+    return CesaroDiagnostic(deviations=tuple(deviations), limit_gaps=tuple(gaps), powers=tuple(powers))
 
 
-def cesaro_deviation(mu, n, j):
-    """Exact |mu_n - mu^j * mu_n| in unhalved total variation."""
-    avg = cesaro_average(mu, n)
-    return variation_norm(avg, convolve(power(mu, j), avg))
+def shift_deviation(powers, n, j):
+    """Exact |avg_n - mu^j * avg_n| in unhalved total variation, read off
+    powers = (mu, mu^2, ..., mu^m) with m >= n + j and no convolution.
+
+    By bilinearity and associativity, as for cesaro_diagnostic,
+    mu^j * avg_n = (mu^(j+1) + ... + mu^(j+n))/n, so
+
+        n*(avg_n - mu^j * avg_n) = (mu + ... + mu^n) - (mu^(j+1) + ... + mu^(n+j)).
+
+    The two sums share the terms mu^k with j < k <= n (none when j >= n),
+    and what is left is (mu + ... + mu^j) - (mu^(n+1) + ... + mu^(n+j)): for
+    j <= n, take mu^(j+1) + ... + mu^n out of both; for j > n, add
+    mu^(n+1) + ... + mu^j to both.  So the deviation is the norm of j
+    powers minus j others, over n, at most 2j/n.
+    """
+    if n < 1 or j < 1 or len(powers) < n + j:
+        raise MalformedInput(
+            f"shift n={n}, j={j} needs n, j >= 1 and mu to mu^{n + j}, got {len(powers)} powers"
+        )
+    terms = [(1, d) for d in powers[:j]] + [(-1, d) for d in powers[n : n + j]]
+    den = lcm(*(d.den for _, d in terms))
+    diff = {}
+    for sign, d in terms:
+        scale = sign * (den // d.den)
+        for z, v in d._nums:
+            diff[z] = diff.get(z, 0) + v * scale
+    return RAT(sum(map(abs, diff.values())), den * n)
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,19 @@ after s is the XOR of the images of the parts of s; cut s into its 16
 nibbles and it is the XOR, over nibble j with value v, of the state t
 steps after the state holding v at nibble j and zeros elsewhere.  The
 table _jump_table() holds those 16 x 16 x 64 states, built once by
-stepping the 64 one-bit states as one numpy vector, so below_many reads up
-to 64 states with one gather and one XOR reduction; the output multiply
-wraps mod 2^64 in uint64, as next_word does.  This is the jump-ahead of
+stepping the 64 one-bit states as one numpy vector, so one reader of
+output words, which below_many and random_dist share, reads up to 64
+states with one gather and one XOR reduction; the output multiply wraps
+mod 2^64 in uint64, as next_word does.  This is the jump-ahead of
 Haramoto, Matsumoto, Nishimura, Panneton and L'Ecuyer (INFORMS J.
 Computing 20, 2008) for Vigna's xorshift64* (ACM TOMS 42, 2016).
 
 random_dist on a one-point support draws nothing: every draw below 1 is
 0, so the one weight is the whole bound, and the generator is local to
-the call, so skipping its draws changes no later value.
+the call, so skipping its draws changes no later value.  On k >= 2
+points it needs only how many of its draws land on each index, so it
+counts the same words by one np.bincount of their residues mod k, a
+block of up to 64 words at a time, and keeps no list of draws.
 """
 
 from dataclasses import dataclass
@@ -70,22 +74,23 @@ class XorShift64Star:
 
     def below_many(self, n, count):
         """count draws in [0, n): the values, and the state left behind, of
-        count calls to below(n).  Reads the states 64 at a time from the
-        jump table (module docstring)."""
+        count calls to below(n)."""
         if n < 1:
             raise ParameterOutOfRange(f"draw bound must be >= 1, got {n}")
+        return [w % n for words in self._words(count) for w in words.tolist()]
+
+    def _words(self, count):
+        """Yield the next count outputs of next_word as uint64 arrays of at
+        most 64, read from the jump table (module docstring), moving the
+        state past each array before it is yielded."""
         table = _jump_table()
-        s = self.state
-        out = []
         while count > 0:
             m = min(count, 64)
-            rows = _NIBBLE_ROWS + ((np.uint64(s) >> _NIBBLE_SHIFTS) & _NIBBLE_MASK)
+            rows = _NIBBLE_ROWS + ((np.uint64(self.state) >> _NIBBLE_SHIFTS) & _NIBBLE_MASK)
             states = np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0)[:m]
-            out += [w % n for w in (states * _MULTIPLIER).tolist()]
-            s = int(states[-1])
+            self.state = int(states[-1])
             count -= m
-        self.state = s
-        return out
+            yield states * _MULTIPLIER
 
 
 _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
@@ -357,7 +362,10 @@ def random_dist(support, seed, denominator_bound):
     if k == 1:
         weights = [denominator_bound]
     else:
-        weights = [1] * k
-        for i in XorShift64Star(seed).below_many(k, denominator_bound - k):
-            weights[i] += 1
+        # Only how many draws land on each index matters, so each block of
+        # words is counted by one bincount of its residues mod k.
+        counts = np.ones(k, dtype=np.int64)
+        for words in XorShift64Star(seed)._words(denominator_bound - k):
+            counts += np.bincount((words % np.uint64(k)).astype(np.intp), minlength=k)
+        weights = counts.tolist()
     return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))

@@ -422,11 +422,23 @@ def classify_translation_invariance(mu):
 def check_convolution_invariance(mu, nu):
     """For nu = mu*nu = nu*mu, verify the translation identities of nu
     over all x in supp(mu) and a in supp(nu); return the number of pairs
-    (x, a) checked."""
+    (x, a) checked.
+
+    The hypothesis is checked here, by its two convolutions, before the
+    identities.  verify's convolution_invariance check runs the identities
+    alone, _translation_identities, on the nu of cesaro_limit, which
+    verified the same hypothesis before returning it."""
     if convolve(mu, nu) != nu:
         raise HypothesisViolated("nu = mu * nu")
     if convolve(nu, mu) != nu:
         raise HypothesisViolated("nu = nu * mu")
+    return _translation_identities(mu, nu)
+
+
+def _translation_identities(mu, nu):
+    """The translation identities of check_convolution_invariance, for a nu
+    already known to satisfy nu = mu*nu = nu*mu; the number of pairs
+    checked."""
     sg = mu.parent
     # nu * delta_b and delta_b * nu, each built once per element b
     right = cache(lambda b: translate(nu, b, "right"))

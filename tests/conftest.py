@@ -4,9 +4,10 @@ the measure oracles tv_distance and is_idempotent_measure, the
 minimal-ideal read-outs minimal_ideals, minimal_left_ideals and
 minimal_right_ideals, coset_algebra, the general coset computation of
 the limit analysis run on every walk, H = G included, the set-product and
-idempotent oracles products_by_pairs and idempotents_by_scan, and
+idempotent oracles products_by_pairs and idempotents_by_scan,
 cesaro_deviations_by_average, the Cesaro deviations by two convolutions a
-step.
+step, and cesaro_average and cesaro_deviation, the shifted deviation
+|avg_n - mu^j * avg_n| from the average and mu^j themselves.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -17,7 +18,7 @@ they divide each pivot row by its pivot in Fraction, where linalg eliminates
 on ints and makes a Fraction only at read-out.
 """
 
-from semiconv import dynamics
+from semiconv import MalformedInput, dynamics
 from semiconv._rat import ONE, RAT, ZERO
 from semiconv.core import _power_cycle, kernel, product_sets
 from semiconv.measure import Dist, convolve, coordinate_product, support, uniform_on
@@ -126,6 +127,23 @@ def cesaro_deviations_by_average(mu, n_max):
         avg = Dist._from_numerators(mu.parent, den * n, acc)
         out.append(RAT(*dynamics._variation_numerator(avg, convolve(mu, avg))))
     return tuple(out)
+
+
+def cesaro_average(mu, n):
+    """(1/n) * (mu + mu^2 + ... + mu^n), exact."""
+    if n < 1:
+        raise MalformedInput(f"average length must be >= 1, got {n}")
+    for acc, den, _ in dynamics._running_sums(mu, n):
+        pass
+    return Dist._from_numerators(mu.parent, den * n, acc)
+
+
+def cesaro_deviation(mu, n, j):
+    """Exact |avg_n - mu^j * avg_n| in unhalved total variation, from the
+    average and mu^j by convolution: the oracle for shift_deviation, which
+    reads the same number off a series of powers."""
+    avg = cesaro_average(mu, n)
+    return dynamics.variation_norm(avg, convolve(dynamics.power(mu, j), avg))
 
 
 def minimal_ideals(x):

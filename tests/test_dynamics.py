@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cesaro_average,
+    cesaro_deviation,
     cesaro_deviations_by_average,
     coset_algebra,
     fraction_nullspace,
@@ -43,8 +45,6 @@ from semiconv import (
     XorShift64Star,
     analyze_limit,
     build,
-    cesaro_average,
-    cesaro_deviation,
     cesaro_diagnostic,
     cesaro_limit,
     convolve,
@@ -57,6 +57,7 @@ from semiconv import (
     power,
     random_dist,
     rees_decompose,
+    shift_deviation,
     support,
     support_period,
     translate,
@@ -728,6 +729,60 @@ def test_the_diagnostic_makes_one_convolution_a_step(monkeypatch):
         calls.clear()
         cesaro_diagnostic(mu, n_max, nu)
         assert calls["convolve"] == n_max
+
+
+def test_the_diagnostic_keeps_the_powers_it_read():
+    mu = uniform_on(cyclic(12).subset([1, 4]))
+    nu = cesaro_limit(mu)
+    diag = cesaro_diagnostic(mu, 5, nu)
+    assert diag.powers == tuple(power(mu, k) for k in range(1, 7))
+    # The powers are left out of equality and repr, which read the series.
+    assert diag == dataclasses.replace(diag, powers=())
+    assert "powers" not in repr(diag)
+
+
+def test_a_deviation_past_its_bound_names_the_step(monkeypatch):
+    # delta_1 on Z2 has deviations 2, 0, 2/3; the third deviation numerator
+    # is raised to 3 over 1, past 2 over 1, so the message reads 3/(1*3).
+    mu = dirac(cyclic(2), 1)
+    nu = cesaro_limit(mu)
+    real = dynamics._variation_numerator
+    steps = []
+
+    def raised(first, second):
+        if first is not mu:  # a limit gap
+            return real(first, second)
+        steps.append(second)
+        return (3, 1) if len(steps) == 3 else real(first, second)
+
+    monkeypatch.setattr(dynamics, "_variation_numerator", raised)
+    with pytest.raises(VerificationFailed) as exc:
+        cesaro_diagnostic(mu, 4, nu)
+    assert str(exc.value) == "internal verification failed: cesaro bound (deviation 1 > 2/3)"
+
+
+def test_the_shift_deviations_match_the_average_oracle(monkeypatch):
+    # The salt-10 walks of verify's shift bound, default seeds 0-3, and the
+    # p = 3 walk 1/2 delta_2 + 1/2 delta_5 on Z6 with its true support
+    # cycle; j > n is read too (n = 1, 2 with j = 3).
+    walks = [
+        mu
+        for seed in range(4)
+        for inst in verify.build_corpus("default")
+        for mu in verify._seeded_dists(inst, seed, 10, 1)
+    ]
+    cycling = z6_walk_with_cycle(monkeypatch, [("2", "5"), ("4", "1"), ("0", "3")])
+    assert analyze_limit(cycling).p == 3
+    for mu in walks + [cycling]:
+        powers = cesaro_diagnostic(mu, 12, cesaro_limit(mu)).powers
+        powers += (convolve(powers[-1], mu), convolve(convolve(powers[-1], mu), mu))
+        for n in range(1, 13):
+            for j in range(1, 4):
+                assert shift_deviation(powers, n, j) == cesaro_deviation(mu, n, j), (mu, n, j)
+    with pytest.raises(MalformedInput):
+        shift_deviation(powers[:14], 12, 3)
+    with pytest.raises(MalformedInput):
+        shift_deviation(powers, 0, 1)
 
 
 def test_cesaro_deviation_bound():

@@ -144,6 +144,16 @@ def test_rebase_at_every_idempotent():
         rebase(dec, non_idem)
 
 
+def test_rebase_names_an_index_outside_the_table():
+    # Both ends of 0 <= e' < order; the order itself would read past the
+    # table.
+    sg = build(CorpusSpec("rees_matrix", (3, 2, 2), seed=5))
+    dec = rees_decompose(sg.carrier())
+    for index in (-1, sg.order):
+        with pytest.raises(NotIdempotent, match=f"^element {index} is not idempotent$"):
+            rebase(dec, index)
+
+
 def test_an_idempotent_outside_the_carrier_is_not_in_the_factor():
     # In full_transformation(2) the identity map 01 is idempotent but lies
     # outside the kernel {00, 11}; the swap 10 is not idempotent at all.

@@ -7,7 +7,18 @@ from time import perf_counter
 
 import pytest
 
-from semiconv import build_corpus, run_suite, verify
+from semiconv import (
+    RAT,
+    build_corpus,
+    cesaro_limit,
+    convolve,
+    dirac,
+    dynamics,
+    measure,
+    power,
+    run_suite,
+    verify,
+)
 from semiconv.cli import main
 from semiconv.errors import NotAGroup, SemiconvError
 from semiconv.generators import CorpusSpec, build
@@ -197,3 +208,84 @@ def test_each_instance_runs_each_oracle_once_per_side(monkeypatch):
     assert runs[("principal_minimal_ideals", "right")] == 28
     sweeps = [runs[("_all_subset_ideals", side)] for side in ("left", "right", "two-sided")]
     assert sweeps[0] > 0 and sweeps == sweeps[:1] * 3
+
+
+def _z3_step_instance(monkeypatch):
+    # Every seeded walk of the instance is the point mass at 1 on Z3, whose
+    # powers cycle with period 3: mu^2 = delta_2 and mu^3 = delta_0.
+    inst = CorpusInstance("cyclic(3)", build(CorpusSpec("cyclic", (3,))))
+    mu = dirac(inst.semigroup, 1)
+    monkeypatch.setattr(verify, "_seeded_dists", lambda inst, seed, salt, count: [mu] * count)
+    return inst
+
+
+def _shift_bound_witness(inst):
+    return _run_law(_LAWS["cesaro_average_shift_bound"], [inst], 0).witness
+
+
+def test_the_shift_bound_makes_17_convolutions(monkeypatch):
+    # The diagnostic's 12 powers, two more to reach mu^15, and power(mu, 2)
+    # and power(mu, 3) by squaring (1 and 2 convolutions).  Building each
+    # shift's average and mu^j anew would make 35.  The limits are computed
+    # before the count, so the two convolutions of their invariance check
+    # are not counted.
+    instances = build_corpus("default")
+    limits = {}
+    for inst in instances:
+        mu = verify._seeded_dists(inst, 0, 10, 1)[0]
+        limits[mu] = verify.cesaro_limit(mu)
+    calls = Counter()
+
+    def counted(first, second):
+        calls["convolve"] += 1
+        return convolve(first, second)
+
+    monkeypatch.setattr(verify, "cesaro_limit", limits.__getitem__)
+    monkeypatch.setattr(verify, "convolve", counted)
+    monkeypatch.setattr(dynamics, "convolve", counted)
+    for inst in instances:
+        calls.clear()
+        assert verify._cesaro_bound(inst, 0) is None
+        assert calls["convolve"] == 17, inst.name
+
+
+def test_a_shift_past_its_bound_names_the_shift(monkeypatch):
+    inst = _z3_step_instance(monkeypatch)
+    real = verify.shift_deviation
+    monkeypatch.setattr(
+        verify,
+        "shift_deviation",
+        lambda powers, n, j: real(powers, n, j) if n == 8 else RAT(7, 12),
+    )
+    assert _shift_bound_witness(inst) == "cyclic(3): shift deviation 7/12 exceeds 6/12"
+
+
+def test_a_power_that_differs_from_the_series_names_where(monkeypatch):
+    # power(mu, j) is replaced by mu^(j+1): for j = 2 that is delta_0 where
+    # the series holds mu^2 = delta_2, and 0 is the least element they
+    # disagree at.
+    inst = _z3_step_instance(monkeypatch)
+    monkeypatch.setattr(verify, "power", lambda mu, j: power(mu, j + 1))
+    assert _shift_bound_witness(inst) == (
+        "cyclic(3): power(mu, 2) and the series' mu^2 differ at 0: 1 against 0"
+    )
+
+
+def test_the_invariance_check_convolves_only_inside_the_limit(monkeypatch):
+    # cesaro_limit verified mu * nu = nu = nu * mu, so the law checks the
+    # translation identities alone.
+    calls = Counter()
+
+    def counted(first, second):
+        calls["convolve"] += 1
+        return convolve(first, second)
+
+    for module in (verify, measure):
+        monkeypatch.setattr(module, "convolve", counted)
+    instances = build_corpus("default")
+    limits = {mu: cesaro_limit(mu) for inst in instances for mu in verify._seeded_dists(inst, 0, 8, 2)}
+    monkeypatch.setattr(verify, "cesaro_limit", limits.__getitem__)
+    for inst in instances:
+        calls.clear()
+        assert verify._convolution_invariance(inst, 0) is None
+        assert calls["convolve"] == 0, inst.name
