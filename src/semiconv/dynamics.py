@@ -173,10 +173,17 @@ def variation_norm(mu, nu):
 def _variation_numerator(mu, nu):
     """The unhalved l1 distance as (numerator, denominator), over the lcm
     of the two denominators."""
-    den = lcm(mu.den, nu.den)
-    a, b = den // mu.den, den // nu.den
-    diff = {z: n * a for z, n in mu._nums}
-    for z, n in nu._nums:
+    return _l1_numerator(mu._nums, mu.den, nu._nums, nu.den)
+
+
+def _l1_numerator(first, first_den, second, second_den):
+    """The unhalved l1 distance between two measures given as (element,
+    numerator) pairs over their denominators, as (numerator, denominator)
+    over the lcm of the two."""
+    den = lcm(first_den, second_den)
+    a, b = den // first_den, den // second_den
+    diff = {z: n * a for z, n in first}
+    for z, n in second:
         diff[z] = diff.get(z, 0) - n * b
     return sum(map(abs, diff.values())), den
 
@@ -614,16 +621,19 @@ def cesaro_diagnostic(mu, n_max, nu):
     mu and mu^(n+1) are probabilities.  Each step n makes one convolution,
     the running power mu^(n+1), which the next average also adds; the
     result keeps those powers, mu to mu^(n_max+1), for shift_deviation.
+    Each gap |avg_n - nu| is read off the running sum, whose numerators
+    are avg_n's over den*n, with no Dist for avg_n.
     """
     if n_max < 1:
         raise MalformedInput(f"n_max must be >= 1, got {n_max}")
+    _check_parent(mu, nu)
     deviations = []
     gaps = []
     powers = [mu]
     sums = _running_sums(mu, n_max + 1)
     acc, den, _ = next(sums)
     for n in range(1, n_max + 1):
-        avg = Dist._from_numerators(mu.parent, den * n, acc)
+        gaps.append(RAT(*_l1_numerator(acc.items(), den * n, nu._nums, nu.den)))
         # The next sum's power is mu^(n+1); acc moves on past avg_n.
         acc, den, later = next(sums)
         powers.append(later)
@@ -631,7 +641,6 @@ def cesaro_diagnostic(mu, n_max, nu):
         if dev > 2 * dev_den:
             raise VerificationFailed("cesaro bound", f"deviation {RAT(dev, dev_den * n)} > 2/{n}")
         deviations.append(RAT(dev, dev_den * n))
-        gaps.append(variation_norm(avg, nu))
     return CesaroDiagnostic(deviations=tuple(deviations), limit_gaps=tuple(gaps), powers=tuple(powers))
 
 
@@ -684,20 +693,23 @@ def float_shadow(mu, eta, step):
     Checks that the l1 gap never increases (up to float jitter) and finds
     the first iterate below _SHADOW_TOLERANCE, within
     _SHADOW_MAX_ITERATIONS steps.  Exact checks remain authoritative.
+    The matrix takes one row scatter per support point s, adding mu(s) at
+    (z, z*s) for every z, and the start and target vectors are laid on
+    the supports of mu and eta.
     """
     _check_parent(mu, eta)
     if step < 1:
         raise MalformedInput(f"shadow step must be >= 1, got {step}")
-    rows = mu.parent.rows
+    table = mu.parent.table_array()
     n = mu.parent.order
+    every = np.arange(n)
     m = np.zeros((n, n))
     for s, p in mu.items():
-        for z in range(n):
-            m[z, rows[z][s]] += float(p)
+        m[every, table[:, s]] += float(p)
     m_step = np.linalg.matrix_power(m, step)
-    target = np.array([float(p) for p in eta.probs])
+    target = _float_vector(eta)
     # Start at mu^step: the gap to eta is non-increasing under M^step.
-    v = np.array([float(p) for p in mu.probs]) @ np.linalg.matrix_power(m, step - 1)
+    v = _float_vector(mu) @ np.linalg.matrix_power(m, step - 1)
     gaps = []
     non_increasing = True
     hit = -1
@@ -716,3 +728,11 @@ def float_shadow(mu, eta, step):
         iterations_to_tolerance=hit,
         converged=hit >= 0,
     )
+
+
+def _float_vector(mu):
+    """mu's probabilities as a dense float64 vector, 0 off its support."""
+    v = np.zeros(mu.parent.order)
+    for z, p in mu.items():
+        v[z] = float(p)
+    return v

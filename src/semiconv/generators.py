@@ -20,12 +20,14 @@ after s is the XOR of the images of the parts of s; cut s into its 16
 nibbles and it is the XOR, over nibble j with value v, of the state t
 steps after the state holding v at nibble j and zeros elsewhere.  The
 table _jump_table() holds those 16 x 16 x 64 states, built once by
-stepping the 64 one-bit states as one numpy vector, so one reader of
-output words, which below_many and random_dist share, reads up to 64
-states with one gather and one XOR reduction; the output multiply wraps
-mod 2^64 in uint64, as next_word does.  This is the jump-ahead of
-Haramoto, Matsumoto, Nishimura, Panneton and L'Ecuyer (INFORMS J.
-Computing 20, 2008) for Vigna's xorshift64* (ACM TOMS 42, 2016).
+stepping the 64 one-bit states as one numpy vector.  One reader,
+_next_states, takes several states at once and reads the 64 after each
+with one gather and one XOR reduction; below_many and random_dist read
+through it one state at a time, and _random_dists every generator of a
+batch together.  The output multiply wraps mod 2^64 in uint64, as
+next_word does.  This is the jump-ahead of Haramoto, Matsumoto,
+Nishimura, Panneton and L'Ecuyer (INFORMS J. Computing 20, 2008) for
+Vigna's xorshift64* (ACM TOMS 42, 2016).
 
 random_dist on a one-point support draws nothing: every draw below 1 is
 0, so the one weight is the whole bound, and the generator is local to
@@ -33,6 +35,9 @@ the call, so skipping its draws changes no later value.  On k >= 2
 points it needs only how many of its draws land on each index, so it
 counts the same words by one np.bincount of their residues mod k, a
 block of up to 64 words at a time, and keeps no list of draws.
+_random_dists makes a list of such draws, one bound for all, in the same
+passes: each block of its generators' words is counted by one bincount,
+every generator's residues offset to its own k bins.
 """
 
 from dataclasses import dataclass
@@ -81,13 +86,11 @@ class XorShift64Star:
 
     def _words(self, count):
         """Yield the next count outputs of next_word as uint64 arrays of at
-        most 64, read from the jump table (module docstring), moving the
-        state past each array before it is yielded."""
-        table = _jump_table()
+        most 64, read from the jump table by _next_states as its one-state
+        case, moving the state past each array before it is yielded."""
         while count > 0:
             m = min(count, 64)
-            rows = _NIBBLE_ROWS + ((np.uint64(self.state) >> _NIBBLE_SHIFTS) & _NIBBLE_MASK)
-            states = np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0)[:m]
+            states = _next_states(np.uint64(self.state))[:m]
             self.state = int(states[-1])
             count -= m
             yield states * _MULTIPLIER
@@ -97,6 +100,17 @@ _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
 _NIBBLE_ROWS = 16 * np.arange(16, dtype=np.uint64)
 _NIBBLE_MASK = np.uint64(15)
 _MULTIPLIER = np.uint64(XorShift64Star.MULTIPLIER)
+_SLOTS = np.arange(64)  # the word positions of one block
+
+
+def _next_states(states):
+    """The 64 states after each of states, a uint64 column of G states
+    (shape (G, 1)), as a (G, 64) array, row g in order after states[g]; a
+    uint64 scalar gives its 64 as one row.  One gather of each state's 16
+    nibble rows from the jump table and one XOR reduction (module
+    docstring)."""
+    rows = _NIBBLE_ROWS + ((states >> _NIBBLE_SHIFTS) & _NIBBLE_MASK)
+    return np.bitwise_xor.reduce(_jump_table().take(rows, axis=0), axis=-2)
 
 
 @cache
@@ -351,6 +365,62 @@ def random_dist(support, seed, denominator_bound):
     starting from one unit per element; probabilities are weight/bound, so
     every denominator divides the bound.
     """
+    elements = _checked_elements(support, denominator_bound)
+    k = len(elements)
+    if k == 1:
+        weights = [denominator_bound]
+    else:
+        # Only how many draws land on each index matters, so each block of
+        # words is counted by one bincount of its residues mod k.  This
+        # count stays beside _random_dists: a batch of one costs 28 us a
+        # draw there against 14 us here (3 points, bound 64; a batch of 23
+        # costs 5.6 us a draw), and perfbench's seeded walks come one at a
+        # time.
+        counts = np.ones(k, dtype=np.int64)
+        for words in XorShift64Star(seed)._words(denominator_bound - k):
+            counts += np.bincount((words % np.uint64(k)).astype(np.intp), minlength=k)
+        weights = counts.tolist()
+    return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))
+
+
+def _random_dists(draws, bound):
+    """[random_dist(s, seed, bound) for s, seed in draws], with the
+    generators of every support of two or more points read in the same
+    passes: blocks of 64 states from _next_states until the largest need,
+    each block's words counted by one np.bincount over the residues mod k
+    offset to the generator's own bins, and the slots past a generator's
+    need, bound - k, sent to one dump bin past them all."""
+    elements = [_checked_elements(s, bound) for s, _ in draws]
+    weights = [[bound] for _ in draws]
+    many = [g for g, els in enumerate(elements) if len(els) > 1]
+    if many:
+        ks = np.array([len(elements[g]) for g in many], dtype=np.int64)
+        offsets = np.cumsum(ks) - ks
+        dump = int(ks.sum())
+        needs = (bound - ks)[:, None]
+        moduli = ks.astype(np.uint64)[:, None]
+        states = np.array(
+            [(draws[g][1] & _MASK64) or _SEED_FILL for g in many], dtype=np.uint64
+        )[:, None]
+        counts = np.ones(dump + 1, dtype=np.int64)
+        for start in range(0, bound - int(ks.min()), 64):
+            block = _next_states(states)
+            bins = (block * _MULTIPLIER % moduli).astype(np.intp) + offsets[:, None]
+            live = _SLOTS + start < needs
+            counts += np.bincount(np.where(live, bins, dump).ravel(), minlength=dump + 1)
+            states = block[:, -1:]
+        flat = counts.tolist()
+        for g, off, k in zip(many, offsets.tolist(), ks.tolist()):
+            weights[g] = flat[off : off + k]
+    return [
+        Dist._from_numerators(s.parent, bound, dict(zip(els, w)))
+        for (s, _), els, w in zip(draws, elements, weights)
+    ]
+
+
+def _checked_elements(support, denominator_bound):
+    """The support's elements, once it is known to be non-empty and to
+    have at most denominator_bound of them."""
     if not support:
         raise EmptySet("cannot place a distribution on the empty set")
     elements = support.elements()
@@ -359,13 +429,4 @@ def random_dist(support, seed, denominator_bound):
         raise ParameterOutOfRange(
             f"denominator_bound {denominator_bound} below support size {k}"
         )
-    if k == 1:
-        weights = [denominator_bound]
-    else:
-        # Only how many draws land on each index matters, so each block of
-        # words is counted by one bincount of its residues mod k.
-        counts = np.ones(k, dtype=np.int64)
-        for words in XorShift64Star(seed)._words(denominator_bound - k):
-            counts += np.bincount((words % np.uint64(k)).astype(np.intp), minlength=k)
-        weights = counts.tolist()
-    return Dist._from_numerators(support.parent, denominator_bound, dict(zip(elements, weights)))
+    return elements

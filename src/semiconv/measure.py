@@ -130,18 +130,19 @@ class Dist(_Frozen):
             raise InvalidDistribution("empty support")
         if not den > 0:
             raise InvalidDistribution(f"denominator {den} is not positive")
-        if min(numerators.values()) <= 0:
+        values = numerators.values()
+        if min(values) <= 0:
             i = min(i for i, n in numerators.items() if n <= 0)
             raise InvalidDistribution(f"non-positive probability at {parent.label(i)}")
-        total = sum(numerators.values())
+        total = sum(values)
         if total != den:
             raise InvalidDistribution(f"probabilities sum to {RAT(total, den)}, not 1")
-        g = gcd(den, *numerators.values())
+        g = gcd(den, *values)
         if g == 1:
             nums = tuple(sorted(numerators.items()))
         else:
             den //= g
-            nums = tuple((i, n // g) for i, n in sorted(numerators.items()))
+            nums = tuple([(i, n // g) for i, n in sorted(numerators.items())])
         # The slots are written through their own descriptors, past
         # _Frozen's guard.
         dist = object.__new__(cls)

@@ -8,6 +8,17 @@ the uncounted skip of instances a law's `only` rule rejects, and the
 "no <kind> instance in corpus" witness when no instance meets its `needs`.
 Laws are registered with _law in the report's fixed check order.
 
+Laws that read seeded walks declare them when they are registered, as
+walks={salt: count}.  _seeded_dists(inst, seed, salt, count) is the one
+way a law reads them: the first count walks of the salt's stream, each a
+support and then a generator seed drawn from that stream, weighted by
+random_dist's rule.  On first use for a seed, a CorpusInstance draws
+every declared walk, the supports salt by salt and all the weights in one
+generators._random_dists batch, and keeps them for the suite run; a
+smaller count is a prefix of the kept list, and a larger one is drawn
+anew.  idempotent_factorization's salt-6 draws, whose supports are
+coordinates of drawn supports, are its own, and also one batch.
+
 A CorpusInstance is also a structure record: its carrier, its kernel,
 the kernel's Rees decomposition, the minimal left and right ideals read
 off that decomposition, the one-sided simplicity flags and the group
@@ -27,11 +38,13 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from time import perf_counter
 
 from ._rat import RAT, ZERO
 from .core import (
     Semigroup,
+    _ascending_subset,
     group_structure,
     idempotents,
     is_ideal,
@@ -55,7 +68,7 @@ from .dynamics import (
     shift_deviation,
 )
 from .errors import SemiconvError
-from .generators import CorpusSpec, XorShift64Star, build, random_dist
+from .generators import CorpusSpec, XorShift64Star, _random_dists, build
 from .linalg import nullspace
 from .measure import (
     _translation_identities,
@@ -84,6 +97,7 @@ class CorpusInstance:
     name: str
     semigroup: Semigroup
     _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def carrier(self):
@@ -130,6 +144,14 @@ class CorpusInstance:
         if key not in self._oracles:
             self._oracles[key] = oracle(source, side)
         return self._oracles[key]
+
+    def walks(self, seed):
+        """{salt: seeded walks} for every (salt, count) the laws declare,
+        drawn in one batch on first use for the seed and kept."""
+        if seed not in self._walks:
+            declared = {salt: n for law in _LAWS.values() for salt, n in law.walks.items()}
+            self._walks[seed] = _draw_walks(self, seed, declared)
+        return self._walks[seed]
 
 
 @dataclass(frozen=True)
@@ -250,17 +272,32 @@ def _random_support(sg, rng):
     picked = set()
     while len(picked) < size:
         picked.add(rng.below(n))
-    return sg.subset(picked)
+    return _ascending_subset(sg, sorted(picked))
 
 
 def _seeded_dists(inst, seed, salt, count):
-    """Deterministic batch of random distributions on an instance."""
-    rng = _instance_rng(inst, seed, salt)
-    out = []
-    for _ in range(count):
-        supp = _random_support(inst.semigroup, rng)
-        out.append(random_dist(supp, rng.next_word(), 64))
-    return out
+    """The first count seeded walks of the salt's stream on an instance:
+    a prefix of the instance's kept walks when they reach that far, as
+    each stream is read in order, and otherwise drawn anew in one batch."""
+    kept = inst.walks(seed).get(salt, [])
+    if count <= len(kept):
+        return kept[:count]
+    return _draw_walks(inst, seed, {salt: count})[salt]
+
+
+def _draw_walks(inst, seed, counts):
+    """{salt: count walks} for each salt of counts: per walk, a support
+    and then a generator seed from the salt's own stream, and every
+    walk's weights in one _random_dists call."""
+    sg = inst.semigroup
+    draws = []
+    for salt, count in counts.items():
+        rng = _instance_rng(inst, seed, salt)
+        for _ in range(count):
+            supp = _random_support(sg, rng)
+            draws.append((supp, rng.next_word()))
+    dists = iter(_random_dists(draws, 64))
+    return {salt: list(islice(dists, count)) for salt, count in counts.items()}
 
 
 def _all_subset_ideals(sg, side):
@@ -341,6 +378,7 @@ class _Law:
     only: object = None  # instance -> bool; instances it rejects are skipped, uncounted
     needs: tuple = None  # (kind, instance -> bool) that some counted instance must meet
     corrupted: bool = False  # also run first on the --inject-corruption table
+    walks: dict = field(default_factory=dict)  # {salt: count} of the seeded walks it reads
 
 
 _LAWS = {}
@@ -600,7 +638,7 @@ def _element_power_clusters(inst, seed):
 # ---------------------------------------------------------------------------
 
 
-@_law("support_convolution")
+@_law("support_convolution", walks={1: 3, 2: 3})
 def _support_convolution(inst, seed):
     """The support of a convolution is the product of the supports."""
     mus = _seeded_dists(inst, seed, 1, 3)
@@ -611,7 +649,12 @@ def _support_convolution(inst, seed):
     return None
 
 
-@_law("convolution_marginals", only=_simple, needs=("completely simple", _simple))
+@_law(
+    "convolution_marginals",
+    only=_simple,
+    needs=("completely simple", _simple),
+    walks={3: 3, 4: 3},
+)
 def _convolution_marginals(inst, seed):
     """On a completely simple carrier the left marginal of mu * nu matches
     mu's and the right marginal matches nu's."""
@@ -652,7 +695,7 @@ def _small_group(inst):
     return inst.group is not None and inst.semigroup.order <= 8
 
 
-@_law("translation_biinvariance", needs=("small group", _small_group))
+@_law("translation_biinvariance", needs=("small group", _small_group), walks={5: 2})
 def _translation_biinvariance(inst, seed):
     """Bi-invariance pins down the uniform distribution on a group: the
     exact linear system has a one-dimensional solution space, and any seeded
@@ -679,18 +722,34 @@ def _translation_biinvariance(inst, seed):
     return None
 
 
-@_law("idempotent_factorization", only=_simple, needs=("completely simple", _simple))
+def _factor_dists(inst, seed):
+    """Two (L-part, R-part) pairs of bound-32 distributions, flattened:
+    each pair's supports are the L and R coordinates of two supports drawn
+    from the salt-6 stream, then its two generator seeds; every weight
+    comes from one _random_dists call."""
+    sg, dec = inst.semigroup, inst.rees
+    rng = _instance_rng(inst, seed, 6)
+    draws = []
+    for _ in range(2):
+        supp_l = sg.subset(psi_inv(dec, z)[0] for z in _random_support(sg, rng))
+        supp_r = sg.subset(psi_inv(dec, z)[2] for z in _random_support(sg, rng))
+        draws += [(supp_l, rng.next_word()), (supp_r, rng.next_word())]
+    return _random_dists(draws, 32)
+
+
+@_law(
+    "idempotent_factorization",
+    only=_simple,
+    needs=("completely simple", _simple),
+    walks={7: 1},
+)
 def _idempotent_factorization(inst, seed):
     """Idempotent distributions are exactly the products of an L-part, the
     uniform distribution on the anchor group, and an R-part; composing and
     factoring are mutually inverse."""
-    sg, dec = inst.semigroup, inst.rees
-    rng = _instance_rng(inst, seed, 6)
-    for _ in range(2):
-        supp_l = sg.subset(psi_inv(dec, z)[0] for z in _random_support(sg, rng))
-        supp_r = sg.subset(psi_inv(dec, z)[2] for z in _random_support(sg, rng))
-        mu_l = random_dist(supp_l, rng.next_word(), 32)
-        mu_r = random_dist(supp_r, rng.next_word(), 32)
+    dec = inst.rees
+    dists = _factor_dists(inst, seed)
+    for mu_l, mu_r in zip(dists[::2], dists[1::2]):
         composed = compose_idempotent(mu_l, mu_r, dec.group)
         if factorize_idempotent(composed).recompose() != composed:
             return "factorization does not recompose the composition"
@@ -700,7 +759,7 @@ def _idempotent_factorization(inst, seed):
     return None
 
 
-@_law("convolution_invariance")
+@_law("convolution_invariance", walks={8: 2})
 def _convolution_invariance(inst, seed):
     """A distribution fixed by mu under convolution on both sides is fixed
     by every point mass drawn from supp(mu), relative to its own support.
@@ -710,7 +769,7 @@ def _convolution_invariance(inst, seed):
     return None
 
 
-@_law("limit_theorem")
+@_law("limit_theorem", walks={9: 2})
 def _limit_theorem(inst, seed):
     """Full limit analysis: the averaged limit, the cluster cycle, and the
     product factorizations all verify on seeded walks, and the cycle's
@@ -721,7 +780,7 @@ def _limit_theorem(inst, seed):
     return None
 
 
-@_law("cesaro_average_shift_bound", only=lambda inst: inst.semigroup.order <= 64)
+@_law("cesaro_average_shift_bound", only=lambda inst: inst.semigroup.order <= 64, walks={10: 1})
 def _cesaro_bound(inst, seed):
     """Shifting a length-n average by j steps moves it by at most 2j/n in
     variation norm.  Both shifts are read off the diagnostic's powers mu to
@@ -745,7 +804,7 @@ def _cesaro_bound(inst, seed):
     return None
 
 
-@_law("float_shadow_decay", only=lambda inst: inst.semigroup.order <= 32)
+@_law("float_shadow_decay", only=lambda inst: inst.semigroup.order <= 32, walks={11: 1})
 def _float_shadow(inst, seed):
     """A floating-point power iteration tracks the exact cluster cycle with
     non-increasing distance once aligned to the period."""

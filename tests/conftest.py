@@ -7,7 +7,10 @@ the limit analysis run on every walk, H = G included, the set-product and
 idempotent oracles products_by_pairs and idempotents_by_scan,
 cesaro_deviations_by_average, the Cesaro deviations by two convolutions a
 step, and cesaro_average and cesaro_deviation, the shifted deviation
-|avg_n - mu^j * avg_n| from the average and mu^j themselves.
+|avg_n - mu^j * avg_n| from the average and mu^j themselves, and
+seeded_dists_by_loop and factor_dists_by_loop, verify's seeded walks
+drawn one at a time by random_dist, as verify drew them before it kept
+each instance's walks and read their weights in one batch.
 
 Acceptance tests call record_criterion(); the collected lines are printed
 in a dedicated section at the end of the pytest run so every criterion's
@@ -18,11 +21,12 @@ they divide each pivot row by its pivot in Fraction, where linalg eliminates
 on ints and makes a Fraction only at read-out.
 """
 
-from semiconv import MalformedInput, dynamics
+from semiconv import MalformedInput, dynamics, verify
 from semiconv._rat import ONE, RAT, ZERO
 from semiconv.core import _power_cycle, kernel, product_sets
+from semiconv.generators import random_dist
 from semiconv.measure import Dist, convolve, coordinate_product, support, uniform_on
-from semiconv.rees import minimal_one_sided_ideals, rees_decompose
+from semiconv.rees import minimal_one_sided_ideals, psi_inv, rees_decompose
 
 _ACCEPTANCE_LINES = []
 
@@ -144,6 +148,43 @@ def cesaro_deviation(mu, n, j):
     reads the same number off a series of powers."""
     avg = cesaro_average(mu, n)
     return dynamics.variation_norm(avg, convolve(dynamics.power(mu, j), avg))
+
+
+def _support_by_loop(sg, rng):
+    """A support of 1 to 4 distinct elements: its size, then elements
+    until it has that many, built by Semigroup.subset."""
+    n = sg.order
+    size = 1 + rng.below(min(4, n))
+    picked = set()
+    while len(picked) < size:
+        picked.add(rng.below(n))
+    return sg.subset(picked)
+
+
+def seeded_dists_by_loop(inst, seed, salt, count):
+    """The count seeded walks of verify._seeded_dists, one at a time: a
+    support from the salt's stream, then random_dist on its next word."""
+    rng = verify._instance_rng(inst, seed, salt)
+    out = []
+    for _ in range(count):
+        supp = _support_by_loop(inst.semigroup, rng)
+        out.append(random_dist(supp, rng.next_word(), 64))
+    return out
+
+
+def factor_dists_by_loop(inst, seed):
+    """verify._factor_dists one walk at a time: the salt-6 stream gives
+    two supports, mapped to their L and R coordinates, then a random_dist
+    on each, twice."""
+    sg, dec = inst.semigroup, inst.rees
+    rng = verify._instance_rng(inst, seed, 6)
+    out = []
+    for _ in range(2):
+        supp_l = sg.subset(psi_inv(dec, z)[0] for z in _support_by_loop(sg, rng))
+        supp_r = sg.subset(psi_inv(dec, z)[2] for z in _support_by_loop(sg, rng))
+        out.append(random_dist(supp_l, rng.next_word(), 32))
+        out.append(random_dist(supp_r, rng.next_word(), 32))
+    return out
 
 
 def minimal_ideals(x):

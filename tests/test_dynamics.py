@@ -1386,3 +1386,42 @@ def test_integer_cesaro_helpers_match_fraction_sums(mu, n_max):
     for other in (averages[-1], nu):
         norm = variation_norm(mu, other)
         assert type(norm) is RAT and norm == fraction_variation_norm(mu, other)
+
+
+def _on_opposite(mu):
+    """mu on the opposite semigroup, a o b = b * a: the transposed table
+    with the same labels, and the same numerators over the same den."""
+    sg = mu.parent
+    opposite = validate_cayley(sg.labels, sg.table_array().T)
+    return Dist._from_numerators(opposite, mu.den, dict(mu._nums))
+
+
+def test_a_walk_on_the_opposite_semigroup_has_the_same_limit():
+    """On S^op, with a o b = b * a, convolution is (mu *op nu)(z) = sum of
+    mu(x) nu(y) over x o y = z, that is over y * x = z, so mu *op nu =
+    nu * mu.  The powers of one mu agree: mu^(op 1) = mu, and if mu^(op n)
+    = mu^n then mu^(op n+1) = mu^(op n) *op mu = mu * mu^n = mu^(n+1).  So
+    the averages, their limit nu, the cluster points mu^k * eta, eta, q
+    and p are the same measures on the same elements.  The kernel is the
+    same set, and its minimal left ideals are the minimal right ideals of
+    S^op, so |L| and |R| swap and |G| stays; and |H| = |G|/p stays."""
+    walks = [
+        mu
+        for inst in verify.build_corpus("extended")
+        if inst.semigroup.order <= 64
+        for mu in verify._seeded_dists(inst, 0, 9, 3)
+    ]
+    # The walk of z6_walk_with_cycle (p = 3 on Z6, which is commutative)
+    # and fold_walk (p = 3 on a table that is not).
+    walks += [Dist.from_mapping(cyclic(6), {"2": RAT(1, 2), "5": RAT(1, 2)}), fold_walk()]
+    swapped, periods = 0, Counter()
+    for mu in walks:
+        rep, op = analyze_limit(mu), analyze_limit(_on_opposite(mu))
+        assert (op.q, op.p) == (rep.q, rep.p), mu
+        for mine, theirs in [(rep.nu, op.nu), (rep.eta, op.eta), *zip(rep.cluster, op.cluster, strict=True)]:
+            assert (theirs.den, theirs._nums) == (mine.den, mine._nums), mu
+        sizes = (len(rep.rees.left), rep.rees.group.order, len(rep.rees.right), rep.H.order)
+        assert (len(op.rees.right), op.rees.group.order, len(op.rees.left), op.H.order) == sizes, mu
+        swapped += sizes[0] != sizes[2]
+        periods[rep.p] += 1
+    assert len(walks) == 101 and swapped > 0 and periods[3] >= 2, periods

@@ -115,6 +115,30 @@ def test_random_dist_matches_the_step_loop():
             assert random_dist(support, seed, bound) == random_dist_by_loop(support, seed, bound)
 
 
+def test_the_batched_draw_equals_random_dist_one_at_a_time():
+    # Supports of 1 to 4 points in one batch, so their needs differ and
+    # each block's last slots go to the dump bin; bound 200 takes four
+    # blocks.  Seed 0 is the fill seed's case, and seeds past 64 bits are
+    # masked.
+    z8 = build(CorpusSpec("cyclic", (8,)))
+    seeds = [0, 1 << 64, MASK] + reference_stream(5, 21)
+    draws = [
+        (z8.subset((g + i) % 8 for i in range(g % 4 + 1)), seed) for g, seed in enumerate(seeds)
+    ]
+    for bound in (32, 64, 200):
+        assert generators._random_dists(draws, bound) == [
+            random_dist(s, seed, bound) for s, seed in draws
+        ]
+    assert generators._random_dists(draws[:1], 64) == [random_dist(draws[0][0], 0, 64)]
+    assert generators._random_dists([], 64) == []
+    # A batch whose every need is 0 draws nothing.
+    assert generators._random_dists(draws[3:4], 4) == [random_dist(draws[3][0], seeds[3], 4)]
+    with pytest.raises(EmptySet):
+        generators._random_dists([(z8.subset([1]), 1), (z8.empty(), 1)], 8)
+    with pytest.raises(ParameterOutOfRange):
+        generators._random_dists([(z8.subset([1]), 1), (z8.carrier(), 1)], 4)
+
+
 def test_cyclic_builder():
     z5 = build(CorpusSpec("cyclic", (5,)))
     assert z5.order == 5

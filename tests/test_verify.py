@@ -1,11 +1,13 @@
 """The self-check suite: green on the stock corpus, red when fed damage."""
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from conftest import factor_dists_by_loop, seeded_dists_by_loop
 
 from semiconv import (
     RAT,
@@ -289,3 +291,71 @@ def test_the_invariance_check_convolves_only_inside_the_limit(monkeypatch):
         calls.clear()
         assert verify._convolution_invariance(inst, 0) is None
         assert calls["convolve"] == 0, inst.name
+
+
+# The (salt, count) of every seeded walk the laws read, in report order.
+WALKS = ((1, 3), (2, 3), (3, 3), (4, 3), (5, 2), (7, 1), (8, 2), (9, 2), (10, 1), (11, 1))
+
+
+def test_the_laws_declare_the_walks_they_read():
+    declared = [pair for law in _LAWS.values() for pair in law.walks.items()]
+    assert tuple(declared) == WALKS
+
+
+def test_the_kept_walks_equal_the_per_walk_loop():
+    # Every declared walk, and salt 10 with count 2, which goes past the
+    # one walk kept for it; the salt-6 draws of idempotent_factorization
+    # on the completely simple instances.
+    start = perf_counter()
+    compared = 0
+    for corpus, seeds in (("default", range(17)), ("extended", (0,))):
+        instances = build_corpus(corpus)
+        for seed in seeds:
+            for inst in instances:
+                for salt, count in WALKS + ((10, 2),):
+                    kept = verify._seeded_dists(inst, seed, salt, count)
+                    assert kept == seeded_dists_by_loop(inst, seed, salt, count), (inst.name, seed, salt)
+                    compared += count
+                if inst.kernel == inst.carrier:
+                    assert verify._factor_dists(inst, seed) == factor_dists_by_loop(inst, seed), (
+                        inst.name,
+                        seed,
+                    )
+                    compared += 4
+    assert compared == 17 * (28 * 23 + 21 * 4) + 37 * 23 + 26 * 4
+    assert perf_counter() - start < 5  # about 0.8 s on a 2-vCPU host
+
+
+def test_the_seeded_walks_are_pinned():
+    # One list per seed 1-4, default instance and declared walk: the
+    # walks every change to the draws must keep.
+    corpus = build_corpus("default")
+    walks = [
+        [(d.den, d._nums) for d in verify._seeded_dists(inst, seed, salt, count)]
+        for seed in range(1, 5)
+        for inst in corpus
+        for salt, count in WALKS
+    ]
+    assert len(walks) == 1120
+    digest = hashlib.sha256(repr(walks).encode()).hexdigest()
+    assert digest == "05d5029b52d58012aafcda487a780977ef93482563e661ba82fadb1ca6af4d4a"
+
+
+def test_each_instance_draws_its_walks_once_per_seed(monkeypatch):
+    draws = Counter()
+    real = verify._random_dists
+
+    def counted(batch, bound):
+        draws[bound] += 1
+        return real(batch, bound)
+
+    monkeypatch.setattr(verify, "_random_dists", counted)
+    inst = instance("rectangular_band", 2, 2)
+    for seed in (0, 1, 0):
+        for salt, count in WALKS:
+            verify._seeded_dists(inst, seed, salt, count)
+        verify._seeded_dists(inst, seed, 1, 2)
+    assert draws == Counter({64: 2})
+    # A count past the kept walks is drawn anew.
+    assert len(verify._seeded_dists(inst, 0, 10, 2)) == 2
+    assert draws == Counter({64: 3})
